@@ -3,7 +3,7 @@ count-cost instances."""
 
 __version__ = "0.1.0"
 
-from .costs import Cost, INF, ZERO, cost, cost_add
+from .costs import Cost, INF, ZERO, cost
 from .instances import (
     AssignmentSet,
     BinaryInstance,
@@ -25,7 +25,6 @@ __all__ = [
     "SolveResult",
     "ZERO",
     "cost",
-    "cost_add",
     "evaluate_binary",
     "evaluate_count",
     "parse_instance",

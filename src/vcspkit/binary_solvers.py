@@ -2,7 +2,13 @@
 
 Each solver validates its class precondition by default (profile check plus
 any structural assumption it leans on) and returns a SolveResult whose
-assignment re-evaluates exactly to the reported cost.
+assignment re-evaluates exactly to the reported cost.  The dispatcher's
+verdict already is that profile check, so it runs the solvers unchecked.
+
+The crisp solver needs no consistency propagation: in its class no triangle
+has exactly one infinite cost, so values zero-compatible with a common
+anchor value are zero-compatible with each other, and scanning the anchor
+values of one variable is exact.
 """
 
 from __future__ import annotations
@@ -40,10 +46,6 @@ def _require_profile(inst, scheme, allowed, solver):
     return prof
 
 
-def _first_assignment(inst):
-    return tuple(0 for _ in range(inst.n))
-
-
 def _check_result(inst, x, total):
     got = evaluate_binary(inst, x)
     if got != total:
@@ -66,67 +68,6 @@ def _brute_force(inst):
 
 
 # ---------------------------------------------------------------------------
-# consistency propagation
-
-
-def arc_consistency(inst: BinaryInstance, domains=None, *, assigned=None):
-    """Arc-consistent domains for a crisp-binary instance.
-
-    A value is removed when some neighbouring table gives it no zero-cost
-    support.  Returns (domains, wiped): lists of surviving value indices per
-    variable and whether some domain emptied.
-    """
-    if not _crisp_binaries(inst):
-        raise ClassViolation("arc consistency needs crisp binary tables")
-    n = inst.n
-    if domains is None:
-        domains = [list(range(len(d))) for d in inst.domains]
-    else:
-        domains = [list(d) for d in domains]
-    if assigned is not None:
-        i, a = assigned
-        if a not in domains[i]:
-            return domains, True
-        domains[i] = [a]
-    tables = {}
-    for (i, j), table in inst.binary.items():
-        tables[(i, j)] = table
-        tables[(j, i)] = tuple(zip(*table))
-    queue = list(tables)
-    while queue:
-        i, j = queue.pop(0)
-        table = tables[(i, j)]
-        supported = [a for a in domains[i] if any(table[a][b] == ZERO for b in domains[j])]
-        if len(supported) != len(domains[i]):
-            domains[i] = supported
-            if not supported:
-                return domains, True
-            for (k, l) in tables:
-                if l == i and k != j and (k, l) not in queue:
-                    queue.append((k, l))
-    return domains, False
-
-
-def singleton_arc_consistency(inst: BinaryInstance):
-    """Domains pruned of every value whose assertion wipes out under AC."""
-    domains, wiped = arc_consistency(inst)
-    if wiped:
-        return domains, True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(inst.n):
-            for a in list(domains[i]):
-                _, wipe = arc_consistency(inst, domains, assigned=(i, a))
-                if wipe:
-                    domains[i].remove(a)
-                    changed = True
-                    if not domains[i]:
-                        return domains, True
-    return domains, False
-
-
-# ---------------------------------------------------------------------------
 # class solvers
 
 
@@ -134,34 +75,28 @@ def solve_sac_class(inst: BinaryInstance, check=True) -> SolveResult:
     """Crisp binaries whose triangles avoid the two-zeros-one-inf pattern,
     with arbitrary soft unaries.
 
-    After singleton arc consistency, any per-variable choice consistent with
-    an anchor assignment to the first variable is globally consistent, so
-    the optimum is found by scanning anchor values and taking minimum-cost
-    consistent unaries elsewhere.
+    No triangle of the class has exactly one infinite cost, so two values
+    that are zero-compatible with the same anchor value of the first
+    variable are zero-compatible with each other.  Any per-variable choice
+    compatible with an anchor is therefore globally consistent, and the
+    optimum is found by scanning anchor values over the full domains and
+    taking minimum-cost compatible unaries elsewhere.
     """
     if check:
         _require_profile(inst, Scheme.CSP, {">", "0", "inf"}, "sac")
     elif not _crisp_binaries(inst):
         raise ClassViolation("sac: crisp binary tables required")
     n = inst.n
-    if n == 1:
-        a = min(range(len(inst.domains[0])), key=lambda v: (inst.unary[0][v], v))
-        res = SolveResult((a,), inst.unary[0][a], "sac", {"anchor_value": a})
-        _check_result(inst, res.assignment, res.cost)
-        return res
-    domains, wiped = singleton_arc_consistency(inst)
-    if wiped or not domains[0]:
-        x = _first_assignment(inst)
-        return SolveResult(x, INF, "sac", {"wipeout": True})
     best = None
-    for a1 in domains[0]:
+    for a1 in range(len(inst.domains[0])):
         total = inst.unary[0][a1]
         picks = [a1]
         feasible = True
         for i in range(1, n):
             table = inst.pair_table(0, i)
             candidates = [
-                b for b in domains[i] if table is None or table[a1][b] == ZERO
+                b for b in range(len(inst.domains[i]))
+                if table is None or table[a1][b] == ZERO
             ]
             if not candidates:
                 feasible = False
@@ -174,7 +109,7 @@ def solve_sac_class(inst: BinaryInstance, check=True) -> SolveResult:
         if best is None or total < best[0]:
             best = (total, tuple(picks))
     if best is None:
-        x = _first_assignment(inst)
+        x = (0,) * inst.n
         return SolveResult(x, INF, "sac", {"wipeout": True})
     res = SolveResult(best[1], best[0], "sac", {"anchor_value": best[1][0]})
     _check_result(inst, res.assignment, res.cost)
@@ -216,7 +151,7 @@ def solve_trivial_class(inst: BinaryInstance, scheme: Scheme = None, check=True)
         )
     if chosen is Scheme.CSP and inst.n >= 3:
         # no all-zero triangle can exist, so no solution has finite cost
-        x = _first_assignment(inst)
+        x = (0,) * inst.n
         res = SolveResult(x, INF, "trivial", {"reason": "no finite solution with n >= 3"})
         _check_result(inst, x, INF)
         return res
@@ -351,7 +286,7 @@ def solve_lr_class(inst: BinaryInstance, check=True) -> SolveResult:
                 x = (a1, a2) + tuple(picks[i] for i in range(2, n))
                 best = (totals[k_best], x, forced_l + k_best)
     if best is None:
-        x = _first_assignment(inst)
+        x = (0,) * inst.n
         _check_result(inst, x, INF)
         return SolveResult(x, INF, "lr", {"wipeout": True})
     total, x, k = best
@@ -610,7 +545,7 @@ def solve_weighted_matching_class(inst: BinaryInstance, check=True) -> SolveResu
     for i in range(n):
         lo = min(inst.unary[i])
         if lo.is_infinite:
-            x = _first_assignment(inst)
+            x = (0,) * inst.n
             return SolveResult(x, INF, "weighted-matching", {"wipeout_variable": i})
         mins.append(lo)
     offset = cost_sum(mins)
@@ -696,8 +631,14 @@ def _applicable(inst, scheme):
     return all(not c.is_infinite for c in costs)
 
 
-def dispatch(inst: BinaryInstance, *, oracle_budget=2_000_000, validate=True) -> SolveResult:
+def dispatch(inst: BinaryInstance, *, oracle_budget=2_000_000) -> SolveResult:
     """Classify under every applicable scheme and run the matching solver.
+
+    The verdict is the solver's precondition check: a solver is chosen only
+    for a cell that contains every observed type, which is what the solver's
+    own profile check tests, so the chosen solver runs with ``check=False``
+    and the instance is scanned once per applicable scheme.  Every route
+    still re-evaluates its answer against the instance.
 
     Profiles with no implemented solver (or NP-hard cells) fall back to the
     exhaustive oracle within the budget; otherwise an explicit unsolved
@@ -722,7 +663,7 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=2_000_000, validate=True) ->
     verdicts = tuple(verdict_docs)
     chosen = route or small_domain_route
     if chosen is not None:
-        result = SOLVERS[chosen](inst, check=validate)
+        result = SOLVERS[chosen](inst, check=False)
         return SolveResult(result.assignment, result.cost, result.solver,
                            result.certificate, verdicts)
     space = prod(len(d) for d in inst.domains)

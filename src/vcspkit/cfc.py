@@ -265,10 +265,6 @@ def build_network(forest: LaminarForest, inst: CountInstance) -> FlowNetwork:
     return FlowNetwork(num_nodes, source, sink, n, tuple(arcs))
 
 
-def _first_assignment(inst):
-    return tuple(0 for _ in range(inst.n))
-
-
 def solve_cfc(inst: CountInstance, check=True) -> SolveResult:
     """Exact optimum of a cross-free convex instance via min convex-cost flow."""
     if check:
@@ -276,7 +272,7 @@ def solve_cfc(inst: CountInstance, check=True) -> SolveResult:
     lam = crossfree_to_laminar(inst)
     for k, aset in enumerate(lam.sets):
         if aset.g.support is None:
-            x = _first_assignment(inst)
+            x = (0,) * inst.n
             res = SolveResult(x, INF, "cfc-flow", {"empty_support_set": k})
             _verify(inst, res)
             return res
@@ -285,7 +281,7 @@ def solve_cfc(inst: CountInstance, check=True) -> SolveResult:
     net = build_network(forest, lam)
     outcome = min_convex_cost_flow(net)
     if isinstance(outcome, Infeasible):
-        x = _first_assignment(inst)
+        x = (0,) * inst.n
         res = SolveResult(
             x, INF, "cfc-flow",
             {"infeasible": True, "witness_arc": outcome.witness_arc},

@@ -113,7 +113,7 @@ def cmd_classify(args):
 
 def cmd_solve(args):
     inst = _load(args.file, BinaryInstance)
-    result = dispatch(inst, oracle_budget=args.oracle_budget, validate=not args.no_validate)
+    result = dispatch(inst, oracle_budget=args.oracle_budget)
     _emit(result.to_doc())
     return 0
 
@@ -206,7 +206,7 @@ def cmd_gen(args):
         bounds = _parse_bounds(args.bounds)
         inst = gen_soft_gcc(args.n, args.d, bounds)
     elif args.kind == "nested-gcc":
-        groups = [tuple(int(v) for v in grp.split("-")) for grp in args.groups.split(",")]
+        groups = _parse_groups(args.groups)
         bounds_list = _parse_bounds(args.bounds)
         bounds = {}
         k = 0
@@ -231,9 +231,19 @@ def cmd_gen(args):
 def _parse_bounds(spec):
     out = []
     for part in spec.split(","):
-        lo, hi = part.split(":")
-        out.append((int(lo), int(hi)))
+        try:
+            lo, hi = part.split(":")
+            out.append((int(lo), int(hi)))
+        except ValueError:
+            raise FormatError(f"malformed bounds {part!r}; expected like 0:1")
     return out
+
+
+def _parse_groups(spec):
+    try:
+        return [tuple(int(v) for v in grp.split("-")) for grp in spec.split(",")]
+    except ValueError:
+        raise FormatError(f"malformed groups {spec!r}; expected like 0-1-2,0-1")
 
 
 def cmd_oracle(args):
@@ -264,8 +274,6 @@ def build_parser():
     p = sub.add_parser("solve", help="dispatch a binary instance to its class solver")
     p.add_argument("file")
     p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--no-validate", action="store_true",
-                   help="skip in-solver profile checks")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("solve-cfc", help="solve a cross-free convex count instance")

@@ -6,6 +6,7 @@ All finite arithmetic is exact rational arithmetic, never floating point.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import FormatError
@@ -136,11 +137,6 @@ def cost(value) -> Cost:
     return Cost(value)
 
 
-def cost_add(a: Cost, b: Cost) -> Cost:
-    """Exact aggregation of two costs; infinity is absorbing."""
-    return a + b
-
-
 def cost_sum(items) -> Cost:
     total = ZERO
     for item in items:
@@ -148,27 +144,24 @@ def cost_sum(items) -> Cost:
     return total
 
 
+_COST_GRAMMAR = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
 def parse_cost(text: str) -> Cost:
-    """Parse ``"inf"``, a decimal integer, or ``"p/q"`` in lowest or any terms."""
+    """Parse ``"inf"``, ASCII digits ``n``, or ``p/q`` in ASCII digits with
+    q > 0, in any terms; signs, underscores and other digits are rejected."""
     if not isinstance(text, str):
         raise FormatError(f"cost must be a string, got {type(text).__name__}")
     stripped = text.strip()
     if stripped == "inf":
         return INF
-    try:
-        if "/" in stripped:
-            num_s, den_s = stripped.split("/", 1)
-            num, den = int(num_s), int(den_s)
-            if den <= 0:
-                raise FormatError(f"cost denominator must be positive: {text!r}")
-            value = Fraction(num, den)
-        else:
-            value = Fraction(int(stripped))
-    except ValueError as exc:
-        raise FormatError(f"malformed cost string {text!r}") from exc
-    if value < 0:
-        raise FormatError(f"costs are non-negative: {text!r}")
-    return Cost(value)
+    match = _COST_GRAMMAR.fullmatch(stripped)
+    if match is None:
+        raise FormatError(f"malformed cost string {text!r}; expected inf, n or p/q, non-negative")
+    num, den = match.groups()
+    if den is not None and int(den) == 0:
+        raise FormatError(f"cost denominator must be positive: {text!r}")
+    return Cost(Fraction(int(num), int(den or 1)))
 
 
 def format_cost(c: Cost) -> str:

@@ -66,24 +66,6 @@ def marginals(cost: CountFunction) -> Tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class ExpandedArc:
-    """Unit-step expansion of a convex arc: forced units plus unit marginals."""
-
-    forced_units: int
-    base_cost: Cost
-    unit_marginals: Tuple[Fraction, ...]
-
-
-def expand_convex_arc(arc: Arc) -> ExpandedArc:
-    """Split an arc into lo forced units and hi-lo unit arcs with marginal costs.
-
-    The marginals are non-decreasing, so any min-cost flow on the expansion
-    induces a min-cost flow on the original arc.
-    """
-    return ExpandedArc(arc.lo, arc.cost.table[arc.lo], marginals(arc.cost))
-
-
-@dataclass(frozen=True)
 class FlowNetwork:
     num_nodes: int
     source: int
@@ -140,10 +122,10 @@ def min_convex_cost_flow(net: FlowNetwork):
     costs non-negative.
     """
     n_arcs = len(net.arcs)
-    expansions = [expand_convex_arc(a) for a in net.arcs]
+    unit_marginals = [marginals(a.cost) for a in net.arcs]
 
-    denom = lcm(*(m.denominator for exp in expansions for m in exp.unit_marginals)) \
-        if any(exp.unit_marginals for exp in expansions) else 1
+    denom = lcm(*(m.denominator for ms in unit_marginals for m in ms)) \
+        if any(unit_marginals) else 1
 
     num_nodes = net.num_nodes + 2
     s_node, t_node = net.num_nodes, net.num_nodes + 1
@@ -168,8 +150,8 @@ def min_convex_cost_flow(net: FlowNetwork):
         caps.append(seg_ends[-1] if seg_ends else 0)
         flows.append(e0)
 
-    for arc, exp in zip(net.arcs, expansions):
-        scaled = [int(m * denom) for m in exp.unit_marginals]
+    for arc, ms in zip(net.arcs, unit_marginals):
+        scaled = [int(m * denom) for m in ms]
         seg_vals, seg_ends = _compress(scaled)
         # saturate negative-marginal units so residual costs start non-negative
         presat = sum(1 for m in scaled if m < 0)

@@ -2,8 +2,8 @@
 
 Three document kinds, distinguished by their ``format`` field:
 ``vcsp-binary/1``, ``vcsp-cfc/1`` and ``vcsp-solution/1``.  Cost strings are
-decimal integers, ``p/q`` fractions, or ``inf``.  ``serialize_instance`` is
-the canonical writer; parsing its output reproduces the same bytes.
+ASCII decimal integers, ``p/q`` fractions, or ``inf``.  ``serialize_instance``
+is the canonical writer; parsing its output reproduces the same bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ SOLUTION_FORMAT = "vcsp-solution/1"
 def _expect(cond, message, where=None):
     if not cond:
         raise FormatError(message, where)
+
+
+def _is_index(v):
+    """An int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _load_json(text):
@@ -74,7 +79,7 @@ def parse_binary_instance(doc) -> BinaryInstance:
         where = f"unary[{k}]"
         _expect(isinstance(entry, dict), "unary entry must be an object", where)
         var = entry.get("var")
-        _expect(isinstance(var, int) and 0 <= var < n, f"bad variable index {var!r}", where)
+        _expect(_is_index(var) and 0 <= var < n, f"bad variable index {var!r}", where)
         _expect(var not in unary, f"duplicate unary table on variable {var}", where)
         costs = entry.get("costs")
         _expect(isinstance(costs, list), "unary costs must be a list", where)
@@ -89,7 +94,7 @@ def parse_binary_instance(doc) -> BinaryInstance:
         where = f"binary[{k}]"
         _expect(isinstance(entry, dict), "binary entry must be an object", where)
         i, j = entry.get("i"), entry.get("j")
-        _expect(isinstance(i, int) and isinstance(j, int), "pair indices must be ints", where)
+        _expect(_is_index(i) and _is_index(j), "pair indices must be ints", where)
         _expect(0 <= i < j < n, f"pair ({i}, {j}) must satisfy 0 <= i < j < n", where)
         _expect((i, j) not in binary, f"duplicate binary table on pair ({i}, {j})", where)
         rows = entry.get("costs")
@@ -122,7 +127,7 @@ def parse_count_instance(doc) -> CountInstance:
         for pair in raw_members:
             _expect(
                 isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, int) for v in pair),
+                and all(_is_index(v) for v in pair),
                 f"assignment must be [varIdx, valIdx], got {pair!r}",
                 where,
             )
@@ -164,7 +169,7 @@ def parse_solution(text) -> tuple:
     _expect(isinstance(doc, dict), "top-level document must be an object")
     _expect(doc.get("format") == SOLUTION_FORMAT, "expected a solution document")
     assignment = doc.get("assignment")
-    _expect(isinstance(assignment, list) and all(isinstance(v, int) for v in assignment),
+    _expect(isinstance(assignment, list) and all(_is_index(v) for v in assignment),
             "'assignment' must be a list of value indices")
     return tuple(assignment), _parse_cost_at(doc.get("cost", "0"), "cost")
 

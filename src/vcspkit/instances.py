@@ -118,17 +118,19 @@ class BinaryInstance:
             for row in table:
                 yield from row
 
-    def validate_solution(self, x: Solution):
-        if len(x) != self.n:
-            raise InstanceError(f"solution has {len(x)} entries, expected {self.n}")
-        for i, a in enumerate(x):
-            if not (0 <= a < len(self.domains[i])):
-                raise InstanceError(f"value index {a} outside domain of variable {i}")
+
+def _check_solution(inst, x: Solution):
+    """One value index per variable, each inside its domain."""
+    if len(x) != inst.n:
+        raise InstanceError(f"solution has {len(x)} entries, expected {inst.n}")
+    for i, a in enumerate(x):
+        if not (0 <= a < len(inst.domains[i])):
+            raise InstanceError(f"value index {a} outside domain of variable {i}")
 
 
 def evaluate_binary(inst: BinaryInstance, x: Solution) -> Cost:
     """Exact aggregate of all unary and pairwise costs under x."""
-    inst.validate_solution(x)
+    _check_solution(inst, x)
     total = ZERO
     for i, a in enumerate(x):
         total = total + inst.unary[i][a]
@@ -268,17 +270,10 @@ class CountInstance:
             (i, a) for i in range(self.n) for a in range(len(self.domains[i]))
         )
 
-    def validate_solution(self, x: Solution):
-        if len(x) != self.n:
-            raise InstanceError(f"solution has {len(x)} entries, expected {self.n}")
-        for i, a in enumerate(x):
-            if not (0 <= a < len(self.domains[i])):
-                raise InstanceError(f"value index {a} outside domain of variable {i}")
-
 
 def evaluate_count(inst: CountInstance, x: Solution) -> Cost:
     """constant + sum over sets of g_i applied to the count hit by x."""
-    inst.validate_solution(x)
+    _check_solution(inst, x)
     total = inst.constant
     for aset in inst.sets:
         total = total + aset.g(aset.count_in(x))

@@ -52,13 +52,6 @@ def max_weight_matching(g: MatchingGraph):
     return matching, total
 
 
-def max_cardinality_matching(num_vertices: int, pairs):
-    """Maximum-cardinality matching as the all-weights-one special case."""
-    g = MatchingGraph(num_vertices, tuple((u, v, Cost(1)) for u, v in pairs))
-    matching, total = max_weight_matching(g)
-    return matching, int(total.value)
-
-
 def brute_force_max_weight_matching(g: MatchingGraph):
     """Reference implementation: exhaustive search over all matchings.
 

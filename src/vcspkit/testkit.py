@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .costs import Cost, INF, ZERO, cost
+from .costs import Cost, INF, ZERO
 from .errors import BudgetExceeded, GenerationError
 from .flow import Arc, FlowNetwork
 from .instances import (
@@ -139,20 +139,22 @@ def count_finite_solutions(inst: CountInstance) -> int:
 
 
 # ---------------------------------------------------------------------------
-# brute-force references for flows and matchings
+# brute-force references for flows
 
 
-def enumerate_feasible_flows(net: FlowNetwork):
-    """Yield every integral feasible flow of the required value (DFS search)."""
+def _balance_search(net: FlowNetwork):
+    """Node balances and a pruning test for depth-first search over arc amounts.
+
+    balance[x] = initial + inflow - outflow must reach 0: the source must
+    ship `value` net out, the sink absorb `value` net in.  After assigning
+    a prefix of arcs, feasible_prefix(k) tells whether each node's balance
+    is still reachable using the windows of arcs[k:].
+    """
     arcs = net.arcs
     m = len(arcs)
-    # balance[x] = initial + inflow - outflow must reach 0: the source must
-    # ship `value` net out, the sink absorb `value` net in
     balance = [0] * net.num_nodes
     balance[net.source] += net.value
     balance[net.sink] -= net.value
-    # after assigning a prefix of arcs, each node's balance must still be
-    # reachable using the remaining arcs' windows
     suffix_in = [[0] * net.num_nodes for _ in range(m + 1)]
     suffix_out = [[0] * net.num_nodes for _ in range(m + 1)]
     for k in range(m - 1, -1, -1):
@@ -162,14 +164,22 @@ def enumerate_feasible_flows(net: FlowNetwork):
         suffix_in[k][arcs[k].head] += arcs[k].hi
         suffix_out[k][arcs[k].tail] += arcs[k].hi
 
-    flows = [0] * m
-
     def feasible_prefix(k):
         for x in range(net.num_nodes):
             b = balance[x]
             if b + suffix_in[k][x] < 0 or b - suffix_out[k][x] > 0:
                 return False
         return True
+
+    return balance, feasible_prefix
+
+
+def enumerate_feasible_flows(net: FlowNetwork):
+    """Yield every integral feasible flow of the required value (DFS search)."""
+    arcs = net.arcs
+    m = len(arcs)
+    balance, feasible_prefix = _balance_search(net)
+    flows = [0] * m
 
     def descend(k):
         if k == m:
@@ -198,17 +208,7 @@ def oracle_flow(net: FlowNetwork):
     """
     arcs = net.arcs
     m = len(arcs)
-    balance = [0] * net.num_nodes
-    balance[net.source] += net.value
-    balance[net.sink] -= net.value
-    suffix_in = [[0] * net.num_nodes for _ in range(m + 1)]
-    suffix_out = [[0] * net.num_nodes for _ in range(m + 1)]
-    for k in range(m - 1, -1, -1):
-        for x in range(net.num_nodes):
-            suffix_in[k][x] = suffix_in[k + 1][x]
-            suffix_out[k][x] = suffix_out[k + 1][x]
-        suffix_in[k][arcs[k].head] += arcs[k].hi
-        suffix_out[k][arcs[k].tail] += arcs[k].hi
+    balance, feasible_prefix = _balance_search(net)
     cheapest = [ZERO] * (m + 1)
     for k in range(m - 1, -1, -1):
         low = min(c for c in arcs[k].cost.table if not c.is_infinite)
@@ -216,13 +216,6 @@ def oracle_flow(net: FlowNetwork):
 
     best = None
     flows = [0] * m
-
-    def feasible_prefix(k):
-        for x in range(net.num_nodes):
-            b = balance[x]
-            if b + suffix_in[k][x] < 0 or b - suffix_out[k][x] > 0:
-                return False
-        return True
 
     def descend(k, spent):
         nonlocal best
@@ -245,14 +238,6 @@ def oracle_flow(net: FlowNetwork):
     if feasible_prefix(0):
         descend(0, ZERO)
     return best
-
-
-def oracle_matching(num_vertices, weighted_edges):
-    """(matching, weight) maximising total weight by exhaustive search."""
-    from .matching import MatchingGraph, brute_force_max_weight_matching
-
-    g = MatchingGraph(num_vertices, tuple((u, v, cost(w)) for u, v, w in weighted_edges))
-    return brute_force_max_weight_matching(g)
 
 
 # ---------------------------------------------------------------------------

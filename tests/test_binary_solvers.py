@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from vcspkit import binary_solvers
 from vcspkit.binary_solvers import (
-    arc_consistency,
     dispatch,
-    singleton_arc_consistency,
     solve_lr_class,
     solve_matching_cardinality_class,
     solve_min0_class,
@@ -25,70 +24,6 @@ C = Cost
 
 def crisp(rows):
     return [[INF if v else ZERO for v in row] for row in rows]
-
-
-def test_arc_consistency_no_conflicts_keeps_domains():
-    inst = BinaryInstance.build(
-        [["a", "b"], ["a", "b"]], binary={(0, 1): crisp([[0, 0], [0, 0]])}
-    )
-    domains, wiped = arc_consistency(inst)
-    assert domains == [[0, 1], [0, 1]] and not wiped
-
-
-def test_arc_consistency_removes_unsupported_value():
-    inst = BinaryInstance.build(
-        [["a", "b"], ["c"]], binary={(0, 1): crisp([[1], [0]])}
-    )
-    domains, wiped = arc_consistency(inst)
-    assert domains[0] == [1] and not wiped
-
-
-def test_arc_consistency_matches_exhaustive_support_oracle():
-    rng = random.Random(42)
-    for _ in range(60):
-        n, d = rng.randint(2, 4), rng.randint(1, 3)
-        binary = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                binary[(i, j)] = [
-                    [INF if rng.random() < 0.35 else ZERO for _ in range(d)]
-                    for _ in range(d)
-                ]
-        inst = BinaryInstance.build([["v%d" % k for k in range(d)]] * n, binary=binary)
-        domains, wiped = arc_consistency(inst)
-        # reference: repeatedly drop values lacking a zero-support, until stable
-        ref = [set(range(d)) for _ in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                for a in list(ref[i]):
-                    for j in range(n):
-                        if i == j:
-                            continue
-                        if not any(inst.pair_cost(i, a, j, b) == ZERO for b in ref[j]):
-                            ref[i].discard(a)
-                            changed = True
-                            break
-        if wiped:
-            assert any(not r for r in ref)
-        else:
-            assert [sorted(r) for r in ref] == domains
-
-
-def test_sac_prunes_two_step_wipeout():
-    # asserting v0=a leaves v1 a single value that v2 cannot match
-    inst = BinaryInstance.build(
-        [["a", "b"], ["c", "d"], ["e", "f"]],
-        binary={
-            (0, 1): crisp([[0, 1], [0, 0]]),
-            (1, 2): crisp([[1, 1], [0, 0]]),
-            (0, 2): crisp([[0, 0], [0, 0]]),
-        },
-    )
-    domains, wiped = singleton_arc_consistency(inst)
-    assert not wiped
-    assert 0 not in domains[0]
 
 
 def test_sac_solver_examples():
@@ -329,4 +264,35 @@ def test_dispatch_small_domain_still_uses_mapped_solver():
     res = dispatch(inst)
     assert res.solver == "sac"
     assert any(v["kind"] == "trivial-small-domain" for v in res.verdicts)
+    assert res.cost == oracle_binary(inst).cost
+
+
+@pytest.mark.parametrize(
+    "scheme,types,solver",
+    [
+        (Scheme.CSP, {">", "0", "inf"}, "sac"),
+        (Scheme.CSP, {"<", ">", "inf"}, "trivial"),
+        (Scheme.MAXCSP, {">", "0"}, "lr"),
+        (Scheme.MAXCSP, {">", "1"}, "matching-cardinality"),
+        (Scheme.MAXCSP, {"<", ">"}, "trivial"),
+        (Scheme.MIN0, {">0", "0"}, "min0-structure"),
+        (Scheme.MIN0, {"delta0", "<0", ">0"}, "trivial"),
+        (Scheme.MAXM, {">M", "M"}, "weighted-matching"),
+        (Scheme.MAXM, {"deltaM", "<M", ">M"}, "trivial"),
+    ],
+)
+def test_dispatch_scans_once_per_applicable_scheme(monkeypatch, scheme, types, solver):
+    # the verdict is the routed solver's precondition check: no second scan
+    calls = []
+    real_profile = binary_solvers.profile
+
+    def counting_profile(inst, s):
+        calls.append(s)
+        return real_profile(inst, s)
+
+    monkeypatch.setattr(binary_solvers, "profile", counting_profile)
+    inst = gen_profile(5, 3, types, scheme, seed=3)
+    res = dispatch(inst)
+    assert res.solver == solver
+    assert len(calls) == len(res.verdicts)
     assert res.cost == oracle_binary(inst).cost

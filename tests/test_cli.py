@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -96,15 +98,6 @@ def test_classify_range_violation_exits_four():
     assert json.loads(proc.stdout)["error"]["kind"] == "class"
 
 
-def test_solve_no_validate_flag():
-    gen = run_cli("gen", "profile", "--scheme", "maxcsp", "--types", ">,0",
-                  "--n", "5", "--d", "2", "--seed", "6")
-    strict = run_cli("solve", "-", stdin=gen.stdout)
-    loose = run_cli("solve", "-", "--no-validate", stdin=gen.stdout)
-    assert strict.returncode == loose.returncode == 0
-    assert json.loads(strict.stdout)["cost"] == json.loads(loose.stdout)["cost"]
-
-
 def test_validation_error_exits_three():
     proc = run_cli("solve", "-", stdin="{not json")
     assert proc.returncode == 3
@@ -152,3 +145,13 @@ def test_oracle_solves_fixture():
     doc = json.loads(proc.stdout)
     assert doc["solver"] == "oracle"
     assert doc["cost"] == "0"
+
+
+@pytest.mark.parametrize(
+    "args", [("soft-gcc", "--bounds", "x"), ("nested-gcc", "--groups", "0-a")]
+)
+def test_gen_malformed_flag_exits_three(args):
+    proc = run_cli("gen", *args)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"]["kind"] == "format"
+    assert "Traceback" not in proc.stderr

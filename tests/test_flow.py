@@ -10,7 +10,7 @@ from vcspkit.flow import (
     Flow,
     FlowNetwork,
     Infeasible,
-    expand_convex_arc,
+    marginals,
     min_convex_cost_flow,
     network_to_dot,
 )
@@ -42,18 +42,14 @@ def test_two_parallel_linear_arcs():
 
 def test_expand_first_differences():
     arc = Arc(0, 1, 0, 3, CountFunction((ZERO, C(1), C(3), C(6))))
-    exp = expand_convex_arc(arc)
-    assert exp.forced_units == 0
-    assert exp.base_cost == ZERO
-    assert exp.unit_marginals == (Fraction(1), Fraction(2), Fraction(3))
+    assert arc.cost.table[arc.lo] == ZERO
+    assert marginals(arc.cost) == (Fraction(1), Fraction(2), Fraction(3))
 
 
 def test_expand_forced_unit():
     arc = Arc(0, 1, 1, 2, CountFunction((INF, C(2), C(2))))
-    exp = expand_convex_arc(arc)
-    assert exp.forced_units == 1
-    assert exp.base_cost == C(2)
-    assert exp.unit_marginals == (Fraction(0),)
+    assert arc.cost.table[arc.lo] == C(2)
+    assert marginals(arc.cost) == (Fraction(0),)
 
 
 def test_expand_resums_to_table():
@@ -72,9 +68,8 @@ def test_expand_resums_to_table():
         for k, v in enumerate(vals):
             table[lo + k] = C(v - floor)
         arc = Arc(0, 1, lo, hi, CountFunction(tuple(table)))
-        exp = expand_convex_arc(arc)
-        acc = exp.base_cost
-        for k, m in enumerate(exp.unit_marginals, start=lo + 1):
+        acc = arc.cost.table[arc.lo]
+        for k, m in enumerate(marginals(arc.cost), start=lo + 1):
             acc = C(acc.value + m)
             assert acc == arc.cost.table[k]
 

@@ -89,11 +89,32 @@ def test_duplicate_sets_merge_on_load():
             ' "sets": [{"assignments": [[0, 5]], "g": ["0", "1"]}]}',
             "outside domain",
         ),
+        (
+            '{"format": "vcsp-binary/1", "variables": [{"name": "x", "domain": ["a"]},'
+            ' {"name": "y", "domain": ["a"]}], "unary": [{"var": true, "costs": ["1"]}]}',
+            "bad variable index",
+        ),
+        (
+            '{"format": "vcsp-binary/1", "variables": [{"name": "x", "domain": ["a"]},'
+            ' {"name": "y", "domain": ["a"]}],'
+            ' "binary": [{"i": false, "j": true, "costs": [["0"]]}]}',
+            "pair indices must be ints",
+        ),
+        (
+            '{"format": "vcsp-cfc/1", "variables": [{"name": "x", "domain": ["a", "b"]}],'
+            ' "sets": [{"assignments": [[0, true]], "g": ["0", "1"]}]}',
+            "assignment must be [varIdx, valIdx]",
+        ),
+        (
+            '{"format": "vcsp-solution/1", "assignment": [true], "cost": "0"}',
+            "'assignment' must be a list of value indices",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):
+    parse = parse_solution if '"vcsp-solution/1"' in text else parse_instance
     with pytest.raises(FormatError) as err:
-        parse_instance(text)
+        parse(text)
     assert fragment in str(err.value)
 
 

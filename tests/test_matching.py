@@ -8,7 +8,6 @@ from vcspkit.errors import InstanceError
 from vcspkit.matching import (
     MatchingGraph,
     brute_force_max_weight_matching,
-    max_cardinality_matching,
     max_weight_matching,
 )
 
@@ -59,5 +58,7 @@ def test_matches_brute_force_on_random_graphs():
 def test_cardinality_special_case():
     # 6-cycle: perfect matching of size 3
     pairs = [(i, (i + 1) % 6) for i in range(6)]
-    matching, size = max_cardinality_matching(6, pairs)
-    assert size == 3
+    g = MatchingGraph(6, tuple((u, v, Cost(1)) for u, v in pairs))
+    matching, total = max_weight_matching(g)
+    assert len(matching) == 3
+    assert total == Cost(3)
