@@ -1,9 +1,15 @@
 """Count-cost instances over cross-free families, solved by convex flow.
 
-Pipeline: validate the family and functions, rewrite cross-free to laminar
-(complement folding), build the containment forest, translate to a flow
-network whose minimum-cost integral flows of value n correspond one-to-one
-to the finite-cost solutions, solve, decode.
+Pipeline: validate the family and functions, rewrite cross-free to laminar,
+build the containment forest, translate to a flow network whose
+minimum-cost integral flows of value n correspond one-to-one to the
+finite-cost solutions, solve, decode.
+
+One complement rule both decides the family's kind and does the rewrite:
+fix one assignment u0 and complement every set that contains u0.  The
+family is cross-free exactly when the result is laminar, because
+complementing one set of a pair does not change whether the pair crosses,
+and two sets that both miss u0 cannot cover the universe.
 """
 
 from __future__ import annotations
@@ -31,23 +37,60 @@ def check_family(members_list, universe):
     """LAMINAR / CROSS_FREE / NEITHER for a list of assignment-sets.
 
     Nested means disjoint or contained either way; cross-free additionally
-    admits pairs whose union is the whole universe.  Returns the kind and,
-    for NEITHER, the first violating pair of set indices.
+    admits pairs whose union is the whole universe.  Complementing one set of
+    a pair permutes the pair's four regions (in both, in one only, in the
+    other only, in neither), so it never changes whether the pair crosses;
+    and two sets that both miss u0 = min(universe) cannot cover the universe.
+    So the family is cross-free exactly when it becomes laminar once every
+    set containing u0 is replaced by its complement (universe sets, which
+    cross nothing, dropped).  Both laminarity tests are linear in the size
+    of the family tested.  Only a NEITHER family is scanned pair by pair, to
+    return the first crossing pair of set indices in index order.
     """
-    kind = LAMINAR
-    witness = None
-    r = len(members_list)
-    for i in range(r):
-        a = members_list[i]
-        for j in range(i + 1, r):
+    if _is_laminar(members_list, universe):
+        return LAMINAR, None
+    u0 = min(universe)
+    flipped = [universe - m if u0 in m else m for m in members_list if m != universe]
+    if _is_laminar(flipped, universe):
+        return CROSS_FREE, None
+    for i, a in enumerate(members_list):
+        for j in range(i + 1, len(members_list)):
             b = members_list[j]
-            if not (a & b) or a <= b or b <= a:
-                continue
-            if a | b == universe:
-                kind = CROSS_FREE
-            else:
+            if a & b and not (a <= b or b <= a) and a | b != universe:
                 return NEITHER, (i, j)
-    return kind, witness
+
+
+def _nest(members_list, universe):
+    """Insert sets in decreasing size, tracking each assignment's minimal set.
+
+    Node 0 stands for the universe and node k >= 1 for
+    ``members_list[order[k - 1]]``; ties keep input order.  Members of an
+    inserted set must agree on their current minimal node, which becomes the
+    set's father; disagreement certifies that the family is not laminar.
+    Returns ``(order, father, smallest)``.
+    """
+    order = sorted(range(len(members_list)), key=lambda k: -len(members_list[k]))
+    father = [-1]
+    smallest = dict.fromkeys(universe, 0)
+    for k in order:
+        containers = {smallest[m] for m in members_list[k]}
+        if len(containers) != 1:
+            raise ClassViolation(
+                "family is not laminar: a set straddles two built branches",
+                witness=sorted(members_list[k]),
+            )
+        father.append(containers.pop())
+        for m in members_list[k]:
+            smallest[m] = len(father) - 1
+    return order, father, smallest
+
+
+def _is_laminar(members_list, universe):
+    try:
+        _nest(members_list, universe)
+    except ClassViolation:
+        return False
+    return True
 
 
 def check_convexity(g: CountFunction):
@@ -90,85 +133,44 @@ def _require_convex(inst: CountInstance):
             )
 
 
-def _fold(target: AssignmentSet, g_other: CountFunction, n: int) -> AssignmentSet:
-    """Replace g_t by g_t(y) + g_other(n - y); n - y out of range means inf.
+def _fold(members, g: CountFunction, n: int) -> AssignmentSet:
+    """The complement of a set scored by g: g(n - y), inf out of range.
 
-    Valid when the other set is the complement of the target: every solution
-    splits its n assignments between the two.
+    Every solution makes n assignments, so it hits the set n - y times when
+    it hits its complement y times.
     """
-    s = target.var_count
-    table = []
-    for y in range(s + 1):
-        other = g_other.table[n - y] if 0 <= n - y <= g_other.size else INF
-        table.append(target.g.table[y] + other)
-    return AssignmentSet(target.members, CountFunction(tuple(table)))
+    s = len({v for v, _ in members})
+    table = tuple(g.table[n - y] if 0 <= n - y <= g.size else INF for y in range(s + 1))
+    return AssignmentSet(members, CountFunction(table))
 
 
 def crossfree_to_laminar(inst: CountInstance) -> CountInstance:
     """Cost-preserving rewrite of a cross-free instance into a laminar one.
 
-    Already-laminar families are returned unchanged.  Sets larger than half
-    the universe are folded into their complements (added with the zero
-    function when absent), then complementary pairs are merged; the result
-    is laminar and agrees with the input on every solution, exactly.
+    Already-laminar families are returned unchanged.  Otherwise fix
+    u0 = min(universe): a set that misses u0 stays, the universe set adds
+    g(n) to the constant, and every other set becomes its complement scored
+    by g(n - y).  Complementing keeps the family cross-free, and no two of
+    the resulting sets cover the universe since both miss u0, so the result
+    is laminar; ``CountInstance.build`` sums a set and a complement that
+    coincide.  The result agrees with the input on every solution, exactly.
     """
-    kind = _require_crossfree(inst)
-    if kind == LAMINAR:
+    if _require_crossfree(inst) == LAMINAR:
         return inst
     universe = inst.universe()
-    n = inst.n
+    u0 = min(universe)
     constant = inst.constant
-    work = {}
-    order = []
+    sets = []
     for aset in inst.sets:
-        work[aset.members] = aset
-        order.append(aset.members)
-
-    def add_or_fold(members, g_from):
-        if members in work:
-            work[members] = _fold(work[members], g_from, n)
+        if aset.members == universe:
+            constant = constant + aset.g.table[inst.n]
+        elif u0 in aset.members:
+            sets.append(_fold(universe - aset.members, aset.g, inst.n))
         else:
-            s = len({v for v, _ in members})
-            zero = AssignmentSet(members, CountFunction.zero(s))
-            work[members] = _fold(zero, g_from, n)
-            order.append(members)
-
-    half = len(universe) // 2
-    for members in list(order):
-        if members not in work:
-            continue
-        aset = work[members]
-        if members == universe:
-            constant = constant + aset.g.table[n]
-            del work[members]
-            order.remove(members)
-            continue
-        if len(members) > half:
-            complement = universe - members
-            del work[members]
-            order.remove(members)
-            add_or_fold(complement, aset.g)
-    # remaining complementary pairs (both exactly half the universe); fold
-    # the later set of each pair into the earlier one
-    for members in list(order):
-        if members not in work:
-            continue
-        complement = universe - members
-        if complement in work and order.index(members) < order.index(complement):
-            g_from = work[complement].g
-            del work[complement]
-            order.remove(complement)
-            work[members] = _fold(work[members], g_from, n)
-    result = CountInstance.build(
-        inst.domains,
-        [work[m] for m in order],
-        names=inst.names,
-        constant=constant,
-    )
-    members = [aset.members for aset in result.sets]
-    kind, _ = check_family(members, universe)
-    if kind != LAMINAR:
-        raise InstanceError("complement folding failed to produce a laminar family")
+            sets.append(aset)
+    result = CountInstance.build(inst.domains, sets, names=inst.names, constant=constant)
+    if not _is_laminar([aset.members for aset in result.sets], universe):
+        raise InstanceError("the complement rule failed to produce a laminar family")
     return result
 
 
@@ -207,24 +209,9 @@ def build_laminar_forest(inst: CountInstance) -> LaminarForest:
             rest.append(aset)
     if root is None:
         root = AssignmentSet(universe, CountFunction.zero(inst.n))
-    rest.sort(key=lambda aset: -len(aset.members))  # stable: input order on ties
-    sets = [root]
-    father = [-1]
-    smallest = {pair: 0 for pair in universe}
-    for aset in rest:
-        containers = {smallest[m] for m in aset.members}
-        if len(containers) != 1:
-            raise ClassViolation(
-                "family is not laminar: a set straddles two built branches",
-                witness=sorted(aset.members),
-            )
-        idx = len(sets)
-        sets.append(aset)
-        father.append(containers.pop())
-        for m in aset.members:
-            smallest[m] = idx
-    total_assignments = len(universe)
-    if len(sets) > 2 * total_assignments - 1:
+    order, father, smallest = _nest([aset.members for aset in rest], universe)
+    sets = [root] + [rest[k] for k in order]
+    if len(sets) > 2 * len(universe) - 1:
         raise InstanceError("laminar family exceeds the 2N - 1 bound")
     return LaminarForest(tuple(sets), tuple(father), smallest)
 

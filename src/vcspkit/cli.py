@@ -192,6 +192,8 @@ def cmd_rename(args):
 
 
 def cmd_gen(args):
+    if args.kind in ("profile", "soft-gcc", "nested-gcc") and args.n < 1:
+        raise FormatError(f"--n must be at least 1, got {args.n}")
     if args.kind == "profile":
         inst = gen_profile(
             args.n, args.d, frozenset(args.types.split(",")), Scheme(args.scheme), args.seed
@@ -203,17 +205,11 @@ def cmd_gen(args):
         vertices, edges = _parse_graph(args)
         inst = gen_matching_encoding(vertices, edges)
     elif args.kind == "soft-gcc":
-        bounds = _parse_bounds(args.bounds)
-        inst = gen_soft_gcc(args.n, args.d, bounds)
+        inst = gen_soft_gcc(args.n, args.d, _parse_bounds(args.bounds, args.d))
     elif args.kind == "nested-gcc":
         groups = _parse_groups(args.groups)
-        bounds_list = _parse_bounds(args.bounds)
-        bounds = {}
-        k = 0
-        for gi in range(len(groups)):
-            for val in range(args.d):
-                bounds[(gi, val)] = bounds_list[k % len(bounds_list)]
-                k += 1
+        pairs = iter(_parse_bounds(args.bounds, len(groups) * args.d))
+        bounds = {(gi, val): next(pairs) for gi in range(len(groups)) for val in range(args.d)}
         inst = gen_nested_gcc(args.n, args.d, groups, bounds)
     else:  # fixture
         table = fixtures()
@@ -228,7 +224,8 @@ def cmd_gen(args):
     return 0
 
 
-def _parse_bounds(spec):
+def _parse_bounds(spec, count):
+    """count lo:hi pairs, taking those of spec in a cycle."""
     out = []
     for part in spec.split(","):
         try:
@@ -236,7 +233,7 @@ def _parse_bounds(spec):
             out.append((int(lo), int(hi)))
         except ValueError:
             raise FormatError(f"malformed bounds {part!r}; expected like 0:1")
-    return out
+    return [out[k % len(out)] for k in range(count)]
 
 
 def _parse_groups(spec):

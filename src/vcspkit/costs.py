@@ -46,10 +46,6 @@ class Cost:
             raise ValueError("infinite cost has no finite value")
         return self._v
 
-    def raw(self):
-        """Fraction for finite costs, None for infinity (hot-loop helper)."""
-        return self._v
-
     def __add__(self, other):
         if not isinstance(other, Cost):
             return NotImplemented

@@ -40,6 +40,8 @@ def _load_json(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", where=f"line {exc.lineno}, col {exc.colno}")
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply")
 
 
 def _parse_variables(doc):

@@ -76,6 +76,61 @@ def test_overlap_covering_universe_is_cross_free():
     assert kind == CROSS_FREE
 
 
+def _pairwise_kind(family, universe):
+    """Reference: the first pair, in index order, that crosses without
+    covering the universe makes NEITHER; a covering crossing pair alone
+    makes CROSS_FREE."""
+    kind = "LAMINAR"
+    for i, j in itertools.combinations(range(len(family)), 2):
+        a, b = family[i], family[j]
+        if a & b and a - b and b - a:
+            if a | b != universe:
+                return "NEITHER", (i, j)
+            kind = "CROSS_FREE"
+    return kind, None
+
+
+def _random_family(rng):
+    items = [(i, a) for i in range(rng.randint(1, 4)) for a in range(rng.randint(1, 3))]
+    universe = frozenset(items)
+    family = []
+
+    def split(part):
+        if rng.random() < 0.7:
+            family.append(frozenset(part))
+        if len(part) > 1:
+            rng.shuffle(part)
+            cut = rng.randint(1, len(part) - 1)
+            split(part[:cut])
+            split(part[cut:])
+
+    split(list(items))
+    roll = rng.random()
+    if roll < 0.4:  # complemented laminar: cross-free
+        family = [universe - m if m != universe and rng.random() < 0.5 else m for m in family]
+    elif roll < 0.7:  # random extra sets: often neither
+        for _ in range(rng.randint(1, 3)):
+            family.append(frozenset(rng.sample(items, rng.randint(1, len(items)))))
+    if rng.random() < 0.3:
+        family.append(universe)
+    proper = [m for m in family if m != universe]
+    if proper and rng.random() < 0.3:
+        family.append(universe - rng.choice(proper))
+    rng.shuffle(family)
+    return family, universe
+
+
+def test_check_family_matches_pairwise_reference():
+    rng = random.Random(77)
+    seen = {"LAMINAR": 0, "CROSS_FREE": 0, "NEITHER": 0}
+    for _ in range(2500):
+        family, universe = _random_family(rng)
+        want = _pairwise_kind(family, universe)
+        assert check_family(family, universe) == want, (family, universe)
+        seen[want[0]] += 1
+    assert min(seen.values()) >= 200, seen
+
+
 def test_convexity_check():
     ok, _ = check_convexity(CountFunction((ZERO, C(1), C(3), C(6))))
     assert ok
@@ -117,6 +172,9 @@ def test_crossfree_to_laminar_preserves_objective_pointwise():
         lam = crossfree_to_laminar(inst)
         kind, _ = check_family([a.members for a in lam.sets], inst.universe())
         assert kind == LAMINAR
+        if lam is not inst:
+            u0 = min(inst.universe())
+            assert all(u0 not in a.members for a in lam.sets)
         for x in itertools.product(*(range(len(dm)) for dm in inst.domains)):
             assert evaluate_count(inst, x) == evaluate_count(lam, x)
 

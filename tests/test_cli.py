@@ -104,6 +104,13 @@ def test_validation_error_exits_three():
     assert json.loads(proc.stdout)["error"]["kind"] == "format"
 
 
+def test_deeply_nested_json_exits_three():
+    proc = run_cli("solve", "-", stdin="[" * 5000 + "]" * 5000)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"]["kind"] == "format"
+    assert "Traceback" not in proc.stderr
+
+
 def test_class_violation_exits_four():
     proc = run_cli("solve-cfc", str(FIXTURES / "maxsat-overlap.json"))
     assert proc.returncode == 4
@@ -148,10 +155,20 @@ def test_oracle_solves_fixture():
 
 
 @pytest.mark.parametrize(
-    "args", [("soft-gcc", "--bounds", "x"), ("nested-gcc", "--groups", "0-a")]
+    "args",
+    [("soft-gcc", "--bounds", "x"), ("nested-gcc", "--groups", "0-a"), ("profile", "--n", "0")],
 )
 def test_gen_malformed_flag_exits_three(args):
     proc = run_cli("gen", *args)
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"]["kind"] == "format"
     assert "Traceback" not in proc.stderr
+
+
+def test_gen_soft_gcc_defaults_cycle_bounds_and_solve():
+    # the one default bound pair applies to both default values
+    gen = run_cli("gen", "soft-gcc")
+    assert gen.returncode == 0
+    proc = run_cli("solve-cfc", "-", stdin=gen.stdout)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["solver"] == "cfc-flow"
