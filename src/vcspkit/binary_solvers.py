@@ -2,8 +2,10 @@
 
 Each solver validates its class precondition by default (profile check plus
 any structural assumption it leans on) and returns a SolveResult whose
-assignment re-evaluates exactly to the reported cost.  The dispatcher's
-verdict already is that profile check, so it runs the solvers unchecked.
+assignment re-evaluates exactly to the reported cost.  The dispatcher
+scans the triangles once, reads every applicable scheme's profile from that
+scan, and runs the solvers unchecked, because its verdict already is their
+profile check.
 
 The crisp solver needs no consistency propagation: in its class no triangle
 has exactly one infinite cost, so values zero-compatible with a common
@@ -27,6 +29,7 @@ from .triangles import (
     binary_extremes,
     has_soft_unaries,
     profile,
+    scan_triangles,
     solver_for,
     verdict,
 )
@@ -619,16 +622,16 @@ SOLVERS = {
 _SCHEME_ORDER = (Scheme.CSP, Scheme.MAXCSP, Scheme.MAXM, Scheme.MIN0, Scheme.ORDER)
 
 
-def _applicable(inst, scheme):
+def _applicable(inst, scheme, values):
+    """Whether the scheme's range admits the distinct binary costs ``values``."""
     if scheme is Scheme.ORDER:
         return True
-    costs = list(inst.all_binary_costs())
     if scheme is Scheme.CSP:
-        return all(c == ZERO or c.is_infinite for c in costs)
+        return all(c == ZERO or c.is_infinite for c in values)
     if scheme is Scheme.MAXCSP:
-        unaries = [c for t in inst.unary for c in t]
-        return all(c == ZERO or c == _ONE for c in costs + unaries)
-    return all(not c.is_infinite for c in costs)
+        unaries = tuple(c for t in inst.unary for c in t)
+        return all(c == ZERO or c == _ONE for c in values + unaries)
+    return all(not c.is_infinite for c in values)
 
 
 def dispatch(inst: BinaryInstance, *, oracle_budget=2_000_000) -> SolveResult:
@@ -636,22 +639,24 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=2_000_000) -> SolveResult:
 
     The verdict is the solver's precondition check: a solver is chosen only
     for a cell that contains every observed type, which is what the solver's
-    own profile check tests, so the chosen solver runs with ``check=False``
-    and the instance is scanned once per applicable scheme.  Every route
-    still re-evaluates its answer against the instance.
+    own profile check tests, so the chosen solver runs with ``check=False``.
+    The triangles are scanned once, and every applicable scheme's profile
+    is read from that scan.  Every route still re-evaluates its answer
+    against the instance.
 
     Profiles with no implemented solver (or NP-hard cells) fall back to the
     exhaustive oracle within the budget; otherwise an explicit unsolved
     result carrying the verdicts is returned.
     """
     soft = has_soft_unaries(inst)
+    scan = scan_triangles(inst)
     verdict_docs = []
     route = None
     small_domain_route = None
     for scheme in _SCHEME_ORDER:
-        if not _applicable(inst, scheme):
+        if not _applicable(inst, scheme, scan.values):
             continue
-        prof = profile(inst, scheme)
+        prof = profile(inst, scheme, scan=scan)
         v = verdict(prof, inst.max_domain, soft)
         verdict_docs.append({"scheme": scheme.value, "observed": prof.types_sorted(), **v.to_doc()})
         if v.kind == "tractable" and route is None:

@@ -66,6 +66,13 @@ def _parse_variables(doc):
     return tuple(names), tuple(domains)
 
 
+def _list_field(doc, key):
+    """The list under ``key``; an absent key is an empty list."""
+    raw = doc.get(key, [])
+    _expect(isinstance(raw, list), f"{key!r} must be a list")
+    return raw
+
+
 def _parse_cost_at(s, where):
     try:
         return parse_cost(s)
@@ -77,7 +84,7 @@ def parse_binary_instance(doc) -> BinaryInstance:
     names, domains = _parse_variables(doc)
     n = len(names)
     unary = {}
-    for k, entry in enumerate(doc.get("unary", [])):
+    for k, entry in enumerate(_list_field(doc, "unary")):
         where = f"unary[{k}]"
         _expect(isinstance(entry, dict), "unary entry must be an object", where)
         var = entry.get("var")
@@ -92,7 +99,7 @@ def parse_binary_instance(doc) -> BinaryInstance:
         )
         unary[var] = tuple(_parse_cost_at(c, f"{where}.costs[{i}]") for i, c in enumerate(costs))
     binary = {}
-    for k, entry in enumerate(doc.get("binary", [])):
+    for k, entry in enumerate(_list_field(doc, "binary")):
         where = f"binary[{k}]"
         _expect(isinstance(entry, dict), "binary entry must be an object", where)
         i, j = entry.get("i"), entry.get("j")
@@ -119,7 +126,7 @@ def parse_count_instance(doc) -> CountInstance:
     n = len(names)
     constant = _parse_cost_at(doc.get("constant", "0"), "constant")
     sets = []
-    for k, entry in enumerate(doc.get("sets", [])):
+    for k, entry in enumerate(_list_field(doc, "sets")):
         where = f"sets[{k}]"
         _expect(isinstance(entry, dict), "set entry must be an object", where)
         raw_members = entry.get("assignments")

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import networkx as nx
-
 from .costs import Cost, ZERO, cost_sum
 from .errors import InstanceError
 
@@ -40,6 +38,8 @@ def max_weight_matching(g: MatchingGraph):
     pairs with u < v.  Exact: weights are fed to the blossom search as
     rationals, never floats.
     """
+    import networkx as nx  # on first use: importing it dominates CLI start-up
+
     graph = nx.Graph()
     graph.add_nodes_from(range(g.num_vertices))
     for u, v, w in g.edges:

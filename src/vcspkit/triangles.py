@@ -12,6 +12,13 @@ schemes are supported:
 
 MIN0 and MAXM have a residual ``other`` type (all three costs off the
 anchor), kept first-class so classification is total.
+
+Every type is a function of a triple's sorted costs alone, so the triangles
+are scanned once (``scan_triangles``), on integer ranks into the sorted
+distinct binary costs, and each scheme types only the few distinct triples
+found.  Ranks are exact: they keep the order and equality of the costs,
+which is all a type reads, and each triple is typed on the ``Cost`` values
+its ranks stand for.
 """
 
 from __future__ import annotations
@@ -144,75 +151,97 @@ def _range_check(inst: BinaryInstance, scheme: Scheme):
                     )
 
 
+def _binary_values(inst: BinaryInstance):
+    """Distinct binary costs in increasing order; absent tables count as 0."""
+    values = set(inst.all_binary_costs())
+    if len(inst.binary) < inst.n * (inst.n - 1) // 2:
+        values.add(ZERO)
+    return tuple(sorted(values))
+
+
+def _extremes(values):
+    return (values[0], values[-1]) if values else (ZERO, ZERO)
+
+
 def binary_extremes(inst: BinaryInstance):
     """(min, max) binary cost over all variable pairs; absent tables count as 0."""
-    lo, hi = None, None
+    return _extremes(_binary_values(inst))
+
+
+@dataclass(frozen=True)
+class TriangleScan:
+    """The distinct cost triples over all triangles of an instance.
+
+    ``values`` holds the distinct binary costs in increasing order, with
+    ``ZERO`` added when some variable pair has no table.  ``first`` maps each
+    sorted triple of ranks into ``values`` to its first triangle, given as
+    (i, j, k, a, b, c) so that tuple order is loop order.
+    """
+
+    values: Tuple[Cost, ...]
+    first: Mapping[Tuple[int, int, int], Tuple[int, int, int, int, int, int]]
+
+
+def scan_triangles(inst: BinaryInstance) -> TriangleScan:
+    """One pass over all triangles, on the ranks of their costs."""
     n = inst.n
-    have_absent = False
+    values = _binary_values(inst)
+    rank = {x: r for r, x in enumerate(values)}
+    ranks = {}
     for i in range(n):
         for j in range(i + 1, n):
             table = inst.binary.get((i, j))
             if table is None:
-                have_absent = True
-                continue
-            for row in table:
-                for x in row:
-                    lo = x if lo is None or x < lo else lo
-                    hi = x if hi is None or x > hi else hi
-    if have_absent or lo is None:
-        lo = ZERO if lo is None else min(lo, ZERO)
-        hi = ZERO if hi is None else max(hi, ZERO)
-    return lo, hi
-
-
-def profile(inst: BinaryInstance, scheme: Scheme) -> TriangleProfile:
-    """Exact type set over all triangles, with one witness per observed type."""
-    _range_check(inst, scheme)
-    n = inst.n
-    mu = None
-    m_value = None
-    if scheme is Scheme.MIN0:
-        mu, _ = binary_extremes(inst)
-    elif scheme is Scheme.MAXM:
-        _, m_value = binary_extremes(inst)
-    observed = {}
-    zero_rows = {}
-
-    def table_for(i, j):
-        t = inst.binary.get((i, j))
-        if t is not None:
-            return t
-        key = (len(inst.domains[i]), len(inst.domains[j]))
-        if key not in zero_rows:
-            zero_rows[key] = tuple(tuple(ZERO for _ in range(key[1])) for _ in range(key[0]))
-        return zero_rows[key]
-
+                row = (rank[ZERO],) * len(inst.domains[j])
+                ranks[i, j] = (row,) * len(inst.domains[i])
+            else:
+                ranks[i, j] = tuple(tuple(rank[x] for x in row) for row in table)
+    first = {}
     for i in range(n):
-        di = len(inst.domains[i])
         for j in range(i + 1, n):
-            dj = len(inst.domains[j])
-            t_ij = table_for(i, j)
+            t_ij = ranks[i, j]
             for k in range(j + 1, n):
-                dk = len(inst.domains[k])
-                t_ik = table_for(i, k)
-                t_jk = table_for(j, k)
-                for a in range(di):
-                    row_ij = t_ij[a]
-                    row_ik = t_ik[a]
-                    for b in range(dj):
-                        c_ij = row_ij[b]
-                        row_jk = t_jk[b]
-                        for c in range(dk):
-                            triple = (c_ij, row_ik[c], row_jk[c])
-                            if mu is not None and mu != ZERO:
-                                triple = tuple(x - mu for x in triple)
-                            tt = classify_triple(triple, scheme, m_value=m_value)
-                            if tt not in observed:
-                                observed[tt] = (i, a, j, b, k, c)
+                t_ik = ranks[i, k]
+                t_jk = ranks[j, k]
+                # few distinct triples per variable triple: sort only those
+                local = {}
+                for a, (row_ij, row_ik) in enumerate(zip(t_ij, t_ik)):
+                    for b, (x, row_jk) in enumerate(zip(row_ij, t_jk)):
+                        for c, (y, z) in enumerate(zip(row_ik, row_jk)):
+                            key = (x, y, z)
+                            if key not in local:
+                                local[key] = (i, j, k, a, b, c)
+                for key, pos in local.items():
+                    first.setdefault(tuple(sorted(key)), pos)
+    return TriangleScan(values, first)
+
+
+def profile(
+    inst: BinaryInstance, scheme: Scheme, scan: Optional[TriangleScan] = None
+) -> TriangleProfile:
+    """Exact type set over all triangles, with one witness per observed type.
+
+    ``scan`` is ``scan_triangles(inst)``, computed here when not given.
+    """
+    _range_check(inst, scheme)
+    if scan is None:
+        scan = scan_triangles(inst)
+    values = scan.values
+    lo, hi = _extremes(values)
+    mu = lo if scheme is Scheme.MIN0 else None
+    m_value = hi if scheme is Scheme.MAXM else None
+    earliest = {}
+    for key, pos in scan.first.items():
+        triple = [values[r] for r in key]
+        if mu is not None and mu != ZERO:
+            triple = [x - mu for x in triple]
+        tt = classify_triple(triple, scheme, m_value=m_value)
+        if tt not in earliest or pos < earliest[tt]:
+            earliest[tt] = pos
     return TriangleProfile(
         scheme=scheme,
-        observed=frozenset(observed),
-        witnesses=dict(observed),
+        observed=frozenset(earliest),
+        witnesses={tt: (i, a, j, b, k, c) for tt, (i, j, k, a, b, c) in earliest.items()},
         mu=mu,
         m_value=m_value,
     )
@@ -222,20 +251,15 @@ def check_jwp(inst: BinaryInstance):
     """True iff every triangle's triple is all-equal or has its two minima equal.
 
     Returns ``(ok, witness)`` with the first violating triangle in
-    lexicographic (i, j, k, a, b, c) order, or None.
+    lexicographic (i, j, k, a, b, c) order, or None.  The violating triples
+    are exactly the ORDER types ``>`` and ``delta``.
     """
-    n = inst.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for a in range(len(inst.domains[i])):
-                    for b in range(len(inst.domains[j])):
-                        c_ij = inst.pair_cost(i, a, j, b)
-                        for c in range(len(inst.domains[k])):
-                            t = sorted((c_ij, inst.pair_cost(i, a, k, c), inst.pair_cost(j, b, k, c)))
-                            if t[0] != t[1]:
-                                return False, (i, a, j, b, k, c)
-    return True, None
+    prof = profile(inst, Scheme.ORDER)
+    bad = [prof.witnesses[tt] for tt in (">", "delta") if tt in prof.observed]
+    if not bad:
+        return True, None
+    # a witness is (i, a, j, b, k, c); the earlier one in loop order wins
+    return False, min(bad, key=lambda w: (w[0], w[2], w[4], w[1], w[3], w[5]))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vcspkit import binary_solvers
+from vcspkit import binary_solvers, triangles
 from vcspkit.binary_solvers import (
     dispatch,
     solve_lr_class,
@@ -281,18 +281,21 @@ def test_dispatch_small_domain_still_uses_mapped_solver():
         (Scheme.MAXM, {"deltaM", "<M", ">M"}, "trivial"),
     ],
 )
-def test_dispatch_scans_once_per_applicable_scheme(monkeypatch, scheme, types, solver):
-    # the verdict is the routed solver's precondition check: no second scan
-    calls = []
-    real_profile = binary_solvers.profile
-
-    def counting_profile(inst, s):
-        calls.append(s)
-        return real_profile(inst, s)
-
-    monkeypatch.setattr(binary_solvers, "profile", counting_profile)
+def test_dispatch_scans_triangles_once(monkeypatch, scheme, types, solver):
+    # every applicable scheme's profile reads the one scan; the routed
+    # solver runs unchecked
     inst = gen_profile(5, 3, types, scheme, seed=3)
+    calls = []
+    real_scan = binary_solvers.scan_triangles
+
+    def counting_scan(inst):
+        calls.append(inst)
+        return real_scan(inst)
+
+    # a profile called without the scan would rescan through triangles
+    monkeypatch.setattr(binary_solvers, "scan_triangles", counting_scan)
+    monkeypatch.setattr(triangles, "scan_triangles", counting_scan)
     res = dispatch(inst)
     assert res.solver == solver
-    assert len(calls) == len(res.verdicts)
+    assert len(calls) == 1
     assert res.cost == oracle_binary(inst).cost

@@ -111,6 +111,41 @@ def test_deeply_nested_json_exits_three():
     assert "Traceback" not in proc.stderr
 
 
+_VARIABLES = [{"name": "x", "domain": ["a", "b"]}, {"name": "y", "domain": ["a", "b"]}]
+
+
+@pytest.mark.parametrize(
+    "args,doc",
+    [
+        (("solve",), {"format": "vcsp-binary/1", "unary": None}),
+        (("solve",), {"format": "vcsp-binary/1", "unary": True}),
+        (("classify", "--scheme", "order"), {"format": "vcsp-binary/1", "binary": 7}),
+        (("check", "--property", "jwp"), {"format": "vcsp-binary/1", "binary": None}),
+        (("rename",), {"format": "vcsp-cfc/1", "sets": None}),
+        (("rename",), {"format": "vcsp-cfc/1", "sets": 5}),
+        (("solve-cfc",), {"format": "vcsp-cfc/1", "sets": None}),
+        (("solve-cfc",), {"format": "vcsp-cfc/1", "sets": 5}),
+    ],
+)
+def test_non_list_top_level_field_exits_three(args, doc):
+    text = json.dumps({**doc, "variables": _VARIABLES})
+    proc = run_cli(args[0], "-", *args[1:], stdin=text)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"]["kind"] == "format"
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vcspkit.cli; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_class_violation_exits_four():
     proc = run_cli("solve-cfc", str(FIXTURES / "maxsat-overlap.json"))
     assert proc.returncode == 4

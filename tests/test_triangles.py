@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from vcspkit.costs import Cost, INF, ZERO
+from vcspkit.costs import Cost, INF, ONE, ZERO
 from vcspkit.errors import ClassViolation
 from vcspkit.instances import BinaryInstance
 from vcspkit.testkit import gen_maxcut, gen_profile
 from vcspkit.triangles import (
+    ALPHABET,
+    OTHER,
     Scheme,
     check_jwp,
     classify_triple,
@@ -218,3 +220,118 @@ def test_report_shape():
     assert doc["scheme"] == "maxcsp"
     assert doc["verdict"]["solver"] == "matching-cardinality"
     assert set(doc["witnesses"]) == set(doc["observed"])
+
+
+def _reference_triangles(inst):
+    """Every triangle in (i, j, k, a, b, c) order, as (witness, Cost triple)."""
+    n = inst.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for a in range(len(inst.domains[i])):
+                    for b in range(len(inst.domains[j])):
+                        for c in range(len(inst.domains[k])):
+                            triple = (
+                                inst.pair_cost(i, a, j, b),
+                                inst.pair_cost(i, a, k, c),
+                                inst.pair_cost(j, b, k, c),
+                            )
+                            yield (i, a, j, b, k, c), triple
+
+
+def _reference_range_error(inst, scheme):
+    for (i, j), table in sorted(inst.binary.items()):
+        for a, row in enumerate(table):
+            for b, x in enumerate(row):
+                at = f"c[{i},{j}]({a},{b})"
+                if scheme is Scheme.CSP and not (x == ZERO or x.is_infinite):
+                    return f"crisp scheme: cost {x} at {at} is neither 0 nor inf", [i, j, a, b, str(x)]
+                if scheme is Scheme.MAXCSP and x not in (ZERO, ONE):
+                    return f"zero/one scheme: cost {x} at {at}", [i, j, a, b, str(x)]
+                if scheme in (Scheme.MIN0, Scheme.MAXM) and x.is_infinite:
+                    return (
+                        f"anchored schemes require finite binary costs, found inf at {at}",
+                        [i, j, a, b, "inf"],
+                    )
+    return None
+
+
+def _reference_profile(inst, scheme):
+    """(observed, witnesses, mu, m_value), or the range check's
+    (message, witness), from one classify_triple call per triangle."""
+    error = _reference_range_error(inst, scheme)
+    if error is not None:
+        return error
+    costs = [
+        inst.pair_cost(i, a, j, b)
+        for i in range(inst.n)
+        for j in range(i + 1, inst.n)
+        for a in range(len(inst.domains[i]))
+        for b in range(len(inst.domains[j]))
+    ]
+    mu = min(costs, default=ZERO) if scheme is Scheme.MIN0 else None
+    m_value = max(costs, default=ZERO) if scheme is Scheme.MAXM else None
+    witnesses = {}
+    for witness, triple in _reference_triangles(inst):
+        if mu is not None:
+            triple = tuple(x - mu for x in triple)
+        witnesses.setdefault(classify_triple(triple, scheme, m_value=m_value), witness)
+    return frozenset(witnesses), witnesses, mu, m_value
+
+
+def _reference_jwp(inst):
+    for witness, triple in _reference_triangles(inst):
+        t = sorted(triple)
+        if t[0] != t[1]:
+            return False, witness
+    return True, None
+
+
+_POOLS = (
+    (ZERO, INF),
+    (ZERO, ONE),
+    (ZERO, ONE, C(2), C(Fraction(1, 3)), C(Fraction(5, 2))),
+    (ONE, C(3), C(Fraction(1, 3)), C(Fraction(5, 2))),
+    (ZERO, ONE, C(Fraction(1, 3)), C(Fraction(5, 2)), INF),
+)
+
+
+def _random_instance(rng):
+    n = rng.choice((1, 2, 2, 3, 3, 4, 4, 5, 5, 6))
+    if rng.random() < 0.5:
+        sizes = [rng.randint(1, 3)] * n
+    else:
+        sizes = [rng.randint(1, 3) for _ in range(n)]
+    pool = rng.choice(_POOLS)
+    pool = rng.sample(pool, rng.randint(1, len(pool)))
+    absent = rng.choice((0.0, 0.3, 0.7))
+    binary = {
+        (i, j): [[rng.choice(pool) for _ in range(sizes[j])] for _ in range(sizes[i])]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() >= absent
+    }
+    return BinaryInstance.build([[str(v) for v in range(d)] for d in sizes], binary=binary)
+
+
+def test_profile_and_jwp_match_per_triangle_reference():
+    rng = random.Random(2012)
+    seen = {scheme: set() for scheme in Scheme}
+    rejected = 0
+    for _ in range(1200):
+        inst = _random_instance(rng)
+        for scheme in Scheme:
+            expected = _reference_profile(inst, scheme)
+            try:
+                prof = profile(inst, scheme)
+            except ClassViolation as exc:
+                assert (str(exc), exc.witness) == expected
+                rejected += 1
+                continue
+            assert (prof.observed, prof.witnesses, prof.mu, prof.m_value) == expected
+            seen[scheme] |= prof.observed
+        assert check_jwp(inst) == _reference_jwp(inst)
+    assert rejected > 0
+    for scheme in Scheme:
+        extra = {OTHER} if scheme in (Scheme.MIN0, Scheme.MAXM) else set()
+        assert seen[scheme] == ALPHABET[scheme] | extra
