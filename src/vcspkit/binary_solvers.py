@@ -28,6 +28,7 @@ from .triangles import (
     Scheme,
     binary_extremes,
     has_soft_unaries,
+    in_range,
     profile,
     scan_triangles,
     solver_for,
@@ -58,7 +59,7 @@ def _check_result(inst, x, total):
 
 
 def _crisp_binaries(inst):
-    return all(c == ZERO or c.is_infinite for c in inst.all_binary_costs())
+    return all(in_range(Scheme.CSP, c) for c in inst.all_binary_costs())
 
 
 def _brute_force(inst):
@@ -624,14 +625,9 @@ _SCHEME_ORDER = (Scheme.CSP, Scheme.MAXCSP, Scheme.MAXM, Scheme.MIN0, Scheme.ORD
 
 def _applicable(inst, scheme, values):
     """Whether the scheme's range admits the distinct binary costs ``values``."""
-    if scheme is Scheme.ORDER:
-        return True
-    if scheme is Scheme.CSP:
-        return all(c == ZERO or c.is_infinite for c in values)
     if scheme is Scheme.MAXCSP:
-        unaries = tuple(c for t in inst.unary for c in t)
-        return all(c == ZERO or c == _ONE for c in values + unaries)
-    return all(not c.is_infinite for c in values)
+        values = values + tuple(c for t in inst.unary for c in t)
+    return all(in_range(scheme, c) for c in values)
 
 
 def dispatch(inst: BinaryInstance, *, oracle_budget=2_000_000) -> SolveResult:

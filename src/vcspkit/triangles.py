@@ -13,12 +13,13 @@ schemes are supported:
 MIN0 and MAXM have a residual ``other`` type (all three costs off the
 anchor), kept first-class so classification is total.
 
-Every type is a function of a triple's sorted costs alone, so the triangles
-are scanned once (``scan_triangles``), on integer ranks into the sorted
-distinct binary costs, and each scheme types only the few distinct triples
-found.  Ranks are exact: they keep the order and equality of the costs,
-which is all a type reads, and each triple is typed on the ``Cost`` values
-its ranks stand for.
+Every type is a function of a triple's sorted costs alone, and reads only
+their equalities and which of them are the instance-wide minimum or maximum
+binary cost.  So the triangles are scanned once (``scan_triangles``), on
+integer ranks into the sorted distinct binary costs, and each scheme types
+one triple per signature found (see ``TriangleScan``).  Ranks are exact
+because they keep order and equality, and each triple is typed on the
+``Cost`` values its ranks stand for.
 """
 
 from __future__ import annotations
@@ -128,26 +129,38 @@ class TriangleProfile:
         return sorted(self.observed)
 
 
-def _range_check(inst: BinaryInstance, scheme: Scheme):
-    if scheme is Scheme.ORDER:
+def in_range(scheme: Scheme, x: Cost) -> bool:
+    """Whether a binary cost lies in the range the scheme classifies."""
+    if scheme is Scheme.CSP:
+        return x == ZERO or x.is_infinite
+    if scheme is Scheme.MAXCSP:
+        return x == ZERO or x == _ONE
+    return scheme is Scheme.ORDER or not x.is_infinite
+
+
+_RANGE_MESSAGES = {
+    Scheme.CSP: "crisp scheme: cost {x} at c[{i},{j}]({a},{b}) is neither 0 nor inf",
+    Scheme.MAXCSP: "zero/one scheme: cost {x} at c[{i},{j}]({a},{b})",
+    Scheme.MIN0: "anchored schemes require finite binary costs, found inf at c[{i},{j}]({a},{b})",
+    Scheme.MAXM: "anchored schemes require finite binary costs, found inf at c[{i},{j}]({a},{b})",
+}
+
+
+def _range_check(inst: BinaryInstance, scheme: Scheme, values):
+    """Reject the first binary cost outside the scheme's range.
+
+    ``values`` are the distinct binary costs; the tables are walked only
+    when one of them is out of range, to name the first such entry.
+    """
+    if all(in_range(scheme, x) for x in values):
         return
     for (i, j), table in sorted(inst.binary.items()):
         for a, row in enumerate(table):
             for b, x in enumerate(row):
-                if scheme is Scheme.CSP and not (x == ZERO or x.is_infinite):
+                if not in_range(scheme, x):
                     raise ClassViolation(
-                        f"crisp scheme: cost {x} at c[{i},{j}]({a},{b}) is neither 0 nor inf",
+                        _RANGE_MESSAGES[scheme].format(x=x, i=i, j=j, a=a, b=b),
                         witness=[i, j, a, b, str(x)],
-                    )
-                if scheme is Scheme.MAXCSP and x != ZERO and x != _ONE:
-                    raise ClassViolation(
-                        f"zero/one scheme: cost {x} at c[{i},{j}]({a},{b})",
-                        witness=[i, j, a, b, str(x)],
-                    )
-                if scheme in (Scheme.MIN0, Scheme.MAXM) and x.is_infinite:
-                    raise ClassViolation(
-                        f"anchored schemes require finite binary costs, found inf at c[{i},{j}]({a},{b})",
-                        witness=[i, j, a, b, "inf"],
                     )
 
 
@@ -170,16 +183,22 @@ def binary_extremes(inst: BinaryInstance):
 
 @dataclass(frozen=True)
 class TriangleScan:
-    """The distinct cost triples over all triangles of an instance.
+    """The kinds of cost triple over all triangles of an instance.
 
     ``values`` holds the distinct binary costs in increasing order, with
-    ``ZERO`` added when some variable pair has no table.  ``first`` maps each
-    sorted triple of ranks into ``values`` to its first triangle, given as
-    (i, j, k, a, b, c) so that tuple order is loop order.
+    ``ZERO`` added when some variable pair has no table.  The signature of a
+    sorted rank triple (x, y, z) is ``(x == 0, z == len(values) - 1, x == y,
+    y == z)``: whether it holds the minimum, whether it holds the maximum,
+    and its equalities.  A type reads no more than that once the range check
+    has passed (the crisp and zero/one ranges have at most two values, the
+    minimum and the maximum), so ``first`` has at most 16 entries however
+    many distinct costs there are.  It maps each signature to the first
+    triangle with it, given as (i, j, k, a, b, c) so that tuple order is loop
+    order, and to that triangle's sorted rank triple.
     """
 
     values: Tuple[Cost, ...]
-    first: Mapping[Tuple[int, int, int], Tuple[int, int, int, int, int, int]]
+    first: Mapping[Tuple[bool, bool, bool, bool], Tuple[Tuple[int, ...], Tuple[int, int, int]]]
 
 
 def scan_triangles(inst: BinaryInstance) -> TriangleScan:
@@ -187,6 +206,7 @@ def scan_triangles(inst: BinaryInstance) -> TriangleScan:
     n = inst.n
     values = _binary_values(inst)
     rank = {x: r for r, x in enumerate(values)}
+    top = len(values) - 1
     ranks = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -212,7 +232,10 @@ def scan_triangles(inst: BinaryInstance) -> TriangleScan:
                             if key not in local:
                                 local[key] = (i, j, k, a, b, c)
                 for key, pos in local.items():
-                    first.setdefault(tuple(sorted(key)), pos)
+                    x, y, z = sorted(key)
+                    sig = (x == 0, z == top, x == y, y == z)
+                    if sig not in first:
+                        first[sig] = (pos, (x, y, z))
     return TriangleScan(values, first)
 
 
@@ -223,7 +246,7 @@ def profile(
 
     ``scan`` is ``scan_triangles(inst)``, computed here when not given.
     """
-    _range_check(inst, scheme)
+    _range_check(inst, scheme, scan.values if scan is not None else _binary_values(inst))
     if scan is None:
         scan = scan_triangles(inst)
     values = scan.values
@@ -231,7 +254,7 @@ def profile(
     mu = lo if scheme is Scheme.MIN0 else None
     m_value = hi if scheme is Scheme.MAXM else None
     earliest = {}
-    for key, pos in scan.first.items():
+    for pos, key in scan.first.values():
         triple = [values[r] for r in key]
         if mu is not None and mu != ZERO:
             triple = [x - mu for x in triple]

@@ -16,6 +16,7 @@ from vcspkit.triangles import (
     classify_triple,
     profile,
     profile_report,
+    scan_triangles,
 )
 
 C = Cost
@@ -314,12 +315,34 @@ def _random_instance(rng):
     return BinaryInstance.build([[str(v) for v in range(d)] for d in sizes], binary=binary)
 
 
+def _wide_instance(rng):
+    """Costs drawn from up to 40 values, so most triangles hold costs that
+    are neither the minimum, the maximum, 0 nor 1."""
+    n = rng.randint(3, 6)
+    sizes = [rng.randint(1, 3) for _ in range(n)]
+    pool = [C(Fraction(rng.randint(0, 60), rng.choice((1, 2, 7)))) for _ in range(rng.randint(3, 40))]
+    if rng.random() < 0.2:
+        pool.append(INF)
+    absent = rng.choice((0.0, 0.3))
+    binary = {
+        (i, j): [[rng.choice(pool) for _ in range(sizes[j])] for _ in range(sizes[i])]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() >= absent
+    }
+    return BinaryInstance.build([[str(v) for v in range(d)] for d in sizes], binary=binary)
+
+
 def test_profile_and_jwp_match_per_triangle_reference():
     rng = random.Random(2012)
     seen = {scheme: set() for scheme in Scheme}
     rejected = 0
-    for _ in range(1200):
-        inst = _random_instance(rng)
+    instances = itertools.chain(
+        (_random_instance(rng) for _ in range(1200)),
+        (_wide_instance(rng) for _ in range(300)),
+    )
+    for inst in instances:
+        assert len(scan_triangles(inst).first) <= 16
         for scheme in Scheme:
             expected = _reference_profile(inst, scheme)
             try:
@@ -335,3 +358,20 @@ def test_profile_and_jwp_match_per_triangle_reference():
     for scheme in Scheme:
         extra = {OTHER} if scheme in (Scheme.MIN0, Scheme.MAXM) else set()
         assert seen[scheme] == ALPHABET[scheme] | extra
+
+
+def test_scan_stays_bounded_with_all_distinct_costs():
+    n, d = 9, 3
+    costs = itertools.count(1)
+    binary = {
+        (i, j): [[C(next(costs)) for _ in range(d)] for _ in range(d)]
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    inst = BinaryInstance.build([[str(v) for v in range(d)]] * n, binary=binary)
+    distinct = {tuple(sorted(t)) for _, t in _reference_triangles(inst)}
+    assert len(distinct) == n * (n - 1) * (n - 2) // 6 * d**3
+    assert len(scan_triangles(inst).first) <= 16
+    for scheme in (Scheme.ORDER, Scheme.MIN0, Scheme.MAXM):
+        prof = profile(inst, scheme)
+        assert (prof.observed, prof.witnesses, prof.mu, prof.m_value) == _reference_profile(inst, scheme)
