@@ -1,11 +1,11 @@
 """Polynomial solvers for the tractable triangle classes, plus a dispatcher.
 
-Each solver validates its class precondition by default (profile check plus
-any structural assumption it leans on) and returns a SolveResult whose
-assignment re-evaluates exactly to the reported cost.  The dispatcher
-scans the triangles once, reads every applicable scheme's profile from that
-scan, and runs the solvers unchecked, because its verdict already is their
-profile check.
+Each solver checks its class precondition (the profile check against its
+cells in ``triangles._SOLVER_CELLS``, plus any structural assumption it
+leans on) and returns a SolveResult whose assignment re-evaluates exactly
+to the reported cost.  The dispatcher scans the triangles once, reads every
+applicable scheme's profile from that scan, and passes the scan on, so the
+routed solver's check reads it too.
 
 The crisp solver needs no consistency propagation: in its class no triangle
 has exactly one infinite cost, so values zero-compatible with a common
@@ -19,14 +19,14 @@ import itertools
 from fractions import Fraction
 from math import prod
 
-from .costs import Cost, INF, ZERO, cost_sum
+from .costs import ONE, Cost, INF, ZERO, cost_sum
 from .errors import ClassViolation, InstanceError
 from .instances import BinaryInstance, evaluate_binary
 from .matching import MatchingGraph, max_weight_matching
 from .results import SolveResult
 from .triangles import (
+    _SOLVER_CELLS,
     Scheme,
-    binary_extremes,
     has_soft_unaries,
     in_range,
     profile,
@@ -35,19 +35,34 @@ from .triangles import (
     verdict,
 )
 
-_ONE = Cost(1)
 
+def _require_profile(inst, solver, scan=None):
+    """The profile of the first of the solver's cells, in table order, that
+    holds every observed type; otherwise raise the last violation.
 
-def _require_profile(inst, scheme, allowed, solver):
-    prof = profile(inst, scheme)
-    stray = prof.observed - frozenset(allowed)
-    if stray:
-        t = sorted(stray)[0]
-        raise ClassViolation(
-            f"{solver}: triangle type {t!r} outside {sorted(allowed)}",
-            witness=list(prof.witnesses[t]),
-        )
-    return prof
+    ``scan`` is ``scan_triangles(inst)``, computed here when not given.
+    """
+    if scan is None:
+        scan = scan_triangles(inst)
+    err = None
+    for scheme, cells in _SOLVER_CELLS.items():
+        for cell, sid in cells:
+            if sid != solver:
+                continue
+            try:
+                prof = profile(inst, scheme, scan=scan)
+            except ClassViolation as exc:  # out of the scheme's range
+                err = exc
+                continue
+            stray = prof.observed - cell
+            if not stray:
+                return prof
+            t = sorted(stray)[0]
+            err = ClassViolation(
+                f"{solver}: triangle type {t!r} outside {sorted(cell)}",
+                witness=list(prof.witnesses[t]),
+            )
+    raise err
 
 
 def _check_result(inst, x, total):
@@ -56,10 +71,6 @@ def _check_result(inst, x, total):
         raise InstanceError(
             f"internal check failed: assignment evaluates to {got}, solver reported {total}"
         )
-
-
-def _crisp_binaries(inst):
-    return all(in_range(Scheme.CSP, c) for c in inst.all_binary_costs())
 
 
 def _brute_force(inst):
@@ -75,7 +86,7 @@ def _brute_force(inst):
 # class solvers
 
 
-def solve_sac_class(inst: BinaryInstance, check=True) -> SolveResult:
+def solve_sac_class(inst: BinaryInstance, scan=None) -> SolveResult:
     """Crisp binaries whose triangles avoid the two-zeros-one-inf pattern,
     with arbitrary soft unaries.
 
@@ -86,10 +97,7 @@ def solve_sac_class(inst: BinaryInstance, check=True) -> SolveResult:
     optimum is found by scanning anchor values over the full domains and
     taking minimum-cost compatible unaries elsewhere.
     """
-    if check:
-        _require_profile(inst, Scheme.CSP, {">", "0", "inf"}, "sac")
-    elif not _crisp_binaries(inst):
-        raise ClassViolation("sac: crisp binary tables required")
+    _require_profile(inst, "sac", scan)
     n = inst.n
     best = None
     for a1 in range(len(inst.domains[0])):
@@ -120,15 +128,7 @@ def solve_sac_class(inst: BinaryInstance, check=True) -> SolveResult:
     return res
 
 
-_TRIVIAL_CELLS = (
-    (Scheme.CSP, frozenset({"<", ">", "inf"})),
-    (Scheme.MAXCSP, frozenset({"<", ">"})),
-    (Scheme.MIN0, frozenset({"delta0", "<0", ">0"})),
-    (Scheme.MAXM, frozenset({"deltaM", "<M", ">M"})),
-)
-
-
-def solve_trivial_class(inst: BinaryInstance, scheme: Scheme = None, check=True) -> SolveResult:
+def solve_trivial_class(inst: BinaryInstance, scan=None) -> SolveResult:
     """Classes whose instances are tiny or have no finite solution.
 
     Crisp instances avoiding the all-zero triangle have cost inf for three
@@ -136,30 +136,14 @@ def solve_trivial_class(inst: BinaryInstance, scheme: Scheme = None, check=True)
     variables (a two-colour triangle argument), so exhaustive search is
     constant-time.
     """
-    candidates = [ (s, cell) for s, cell in _TRIVIAL_CELLS if scheme in (None, s) ]
-    chosen = None
-    last_err = None
-    for s, cell in candidates:
-        try:
-            if check:
-                _require_profile(inst, s, cell, "trivial")
-            chosen = s
-            break
-        except ClassViolation as exc:
-            last_err = exc
-    if check and chosen is None:
-        raise last_err
-    if not check:
-        chosen = scheme if scheme is not None else (
-            Scheme.CSP if _crisp_binaries(inst) else Scheme.MAXCSP
-        )
-    if chosen is Scheme.CSP and inst.n >= 3:
+    crisp = _require_profile(inst, "trivial", scan).scheme is Scheme.CSP
+    if crisp and inst.n >= 3:
         # no all-zero triangle can exist, so no solution has finite cost
         x = (0,) * inst.n
         res = SolveResult(x, INF, "trivial", {"reason": "no finite solution with n >= 3"})
         _check_result(inst, x, INF)
         return res
-    limit = 2 if chosen is Scheme.CSP else 5
+    limit = 2 if crisp else 5
     if inst.n > limit:
         raise ClassViolation(
             f"trivial: {inst.n} variables cannot stay within the class (limit {limit})"
@@ -177,10 +161,10 @@ def _split_signatures(inst, a1, a2, pivot_cost):
     they are (0,0) vs (1,1).  Anything else contradicts the class.
     """
     n = inst.n
-    if pivot_cost == _ONE:
-        sig_l, sig_r = (_ONE, ZERO), (ZERO, _ONE)
+    if pivot_cost == ONE:
+        sig_l, sig_r = (ONE, ZERO), (ZERO, ONE)
     else:
-        sig_l, sig_r = (ZERO, ZERO), (_ONE, _ONE)
+        sig_l, sig_r = (ZERO, ZERO), (ONE, ONE)
     sides = []
     for i in range(2, n):
         t1 = inst.pair_table(0, i)
@@ -202,7 +186,7 @@ def _split_signatures(inst, a1, a2, pivot_cost):
     return sides
 
 
-def solve_lr_class(inst: BinaryInstance, check=True) -> SolveResult:
+def solve_lr_class(inst: BinaryInstance, scan=None) -> SolveResult:
     """Zero/one binaries whose triangles avoid the two-zeros-one-one pattern.
 
     For every assignment to the first two variables the remaining
@@ -211,18 +195,18 @@ def solve_lr_class(inst: BinaryInstance, check=True) -> SolveResult:
     scanned over its whole feasible range (with zero/one unaries its minimum
     provably sits at an end, which is re-verified numerically).
     """
-    for c in inst.all_binary_costs():
-        if c != ZERO and c != _ONE:
-            raise ClassViolation(f"lr: binary cost {c} outside {{0, 1}}")
-    if check:
-        _require_profile(inst, Scheme.MAXCSP, {">", "0"}, "lr")
+    _require_profile(inst, "lr", scan)
+    return _solve_lr(inst)
+
+
+def _solve_lr(inst):
     n = inst.n
     if n <= 2:
         x, total = _brute_force(inst)
         res = SolveResult(x, total, "lr", {"enumerated": True})
         _check_result(inst, x, total)
         return res
-    zero_one_unaries = all(c == ZERO or c == _ONE for t in inst.unary for c in t)
+    zero_one_unaries = all(c == ZERO or c == ONE for t in inst.unary for c in t)
     best = None
     for a1 in range(len(inst.domains[0])):
         for a2 in range(len(inst.domains[1])):
@@ -275,7 +259,7 @@ def solve_lr_class(inst: BinaryInstance, check=True) -> SolveResult:
             totals = []
             for k_m in range(m + 1):
                 k = forced_l + k_m
-                if pivot_cost == _ONE:
+                if pivot_cost == ONE:
                     quad = (n - 1) + k * (n - 2 - k)
                 else:
                     quad = (k + 2) * (n - 2 - k)
@@ -300,23 +284,19 @@ def solve_lr_class(inst: BinaryInstance, check=True) -> SolveResult:
     return res
 
 
-def solve_matching_cardinality_class(inst: BinaryInstance, check=True) -> SolveResult:
+def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveResult:
     """Zero/one instances where cheap pairs form a partial matching.
 
     Every assignment zero-pairs with at most one other variable, so the
     minimum cost is pairs-minus-maximum-matching on the variable graph.
     """
-    for c in inst.all_binary_costs():
-        if c != ZERO and c != _ONE:
-            raise ClassViolation(f"matching-cardinality: binary cost {c} outside {{0, 1}}")
+    _require_profile(inst, "matching-cardinality", scan)
     for table in inst.unary:
         for c in table:
-            if c != ZERO and c != _ONE:
+            if c != ZERO and c != ONE:
                 raise ClassViolation(
                     f"matching-cardinality: unary cost {c} outside {{0, 1}}"
                 )
-    if check:
-        _require_profile(inst, Scheme.MAXCSP, {">", "1"}, "matching-cardinality")
     n = inst.n
     # absent tables are uniformly zero: every value pair of those variable
     # pairs is a zero-cost pair
@@ -347,8 +327,8 @@ def solve_matching_cardinality_class(inst: BinaryInstance, check=True) -> SolveR
     constant = ZERO
     surviving = []
     for i in range(n):
-        if all(c == _ONE for c in inst.unary[i]):
-            constant = constant + _ONE
+        if all(c == ONE for c in inst.unary[i]):
+            constant = constant + ONE
             surviving.append(list(range(len(inst.domains[i]))))
         else:
             surviving.append([a for a in range(len(inst.domains[i])) if inst.unary[i][a] == ZERO])
@@ -363,7 +343,11 @@ def solve_matching_cardinality_class(inst: BinaryInstance, check=True) -> SolveR
                         break
                 if (i, j) in edges:
                     break
-    matching, size = _cardinality_matching(n, sorted(edges))
+    # unit weights: a maximum-weight matching is a maximum-cardinality one
+    matching, _ = max_weight_matching(
+        MatchingGraph(n, tuple((u, v, ONE) for u, v in sorted(edges)))
+    )
+    size = len(matching)
     x = []
     mate = {}
     for (i, j) in matching:
@@ -390,13 +374,7 @@ def solve_matching_cardinality_class(inst: BinaryInstance, check=True) -> SolveR
     return res
 
 
-def _cardinality_matching(n, pairs):
-    g = MatchingGraph(n, tuple((u, v, _ONE) for u, v in pairs))
-    matching, total = max_weight_matching(g)
-    return matching, int(total.value) if not total.is_infinite else 0
-
-
-def solve_min0_class(inst: BinaryInstance, check=True) -> SolveResult:
+def solve_min0_class(inst: BinaryInstance, scan=None) -> SolveResult:
     """Finite-valued instances whose normalised triangles are all-zero or
     two-equal-nonzero-plus-zero.
 
@@ -404,11 +382,7 @@ def solve_min0_class(inst: BinaryInstance, check=True) -> SolveResult:
     instantiating it) or a single non-zero value occurs (solved by scaling
     down to the zero/one two-sided class).
     """
-    mu, _ = binary_extremes(inst)
-    if mu.is_infinite:
-        raise ClassViolation("min0-structure: binary costs must be finite")
-    if check:
-        _require_profile(inst, Scheme.MIN0, {">0", "0"}, "min0-structure")
+    mu = _require_profile(inst, "min0-structure", scan).mu
     n = inst.n
     pairs = n * (n - 1) // 2
     offset = mu * pairs if pairs else ZERO
@@ -483,7 +457,8 @@ def solve_min0_class(inst: BinaryInstance, check=True) -> SolveResult:
             unary={i: [c / alpha for c in t] for i, t in enumerate(inst.unary)},
             binary=scaled_tables,
         )
-        inner = solve_lr_class(scaled, check=False)
+        # one non-zero value, scaled to one: the zero/one lr cell
+        inner = _solve_lr(scaled)
         if inner.cost.is_infinite:
             res = SolveResult(inner.assignment, INF, "min0-structure", {"case": "single-value"})
             _check_result(inst, res.assignment, INF)
@@ -508,18 +483,14 @@ def solve_min0_class(inst: BinaryInstance, check=True) -> SolveResult:
     )
 
 
-def solve_weighted_matching_class(inst: BinaryInstance, check=True) -> SolveResult:
+def solve_weighted_matching_class(inst: BinaryInstance, scan=None) -> SolveResult:
     """Finite-valued instances whose triangles carry at least two maximum
     costs: reduced to maximum-weight matching.
 
     The reported certificate satisfies
     ``matching_weight + (cost - unary_offset) == pairs * M`` exactly.
     """
-    _, m_val = binary_extremes(inst)
-    if m_val.is_infinite:
-        raise ClassViolation("weighted-matching: binary costs must be finite")
-    if check:
-        _require_profile(inst, Scheme.MAXM, {">M", "M"}, "weighted-matching")
+    m_val = _require_profile(inst, "weighted-matching", scan).m_value
     n = inst.n
     # a below-maximum entry may share an assignment with at most one table;
     # absent tables are uniformly zero, hence below a positive maximum
@@ -633,12 +604,10 @@ def _applicable(inst, scheme, values):
 def dispatch(inst: BinaryInstance, *, oracle_budget=2_000_000) -> SolveResult:
     """Classify under every applicable scheme and run the matching solver.
 
-    The verdict is the solver's precondition check: a solver is chosen only
-    for a cell that contains every observed type, which is what the solver's
-    own profile check tests, so the chosen solver runs with ``check=False``.
     The triangles are scanned once, and every applicable scheme's profile
-    is read from that scan.  Every route still re-evaluates its answer
-    against the instance.
+    is read from that scan.  The routed solver gets the scan too, so its own
+    profile check adds no second scan.  Every route still re-evaluates its
+    answer against the instance.
 
     Profiles with no implemented solver (or NP-hard cells) fall back to the
     exhaustive oracle within the budget; otherwise an explicit unsolved
@@ -664,7 +633,7 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=2_000_000) -> SolveResult:
     verdicts = tuple(verdict_docs)
     chosen = route or small_domain_route
     if chosen is not None:
-        result = SOLVERS[chosen](inst, check=False)
+        result = SOLVERS[chosen](inst, scan=scan)
         return SolveResult(result.assignment, result.cost, result.solver,
                            result.certificate, verdicts)
     space = prod(len(d) for d in inst.domains)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cfc import CROSS_FREE, LAMINAR, check_convexity, check_family, solve_cfc
+from .cfc import CROSS_FREE, LAMINAR, _require_convex, check_family, solve_cfc
 from .costs import INF
 from .errors import ClassViolation, InstanceError
 from .instances import AssignmentSet, CountFunction, CountInstance, evaluate_count
@@ -156,12 +156,7 @@ def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:
     not renamable rather than trusted.
     """
     _require_boolean(inst.domains)
-    for k, aset in enumerate(inst.sets):
-        ok, at = check_convexity(aset.g)
-        if not ok:
-            raise ClassViolation(
-                f"count function of set {k} is not convex (violated at count {at})"
-            )
+    _require_convex(inst)
     universe = inst.universe()
     members = [aset.members for aset in inst.sets]
     negated = [frozenset((i, 1 - a) for i, a in ms) for ms in members]

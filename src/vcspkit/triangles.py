@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from .costs import Cost, ZERO
+from .costs import ONE, Cost, ZERO
 from .errors import ClassViolation
 from .instances import BinaryInstance
 
@@ -51,8 +51,6 @@ ALPHABET = {
     Scheme.MAXM: frozenset({"M", "<M", ">M", "deltaM"}),
 }
 
-_ONE = Cost(1)
-
 
 def classify_triple(costs, scheme: Scheme, m_value: Optional[Cost] = None) -> str:
     """Type of a multiset of three binary costs under the given scheme.
@@ -72,9 +70,9 @@ def classify_triple(costs, scheme: Scheme, m_value: Optional[Cost] = None) -> st
         return ("0", "<", ">", "inf")[infs]
     if scheme is Scheme.MAXCSP:
         for x in t:
-            if x != ZERO and x != _ONE:
+            if x != ZERO and x != ONE:
                 raise ClassViolation(f"cost {x} outside the range {{0, 1}}")
-        ones = sum(1 for x in t if x == _ONE)
+        ones = sum(1 for x in t if x == ONE)
         return ("0", "<", ">", "1")[ones]
     if scheme is Scheme.ORDER:
         if a == c:
@@ -134,7 +132,7 @@ def in_range(scheme: Scheme, x: Cost) -> bool:
     if scheme is Scheme.CSP:
         return x == ZERO or x.is_infinite
     if scheme is Scheme.MAXCSP:
-        return x == ZERO or x == _ONE
+        return x == ZERO or x == ONE
     return scheme is Scheme.ORDER or not x.is_infinite
 
 
@@ -174,11 +172,6 @@ def _binary_values(inst: BinaryInstance):
 
 def _extremes(values):
     return (values[0], values[-1]) if values else (ZERO, ZERO)
-
-
-def binary_extremes(inst: BinaryInstance):
-    """(min, max) binary cost over all variable pairs; absent tables count as 0."""
-    return _extremes(_binary_values(inst))
 
 
 @dataclass(frozen=True)
@@ -298,9 +291,11 @@ class Verdict:
         return {"kind": self.kind, "solver": self.solver, "rule": self.rule}
 
 
-# Tractable cells mapped to implemented solvers, in preference order.
-# Cells solvable only through the two-smallest-equal triangle property have
-# no dedicated solver here (solver None).
+# The dichotomy: each scheme's tractable cells, mapped to implemented
+# solvers in preference order.  A profile is tractable iff some cell holds
+# it, and each solver checks its input against its own cells.  Cells
+# solvable only through the two-smallest-equal triangle property have no
+# dedicated solver here (solver None).
 _SOLVER_CELLS = {
     Scheme.CSP: (
         (frozenset({">", "0", "inf"}), "sac"),
@@ -339,33 +334,10 @@ _RULE_CSP_SOFT = "crisp-binary-soft-unary-dichotomy"
 
 
 def is_tractable_cell(scheme: Scheme, observed: frozenset) -> bool:
-    """The dichotomy's tractable/NP-hard split, independent of domain size."""
+    """The dichotomy's tractable/NP-hard split, independent of domain size:
+    whether some tractable cell of the scheme holds every observed type."""
     s = frozenset(observed)
-    if scheme is Scheme.CSP:
-        return not {"<", ">", "0"} <= s
-    if scheme is Scheme.MAXCSP:
-        return not (
-            {"<", ">", "0"} <= s or {"<", ">", "1"} <= s or {">", "0", "1"} <= s
-        )
-    if scheme is Scheme.ORDER:
-        return s <= frozenset({"<", "="})
-    if scheme is Scheme.MIN0:
-        if OTHER in s:
-            return False
-        return (
-            s <= frozenset({"<0", "0"})
-            or s <= frozenset({">0", "0"})
-            or s <= frozenset({"delta0", "<0", ">0"})
-        )
-    if scheme is Scheme.MAXM:
-        if OTHER in s:
-            return False
-        return (
-            s <= frozenset({"<M", "M"})
-            or s <= frozenset({">M", "M"})
-            or s <= frozenset({"deltaM", "<M", ">M"})
-        )
-    raise ClassViolation(f"unknown scheme {scheme!r}")
+    return any(s <= cell for cell, _ in _SOLVER_CELLS[scheme])
 
 
 def solver_for(scheme: Scheme, observed: frozenset) -> Optional[str]:

@@ -71,7 +71,7 @@ def test_trivial_rejects_oversized_two_colour_instance():
     )
     solve_trivial_class(inst)  # in class, fine
     with pytest.raises(ClassViolation):
-        solve_trivial_class(big, scheme=Scheme.MAXCSP)
+        solve_trivial_class(big)
 
 
 def test_lr_quadratic_term_value():
@@ -92,8 +92,9 @@ def test_lr_reports_signature_violations():
         [["a"]] * 3,
         binary={(0, 1): [[C(1)]], (0, 2): [[ZERO]], (1, 2): [[ZERO]]},
     )
+    # past the profile check, which would reject the triangle first
     with pytest.raises(ClassViolation):
-        solve_lr_class(inst, check=False)
+        binary_solvers._solve_lr(inst)
 
 
 def test_matching_cardinality_path_graph():
@@ -158,7 +159,7 @@ def test_min0_rejects_two_values_on_disjoint_scopes():
     }
     inst = BinaryInstance.build([["a"]] * 4, binary=binary)
     with pytest.raises(ClassViolation) as err:
-        solve_min0_class(inst, check=False)
+        solve_min0_class(inst)
     assert err.value.witness is not None
 
 
@@ -267,7 +268,7 @@ def test_dispatch_small_domain_still_uses_mapped_solver():
     assert res.cost == oracle_binary(inst).cost
 
 
-@pytest.mark.parametrize(
+_ROUTED_CELLS = pytest.mark.parametrize(
     "scheme,types,solver",
     [
         (Scheme.CSP, {">", "0", "inf"}, "sac"),
@@ -281,10 +282,9 @@ def test_dispatch_small_domain_still_uses_mapped_solver():
         (Scheme.MAXM, {"deltaM", "<M", ">M"}, "trivial"),
     ],
 )
-def test_dispatch_scans_triangles_once(monkeypatch, scheme, types, solver):
-    # every applicable scheme's profile reads the one scan; the routed
-    # solver runs unchecked
-    inst = gen_profile(5, 3, types, scheme, seed=3)
+
+
+def _count_scans(monkeypatch):
     calls = []
     real_scan = binary_solvers.scan_triangles
 
@@ -295,7 +295,27 @@ def test_dispatch_scans_triangles_once(monkeypatch, scheme, types, solver):
     # a profile called without the scan would rescan through triangles
     monkeypatch.setattr(binary_solvers, "scan_triangles", counting_scan)
     monkeypatch.setattr(triangles, "scan_triangles", counting_scan)
+    return calls
+
+
+@_ROUTED_CELLS
+def test_dispatch_scans_triangles_once(monkeypatch, scheme, types, solver):
+    # every applicable scheme's profile reads the one scan, and so does the
+    # routed solver's own profile check
+    inst = gen_profile(5, 3, types, scheme, seed=3)
+    calls = _count_scans(monkeypatch)
     res = dispatch(inst)
     assert res.solver == solver
     assert len(calls) == 1
     assert res.cost == oracle_binary(inst).cost
+
+
+@_ROUTED_CELLS
+def test_solver_reads_given_scan(monkeypatch, scheme, types, solver):
+    inst = gen_profile(5, 3, types, scheme, seed=3)
+    solve = binary_solvers.SOLVERS[solver]
+    scan = triangles.scan_triangles(inst)
+    want = solve(inst).to_doc()
+    calls = _count_scans(monkeypatch)
+    assert solve(inst, scan=scan).to_doc() == want
+    assert calls == []

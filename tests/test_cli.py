@@ -135,6 +135,23 @@ def test_non_list_top_level_field_exits_three(args, doc):
     assert "Traceback" not in proc.stderr
 
 
+def test_rename_rejects_non_convex_count_function():
+    doc = {
+        "format": "vcsp-cfc/1",
+        "variables": _VARIABLES,
+        "sets": [
+            {"assignments": [[0, 1], [1, 1]], "g": ["0", "0", "2"]},
+            {"assignments": [[0, 0], [1, 1]], "g": ["0", "3", "4"]},
+        ],
+    }
+    proc = run_cli("rename", "-", stdin=json.dumps(doc))
+    assert proc.returncode == 4
+    err = json.loads(proc.stdout)["error"]
+    assert err["kind"] == "class"
+    # [set, count]: set 1 bends down at count 0
+    assert err["witness"] == [1, 0]
+
+
 def test_cli_import_leaves_networkx_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
