@@ -26,6 +26,8 @@ from .matching import MatchingGraph, max_weight_matching
 from .results import SolveResult
 from .triangles import (
     _SOLVER_CELLS,
+    _binary_values,
+    _range_check,
     Scheme,
     has_soft_unaries,
     in_range,
@@ -40,20 +42,23 @@ def _require_profile(inst, solver, scan=None):
     """The profile of the first of the solver's cells, in table order, that
     holds every observed type; otherwise raise the last violation.
 
-    ``scan`` is ``scan_triangles(inst)``, computed here when not given.
+    ``scan`` is ``scan_triangles(inst)``, computed here when not given, and
+    only once some cell's scheme has every binary cost in its range.
     """
-    if scan is None:
-        scan = scan_triangles(inst)
+    values = _binary_values(inst) if scan is None else scan.values
     err = None
     for scheme, cells in _SOLVER_CELLS.items():
         for cell, sid in cells:
             if sid != solver:
                 continue
             try:
-                prof = profile(inst, scheme, scan=scan)
-            except ClassViolation as exc:  # out of the scheme's range
+                _range_check(inst, scheme, values)
+            except ClassViolation as exc:
                 err = exc
                 continue
+            if scan is None:
+                scan = scan_triangles(inst)
+            prof = profile(inst, scheme, scan=scan)
             stray = prof.observed - cell
             if not stray:
                 return prof

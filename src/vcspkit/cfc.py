@@ -15,6 +15,7 @@ and two sets that both miss u0 cannot cover the universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Tuple
 
 from .costs import INF, ZERO
@@ -97,15 +98,19 @@ def check_convexity(g: CountFunction):
     """True iff the finite support is contiguous with non-decreasing slopes.
 
     Contiguity holds by construction of CountFunction; the returned index is
-    the first m with g(m+2) - g(m+1) < g(m+1) - g(m).
+    the first m with g(m+2) - g(m+1) < g(m+1) - g(m).  The finite values are
+    scaled to integers over their common denominator, which keeps the order
+    of their differences, and each difference is taken once.
     """
     support = g.support
     if support is None:
         return True, None
     lo, hi = support
-    for m in range(lo, hi - 1):
-        left = g.table[m + 1].value - g.table[m].value
-        right = g.table[m + 2].value - g.table[m + 1].value
+    values = [g.table[m].value for m in range(lo, hi + 1)]
+    den = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    slopes = [b - a for a, b in zip(scaled, scaled[1:])]
+    for m, (left, right) in enumerate(zip(slopes, slopes[1:]), lo):
         if right < left:
             return False, m
     return True, None

@@ -338,6 +338,11 @@ def main(argv=None) -> int:
         _emit({"error": {"kind": "instance", "message": str(exc)}})
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of the program, not of the input
+        message = f"{type(exc).__name__}: {exc}"
+        _emit({"error": {"kind": "internal", "message": message}})
+        print(f"internal error: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

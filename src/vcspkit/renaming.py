@@ -8,6 +8,7 @@ family cross-free reduces to 2-SAT over one flag per constraint.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -30,6 +31,11 @@ def rename_set(aset: AssignmentSet, domains) -> AssignmentSet:
     """Negate the members elementwise and read g backwards: g'(z) = g(m - z)
     with m the member count (out-of-range entries are infinite)."""
     _require_boolean(domains)
+    return _rename(aset)
+
+
+def _rename(aset: AssignmentSet) -> AssignmentSet:
+    """``rename_set`` over domains already known to be Boolean."""
     members = frozenset((i, 1 - a) for i, a in aset.members)
     m = len(aset.members)
     s = aset.var_count
@@ -141,6 +147,38 @@ def _incompletely_overlap(a, b, universe):
     return bool(a & b) and not a <= b and not b <= a and (a | b) != universe
 
 
+def _clauses(members, universe):
+    """The 2-SAT clauses over one flag per set, pair (i, j) by pair, i < j.
+
+    Overlapping pairs force opposite flags; pairs that would overlap after
+    one renaming force equal flags.  Both need A cap B or (not A) cap B to be
+    non-empty, so the two sets share a variable: each i is tested only
+    against the j > i found through the sets of its variables.
+    """
+    negated = [frozenset((i, 1 - a) for i, a in ms) for ms in members]
+    variables = [{v for v, _ in ms} for ms in members]
+    by_var = {}
+    for k, vs in enumerate(variables):
+        for v in vs:
+            by_var.setdefault(v, []).append(k)
+    clauses = []
+    for i, ms in enumerate(members):
+        near = set()
+        for v in variables[i]:
+            sharing = by_var[v]
+            near.update(sharing[bisect_right(sharing, i):])
+        for j in sorted(near):
+            if _incompletely_overlap(ms, members[j], universe):
+                # exactly one of the two must be renamed
+                clauses.append((i + 1, j + 1))
+                clauses.append((-(i + 1), -(j + 1)))
+            if _incompletely_overlap(negated[i], members[j], universe):
+                # renaming one without the other would create an overlap
+                clauses.append((-(i + 1), j + 1))
+                clauses.append((i + 1, -(j + 1)))
+    return clauses
+
+
 @dataclass(frozen=True)
 class Renaming:
     flags: Tuple[bool, ...]
@@ -150,34 +188,19 @@ class Renaming:
 def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:
     """Find per-constraint renaming flags making the family cross-free.
 
-    Overlapping pairs force opposite flags; pairs that would overlap after
-    one renaming force equal flags.  The 2-SAT model is post-verified: a
-    renamed family that still fails the cross-freeness check is reported as
-    not renamable rather than trusted.
+    The flags are a model of the 2-SAT clauses of ``_clauses``.  The model
+    is post-verified: a renamed family that still fails the cross-freeness
+    check is reported as not renamable rather than trusted.
     """
     _require_boolean(inst.domains)
     _require_convex(inst)
     universe = inst.universe()
-    members = [aset.members for aset in inst.sets]
-    negated = [frozenset((i, 1 - a) for i, a in ms) for ms in members]
-    r = len(members)
-    clauses = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            if _incompletely_overlap(members[i], members[j], universe):
-                # exactly one of the two must be renamed
-                clauses.append((i + 1, j + 1))
-                clauses.append((-(i + 1), -(j + 1)))
-            if _incompletely_overlap(negated[i], members[j], universe):
-                # renaming one without the other would create an overlap
-                clauses.append((-(i + 1), j + 1))
-                clauses.append((i + 1, -(j + 1)))
-    model = solve_2sat(TwoSatInstance(r, tuple(clauses)))
+    clauses = _clauses([aset.members for aset in inst.sets], universe)
+    model = solve_2sat(TwoSatInstance(len(inst.sets), tuple(clauses)))
     if model is None:
         return None
     renamed_sets = [
-        rename_set(aset, inst.domains) if flag else aset
-        for aset, flag in zip(inst.sets, model)
+        _rename(aset) if flag else aset for aset, flag in zip(inst.sets, model)
     ]
     renamed = CountInstance.build(
         inst.domains, renamed_sets, names=inst.names, constant=inst.constant
@@ -188,16 +211,19 @@ def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:
     return Renaming(model, renamed)
 
 
-def solve_renamable(inst: CountInstance, check=True) -> SolveResult:
+def solve_renamable(inst: CountInstance) -> SolveResult:
     """Solve a renamable instance by solving its cross-free renaming.
 
     Renaming changes constraints, not variables, so the assignment maps back
-    unchanged; it is re-evaluated against the original instance.
+    unchanged; it is re-evaluated against the original instance.  The
+    renamed instance is solved without a second convexity check: recognition
+    has checked the original functions, and reading a convex function
+    backwards keeps it convex.
     """
     ren = recognize_renamable(inst)
     if ren is None:
         raise ClassViolation("instance is not renamable cross-free")
-    inner = solve_cfc(ren.renamed, check=check)
+    inner = solve_cfc(ren.renamed, check=False)
     got = evaluate_count(inst, inner.assignment)
     if got != inner.cost:
         raise InstanceError(

@@ -319,3 +319,14 @@ def test_solver_reads_given_scan(monkeypatch, scheme, types, solver):
     calls = _count_scans(monkeypatch)
     assert solve(inst, scan=scan).to_doc() == want
     assert calls == []
+
+
+def test_out_of_range_solver_call_raises_before_scanning(monkeypatch):
+    # crisp costs include inf, outside every scheme of weighted-matching's
+    # cells: the range check alone decides, and no triangle is scanned
+    inst = gen_profile(5, 3, {">", "0", "inf"}, Scheme.CSP, seed=0)
+    assert INF in set(inst.all_binary_costs())
+    calls = _count_scans(monkeypatch)
+    with pytest.raises(ClassViolation, match="anchored schemes require finite"):
+        binary_solvers.solve_weighted_matching_class(inst)
+    assert calls == []

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +141,59 @@ def test_convexity_check():
     table = (C(2), C(1), ZERO, ZERO, C(1), C(2))
     ok, _ = check_convexity(CountFunction(table))
     assert ok
+
+
+def _fraction_convexity(table):
+    # first differences as Fractions, each slope pair compared directly
+    finite = [m for m, c in enumerate(table) if not c.is_infinite]
+    for m in finite[:-2]:
+        left = table[m + 1].value - table[m].value
+        right = table[m + 2].value - table[m + 1].value
+        if right < left:
+            return False, m
+    return True, None
+
+
+def _random_count_table(rng, den):
+    size = rng.randint(0, 8)
+    lo = rng.randint(0, size // 2)
+    hi = lo - 1 if rng.random() < 0.1 else rng.randint(lo, size)  # lo - 1: empty
+    width = hi - lo + 1
+    if rng.random() < 0.5:  # convex by construction: sorted slopes
+        slopes = sorted(Fraction(rng.randint(-6, 6), den) for _ in range(max(width - 1, 0)))
+        values = [Fraction(rng.randint(0, 12), den)]
+        for d in slopes:
+            values.append(values[-1] + d)
+        floor = min(values)
+        values = [v - floor for v in values]
+    else:
+        values = [Fraction(rng.randint(0, 12), den) for _ in range(width)]
+    table = [INF] * (size + 1)
+    for m, v in zip(range(lo, hi + 1), values):
+        table[m] = Cost(v)
+    return tuple(table)
+
+
+def test_convexity_check_matches_fraction_reference():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for den in (1, 2, 3, 6):
+        for _ in range(300):
+            table = _random_count_table(rng, den)
+            want = _fraction_convexity(table)
+            assert check_convexity(CountFunction(table)) == want, table
+            seen[want[0]] += 1
+    assert min(seen.values()) >= 100, seen
+    half, third = C(Fraction(1, 2)), C(Fraction(1, 3))
+    for table in [
+        (INF,), (INF, INF, INF),                      # empty support
+        (ZERO,), (INF, third, INF),                   # one point
+        (half, third), (INF, third, half, INF),       # two points
+        (half, ZERO, third), (INF, ZERO, half, third, INF),
+        (C(Fraction(5, 6)), third, ZERO, half, INF),
+        (C(Fraction(1, 6)), ZERO, C(Fraction(1, 6))),
+    ]:
+        assert check_convexity(CountFunction(table)) == _fraction_convexity(table), table
 
 
 def test_crossfree_to_laminar_keeps_laminar_instances():

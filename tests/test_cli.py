@@ -224,3 +224,17 @@ def test_gen_soft_gcc_defaults_cycle_bounds_and_solve():
     proc = run_cli("solve-cfc", "-", stdin=gen.stdout)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solver"] == "cfc-flow"
+
+
+def test_internal_error_is_one_json_document(monkeypatch, capsys):
+    from vcspkit import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    code = cli.main(["check", str(FIXTURES / "pair-grid.json"), "--property", "laminar"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out) == {"error": {"kind": "internal", "message": "RuntimeError: boom"}}
+    assert "Traceback" not in err

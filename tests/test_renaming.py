@@ -14,6 +14,8 @@ from vcspkit.instances import (
 )
 from vcspkit.renaming import (
     TwoSatInstance,
+    _clauses,
+    _incompletely_overlap,
     recognize_renamable,
     rename_set,
     solve_2sat,
@@ -139,8 +141,6 @@ def test_already_crossfree_instance_needs_no_renaming():
 
 
 def test_negation_symmetry_of_incomplete_overlap():
-    from vcspkit.renaming import _incompletely_overlap
-
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(2, 4)
@@ -176,3 +176,51 @@ def test_solve_renamable_matches_oracle():
         want = oracle_count(inst)
         assert res.cost == want.cost, seed
         assert evaluate_count(inst, res.assignment) == res.cost
+
+
+def _pairwise_clauses(members, universe):
+    # every pair of sets tested, i < j, in index order
+    negated = [frozenset((v, 1 - a) for v, a in ms) for ms in members]
+    clauses = []
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if _incompletely_overlap(members[i], members[j], universe):
+                clauses += [(i + 1, j + 1), (-(i + 1), -(j + 1))]
+            if _incompletely_overlap(negated[i], members[j], universe):
+                clauses += [(-(i + 1), j + 1), (i + 1, -(j + 1))]
+    return clauses
+
+
+def _random_boolean_family(rng):
+    n = rng.randint(2, 5)
+    literals = [(v, a) for v in range(n) for a in range(2)]
+    sets = set()
+    for _ in range(rng.randint(2, 7)):
+        sets.add(frozenset(rng.sample(literals, rng.randint(1, 2 * n - 1))))
+    members = sorted(sets, key=sorted)
+    return members, frozenset(literals)
+
+
+def test_clauses_match_pairwise_reference():
+    for seed in range(300):
+        inst = gen_random_renamable(3 + seed % 5, seed)
+        members = [a.members for a in inst.sets]
+        want = _pairwise_clauses(members, inst.universe())
+        assert _clauses(members, inst.universe()) == want, seed
+    fan = fixtures()["sat-fan"]
+    members = [a.members for a in fan.sets]
+    want = _pairwise_clauses(members, fan.universe())
+    assert _clauses(members, fan.universe()) == want
+    assert solve_2sat(TwoSatInstance(len(members), tuple(want))) is None
+
+
+def test_clauses_match_pairwise_reference_without_renaming():
+    rng = random.Random(29)
+    unsatisfiable = 0
+    for _ in range(400):
+        members, universe = _random_boolean_family(rng)
+        want = _pairwise_clauses(members, universe)
+        assert _clauses(members, universe) == want, members
+        if solve_2sat(TwoSatInstance(len(members), tuple(want))) is None:
+            unsatisfiable += 1
+    assert unsatisfiable >= 50, unsatisfiable
