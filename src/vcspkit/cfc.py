@@ -15,7 +15,6 @@ and two sets that both miss u0 cannot cover the universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Mapping, Tuple
 
 from .costs import INF, ZERO
@@ -98,19 +97,15 @@ def check_convexity(g: CountFunction):
     """True iff the finite support is contiguous with non-decreasing slopes.
 
     Contiguity holds by construction of CountFunction; the returned index is
-    the first m with g(m+2) - g(m+1) < g(m+1) - g(m).  The finite values are
-    scaled to integers over their common denominator, which keeps the order
-    of their differences, and each difference is taken once.
+    the first m with g(m+2) - g(m+1) < g(m+1) - g(m).  The slopes are
+    compared as integers over the table's common denominator
+    (``CountFunction.integer_slopes``).
     """
     support = g.support
     if support is None:
         return True, None
-    lo, hi = support
-    values = [g.table[m].value for m in range(lo, hi + 1)]
-    den = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (den // v.denominator) for v in values]
-    slopes = [b - a for a, b in zip(scaled, scaled[1:])]
-    for m, (left, right) in enumerate(zip(slopes, slopes[1:]), lo):
+    _, slopes = g.integer_slopes()
+    for m, (left, right) in enumerate(zip(slopes, slopes[1:]), support[0]):
         if right < left:
             return False, m
     return True, None
@@ -224,37 +219,30 @@ def build_laminar_forest(inst: CountInstance) -> LaminarForest:
 def build_network(forest: LaminarForest, inst: CountInstance) -> FlowNetwork:
     """Flow network whose value-n min-cost flows encode the optimal solutions.
 
-    Nodes: source, one per variable, one per assignment, one per set with
-    the root (universe) acting as the sink.  Variable arcs force one unit
-    each; set arcs carry the count function over its finite window.
+    Nodes: source 0, variable i at 1 + i, forest set k at 1 + n + k (the
+    root, the universe, is the sink).  Arcs in order: source -> each
+    variable, window [1, 1]; variable i -> the minimal set of (i, a), window
+    [0, 1] at no cost, one per assignment in sorted order, so arc n + k
+    picks assignment k; each non-root set -> its father, carrying the set's
+    count over the finite window of its function.
     """
     n = inst.n
-    assignments = sorted(inst.universe())
-    a_index = {pair: 1 + n + k for k, pair in enumerate(assignments)}
-    base = 1 + n + len(assignments)
-    set_node = [base + k for k in range(len(forest.sets))]  # root (k=0) is the sink
-    sink = base
-    num_nodes = base + len(forest.sets)
-    source = 0
+    base = 1 + n  # node of forest set k is base + k; the root (k=0) is the sink
     unit = CountFunction((ZERO, ZERO))
     forced = CountFunction((INF, ZERO))
-    arcs = []
-    for i in range(n):
-        arcs.append(Arc(source, 1 + i, 1, 1, forced))
-    for (i, a) in assignments:
-        arcs.append(Arc(1 + i, a_index[(i, a)], 0, 1, unit))
-    for (i, a) in assignments:
-        arcs.append(Arc(a_index[(i, a)], set_node[forest.smallest[(i, a)]], 0, 1, unit))
+    arcs = [Arc(0, 1 + i, 1, 1, forced) for i in range(n)]
+    for (i, a) in sorted(inst.universe()):
+        arcs.append(Arc(1 + i, base + forest.smallest[(i, a)], 0, 1, unit))
     for k in range(1, len(forest.sets)):
-        aset = forest.sets[k]
-        support = aset.g.support
+        g = forest.sets[k].g
+        support = g.support
         if support is None:
             raise InstanceError("set with empty finite support reached the network builder")
         lo, hi = support
-        table = tuple(aset.g.table[m] if lo <= m <= hi else INF for m in range(hi + 1))
-        arcs.append(Arc(set_node[k], set_node[forest.father[k]], lo, hi,
-                        CountFunction(table)))
-    return FlowNetwork(num_nodes, source, sink, n, tuple(arcs))
+        if hi < g.size:
+            g = CountFunction(g.table[:hi + 1])
+        arcs.append(Arc(base + k, base + forest.father[k], lo, hi, g))
+    return FlowNetwork(base + len(forest.sets), 0, base, n, tuple(arcs))
 
 
 def solve_cfc(inst: CountInstance, check=True) -> SolveResult:
@@ -292,20 +280,15 @@ def solve_cfc(inst: CountInstance, check=True) -> SolveResult:
 
 
 def _decode(net: FlowNetwork, flow: Flow, inst: CountInstance):
+    """The solution of a flow: arc n + k carries a unit exactly when its
+    assignment, the k-th in sorted order, is taken."""
     n = inst.n
-    picked = {}
-    for arc, amount in zip(net.arcs, flow.amounts):
-        if amount == 1 and 1 <= arc.tail <= n and arc.lo == 0:
-            # variable -> assignment arc
-            i = arc.tail - 1
-            offset = arc.head - (1 + n)
-            picked[i] = offset
-    assignments = sorted(inst.universe())
-    x = []
-    for i in range(n):
-        if i not in picked:
-            raise InstanceError(f"flow does not pick a value for variable {i}")
-        x.append(assignments[picked[i]][1])
+    x = [None] * n
+    for k, (i, a) in enumerate(sorted(inst.universe())):
+        if flow.amounts[n + k] == 1:
+            x[i] = a
+    if None in x:
+        raise InstanceError(f"flow does not pick a value for variable {x.index(None)}")
     return tuple(x)
 
 

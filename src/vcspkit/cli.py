@@ -38,7 +38,7 @@ from .formats import (
     serialize_instance,
 )
 from .instances import BinaryInstance, CountInstance
-from .renaming import recognize_renamable, solve_renamable
+from .renaming import recognize_renamable, solve_renaming
 from .testkit import (
     DEFAULT_BUDGET,
     fixtures,
@@ -182,7 +182,7 @@ def cmd_rename(args):
     if ren is None:
         _emit({"renamable": False})
         return 0
-    result = solve_renamable(inst)
+    result = solve_renaming(inst, ren)
     _emit({
         "renamable": True,
         "renaming": [bool(f) for f in ren.flags],

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import FormatError
 
@@ -30,7 +31,7 @@ class Cost:
             return
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"cost must be int, Fraction or Cost, not {type(value).__name__}")
-        frac = Fraction(value)
+        frac = value if type(value) is Fraction else Fraction(value)
         if frac < 0:
             raise ValueError(f"costs are non-negative, got {frac}")
         self._v = frac
@@ -134,10 +135,15 @@ def cost(value) -> Cost:
 
 
 def cost_sum(items) -> Cost:
-    total = ZERO
+    """Exact sum of Costs, INF if any is infinite; the finite values are
+    added as integers over their common denominator."""
+    ratios = []
     for item in items:
-        total = total + item
-    return total
+        if item._v is None:
+            return INF
+        ratios.append(item._v.as_integer_ratio())
+    den = lcm(*[q for _, q in ratios])
+    return Cost(Fraction(sum(p * (den // q) for p, q in ratios), den))
 
 
 _COST_GRAMMAR = re.compile(r"([0-9]+)(?:/([0-9]+))?")

@@ -1,21 +1,22 @@
 """Minimum-cost integral flow with convex piecewise-linear arc costs.
 
 Arcs carry a demand/capacity window [lo, hi] and a cost table over flow
-amounts, finite exactly on [lo, hi] and convex there.  The solver expands
-each arc into unit steps with non-decreasing marginal costs and runs
-successive shortest augmenting paths with node potentials.  Units with
-negative marginal cost are saturated up front (their removal stays
-available through residual arcs), which keeps every residual cost
-non-negative from the start, even on cyclic networks.  All arithmetic is
-exact: marginals are rescaled to integers by their common denominator and
-the final cost is re-read from the original tables.
+amounts, finite exactly on [lo, hi] and convex there.  Each arc keeps the
+slopes of its table as integers over the table's common denominator,
+computed and checked once when the arc is built; the solver rescales them
+to one denominator for the whole network and works on integers only.  It
+runs successive shortest augmenting paths with node potentials over unit
+steps with non-decreasing costs.  Units with negative marginal cost are
+saturated up front (their removal stays available through residual arcs),
+which keeps every residual cost non-negative from the start, even on cyclic
+networks.  The final cost is re-read from the original tables.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Tuple
@@ -27,13 +28,19 @@ from .instances import CountFunction
 
 @dataclass(frozen=True)
 class Arc:
-    """Directed arc with flow window [lo, hi] and a convex cost table."""
+    """Directed arc with flow window [lo, hi] and a convex cost table.
+
+    ``slopes[k] / den`` is the cost of unit ``lo + k + 1``, taken from
+    ``cost.integer_slopes()`` and checked non-decreasing at construction.
+    """
 
     tail: int
     head: int
     lo: int
     hi: int
     cost: CountFunction
+    den: int = field(init=False, repr=False, compare=False)
+    slopes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.lo <= self.hi):
@@ -47,22 +54,22 @@ class Arc:
                 f"arc cost must be finite exactly on [{self.lo}, {self.hi}], "
                 f"got support {self.cost.support}"
             )
-        marginals(self.cost)  # raises on non-convex tables
+        den, slopes = _convex_slopes(self.cost)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "slopes", slopes)
+
+
+def _convex_slopes(cost: CountFunction):
+    den, slopes = cost.integer_slopes()
+    if any(b < a for a, b in zip(slopes, slopes[1:])):
+        raise InstanceError("arc cost is not convex on its window")
+    return den, slopes
 
 
 def marginals(cost: CountFunction) -> Tuple[Fraction, ...]:
     """First differences of the finite part; raises unless non-decreasing."""
-    support = cost.support
-    if support is None:
-        return ()
-    lo, hi = support
-    diffs = []
-    for k in range(lo + 1, hi + 1):
-        diffs.append(cost.table[k].value - cost.table[k - 1].value)
-    for a, b in zip(diffs, diffs[1:]):
-        if b < a:
-            raise InstanceError("arc cost is not convex on its window")
-    return tuple(diffs)
+    den, slopes = _convex_slopes(cost)
+    return tuple(Fraction(m, den) for m in slopes)
 
 
 @dataclass(frozen=True)
@@ -119,13 +126,13 @@ def min_convex_cost_flow(net: FlowNetwork):
     establishes node potentials, then depth-first search pushes blocks of
     units along zero-reduced-cost paths until none remain.  Pushes never
     cross a marginal-cost breakpoint, which keeps all residual reduced
-    costs non-negative.
+    costs non-negative.  Each residual arc a keeps the integer cost of its
+    next unit: ``fw[a]`` to push one more, ``bw[a]`` to cancel one (None
+    when the arc is saturated, respectively empty); only the arcs of an
+    augmenting path change them.
     """
     n_arcs = len(net.arcs)
-    unit_marginals = [marginals(a.cost) for a in net.arcs]
-
-    denom = lcm(*(m.denominator for ms in unit_marginals for m in ms)) \
-        if any(unit_marginals) else 1
+    denom = lcm(*(arc.den for arc in net.arcs))
 
     num_nodes = net.num_nodes + 2
     s_node, t_node = net.num_nodes, net.num_nodes + 1
@@ -150,8 +157,9 @@ def min_convex_cost_flow(net: FlowNetwork):
         caps.append(seg_ends[-1] if seg_ends else 0)
         flows.append(e0)
 
-    for arc, ms in zip(net.arcs, unit_marginals):
-        scaled = [int(m * denom) for m in ms]
+    for arc in net.arcs:
+        scale = denom // arc.den
+        scaled = [m * scale for m in arc.slopes]
         seg_vals, seg_ends = _compress(scaled)
         # saturate negative-marginal units so residual costs start non-negative
         presat = sum(1 for m in scaled if m < 0)
@@ -168,21 +176,32 @@ def min_convex_cost_flow(net: FlowNetwork):
         elif g[x] > 0:
             add_residual(x, t_node, [0], [g[x]])
 
+    fw = [None] * len(tails)
+    bw = [None] * len(tails)
+
+    def refresh(aidx):
+        e = flows[aidx]
+        seg_vals, seg_ends = vals[aidx], ends[aidx]
+        fw[aidx] = seg_vals[bisect_left(seg_ends, e + 1)] if e < caps[aidx] else None
+        bw[aidx] = -seg_vals[bisect_left(seg_ends, e)] if e > 0 else None
+
+    # adjacency entries (side, arc, other end): side is fw for the forward
+    # residual arc out of the tail and bw for the backward one out of the head
     adjacency = [[] for _ in range(num_nodes)]
     for aidx in range(len(tails)):
-        adjacency[tails[aidx]].append(2 * aidx)
-        adjacency[heads[aidx]].append(2 * aidx + 1)
-    adjacency = [tuple(codes) for codes in adjacency]
+        refresh(aidx)
+        adjacency[tails[aidx]].append((fw, aidx, heads[aidx]))
+        adjacency[heads[aidx]].append((bw, aidx, tails[aidx]))
+    adjacency = [tuple(entries) for entries in adjacency]
 
     pot = [0] * num_nodes
     pushed = 0
-    inf = float("inf")
     visited = [0] * num_nodes
     stamp = 0
 
     while pushed < target:
-        # Dijkstra over residual reduced costs
-        dist = [inf] * num_nodes
+        # Dijkstra over residual reduced costs; None marks an unreached node
+        dist = [None] * num_nodes
         dist[s_node] = 0
         heap = [(0, s_node)]
         done = [False] * num_nodes
@@ -194,32 +213,23 @@ def min_convex_cost_flow(net: FlowNetwork):
             if x == t_node:
                 break
             px = pot[x]
-            for code in adjacency[x]:
-                aidx = code >> 1
-                if code & 1 == 0:
-                    e = flows[aidx]
-                    if e >= caps[aidx]:
-                        continue
-                    w = vals[aidx][bisect_left(ends[aidx], e + 1)]
-                    y = heads[aidx]
-                else:
-                    e = flows[aidx]
-                    if e <= 0:
-                        continue
-                    w = -vals[aidx][bisect_left(ends[aidx], e)]
-                    y = tails[aidx]
+            for side, aidx, y in adjacency[x]:
+                w = side[aidx]
+                if w is None:
+                    continue
                 nd = d + w + px - pot[y]
-                if nd < dist[y]:
+                dy = dist[y]
+                if dy is None or nd < dy:
                     dist[y] = nd
                     heapq.heappush(heap, (nd, y))
         d_t = dist[t_node]
-        if d_t == inf:
+        if d_t is None:
             return Infeasible(
                 _infeasibility_witness(net, tails, heads, caps, flows, s_node, n_arcs)
             )
         for x in range(num_nodes):
             dx = dist[x]
-            pot[x] += d_t if dx > d_t else dx
+            pot[x] += d_t if dx is None or dx > d_t else dx
         # phase: depth-first blocks along zero-reduced-cost admissible arcs
         ptr = [0] * num_nodes
         while pushed < target:
@@ -230,29 +240,16 @@ def min_convex_cost_flow(net: FlowNetwork):
             reached = False
             while True:
                 advanced = False
-                codes = adjacency[x]
+                entries = adjacency[x]
                 px = pot[x]
-                while ptr[x] < len(codes):
-                    code = codes[ptr[x]]
-                    aidx = code >> 1
-                    if code & 1 == 0:
-                        e = flows[aidx]
-                        y = heads[aidx]
-                        if e >= caps[aidx] or visited[y] == stamp:
-                            ptr[x] += 1
-                            continue
-                        w = vals[aidx][bisect_left(ends[aidx], e + 1)]
-                    else:
-                        e = flows[aidx]
-                        y = tails[aidx]
-                        if e <= 0 or visited[y] == stamp:
-                            ptr[x] += 1
-                            continue
-                        w = -vals[aidx][bisect_left(ends[aidx], e)]
-                    if w + px - pot[y] != 0:
+                while ptr[x] < len(entries):
+                    entry = entries[ptr[x]]
+                    side, aidx, y = entry
+                    w = side[aidx]
+                    if w is None or visited[y] == stamp or w + px - pot[y] != 0:
                         ptr[x] += 1
                         continue
-                    path.append(code)
+                    path.append(entry)
                     visited[y] = stamp
                     x = y
                     advanced = True
@@ -264,26 +261,25 @@ def min_convex_cost_flow(net: FlowNetwork):
                     continue
                 if x == s_node:
                     break
-                code = path.pop()
-                x = heads[code >> 1] if code & 1 else tails[code >> 1]
+                side, aidx, _ = path.pop()
+                x = tails[aidx] if side is fw else heads[aidx]
                 ptr[x] += 1
             if not reached:
                 break
             delta = target - pushed
-            for code in path:
-                aidx = code >> 1
+            for side, aidx, _ in path:
                 e = flows[aidx]
-                if code & 1 == 0:
-                    seg = bisect_left(ends[aidx], e + 1)
-                    run = ends[aidx][seg] - e
+                seg_ends = ends[aidx]
+                if side is fw:
+                    run = seg_ends[bisect_left(seg_ends, e + 1)] - e
                 else:
-                    seg = bisect_left(ends[aidx], e)
-                    run = e - (ends[aidx][seg - 1] if seg else 0)
+                    seg = bisect_left(seg_ends, e)
+                    run = e - (seg_ends[seg - 1] if seg else 0)
                 if run < delta:
                     delta = run
-            for code in path:
-                aidx = code >> 1
-                flows[aidx] += -delta if code & 1 else delta
+            for side, aidx, _ in path:
+                flows[aidx] += delta if side is fw else -delta
+                refresh(aidx)
             pushed += delta
 
     amounts = tuple(net.arcs[idx].lo + flows[idx] for idx in range(n_arcs))

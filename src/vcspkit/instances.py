@@ -7,10 +7,11 @@ A solution is a plain tuple of value indices, one per variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .costs import Cost, ZERO
+from .costs import Cost, ZERO, cost_sum
 from .errors import InstanceError
 
 Solution = Tuple[int, ...]
@@ -148,7 +149,9 @@ class CountFunction:
     table: Tuple[Cost, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(Cost(c) for c in self.table))
+        object.__setattr__(
+            self, "table", tuple(c if type(c) is Cost else Cost(c) for c in self.table)
+        )
         if not self.table:
             raise InstanceError("count function needs at least one entry")
         finite = [m for m, c in enumerate(self.table) if not c.is_infinite]
@@ -156,6 +159,7 @@ class CountFunction:
             raise InstanceError(
                 f"finite support of a count function must be a contiguous interval, got {finite}"
             )
+        object.__setattr__(self, "_support", (finite[0], finite[-1]) if finite else None)
 
     @property
     def size(self) -> int:
@@ -165,10 +169,17 @@ class CountFunction:
     @property
     def support(self) -> Optional[Tuple[int, int]]:
         """(l, u) endpoints of the finite interval, or None if empty."""
-        finite = [m for m, c in enumerate(self.table) if not c.is_infinite]
-        if not finite:
-            return None
-        return finite[0], finite[-1]
+        return self._support
+
+    def integer_slopes(self) -> Tuple[int, Tuple[int, ...]]:
+        """``(den, slopes)``: the first differences of the finite part, each
+        ``slopes[k] / den`` with ``den`` the values' common denominator;
+        ``(1, ())`` on an empty support."""
+        lo, hi = self._support or (0, -1)
+        ratios = [c.value.as_integer_ratio() for c in self.table[lo:hi + 1]]
+        den = lcm(*[q for _, q in ratios])
+        scaled = [p * (den // q) for p, q in ratios]
+        return den, tuple([b - a for a, b in zip(scaled, scaled[1:])])
 
     def __call__(self, m: int) -> Cost:
         if not (0 <= m < len(self.table)):
@@ -272,7 +283,4 @@ class CountInstance:
 def evaluate_count(inst: CountInstance, x: Solution) -> Cost:
     """constant + sum over sets of g_i applied to the count hit by x."""
     _check_solution(inst, x)
-    total = inst.constant
-    for aset in inst.sets:
-        total = total + aset.g(aset.count_in(x))
-    return total
+    return cost_sum([inst.constant] + [aset.g(aset.count_in(x)) for aset in inst.sets])

@@ -212,7 +212,16 @@ def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:
 
 
 def solve_renamable(inst: CountInstance) -> SolveResult:
-    """Solve a renamable instance by solving its cross-free renaming.
+    """Solve a renamable instance by solving its cross-free renaming."""
+    ren = recognize_renamable(inst)
+    if ren is None:
+        raise ClassViolation("instance is not renamable cross-free")
+    return solve_renaming(inst, ren)
+
+
+def solve_renaming(inst: CountInstance, ren: Renaming) -> SolveResult:
+    """Solve ``inst`` through ``ren``, its renaming found by
+    ``recognize_renamable``.
 
     Renaming changes constraints, not variables, so the assignment maps back
     unchanged; it is re-evaluated against the original instance.  The
@@ -220,9 +229,6 @@ def solve_renamable(inst: CountInstance) -> SolveResult:
     has checked the original functions, and reading a convex function
     backwards keeps it convex.
     """
-    ren = recognize_renamable(inst)
-    if ren is None:
-        raise ClassViolation("instance is not renamable cross-free")
     inner = solve_cfc(ren.renamed, check=False)
     got = evaluate_count(inst, inner.assignment)
     if got != inner.cost:

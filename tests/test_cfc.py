@@ -283,12 +283,13 @@ def test_network_for_single_assignment_instance():
     inst = CountInstance.build([["a"]], [])
     forest = build_laminar_forest(inst)
     net = build_network(forest, inst)
-    # source -> variable -> assignment -> universe/sink
-    assert net.num_nodes == 4
-    assert len(net.arcs) == 3
+    # source -> variable -> universe/sink: the assignment's arc ends at its
+    # minimal set, here the root
+    assert net.num_nodes == 3
+    assert len(net.arcs) == 2
     assert net.value == 1
     flow = min_convex_cost_flow(net)
-    assert flow.amounts == (1, 1, 1)
+    assert flow.amounts == (1, 1)
 
 
 def test_network_size_bounds():

@@ -238,3 +238,60 @@ def test_internal_error_is_one_json_document(monkeypatch, capsys):
     assert code == 1
     assert json.loads(out) == {"error": {"kind": "internal", "message": "RuntimeError: boom"}}
     assert "Traceback" not in err
+
+
+_RENAME_STDOUT = {
+    "maxsat-overlap.json": {
+        "renamable": True,
+        "renaming": [False, True, False, False],
+        "result": {
+            "format": "vcsp-solution/1",
+            "assignment": [0, 0, 1, 0, 0],
+            "cost": "0",
+            "solver": "renamable-cfc",
+            "certificate": {"flow_cost": "0", "constant": "0", "sets_after_rewrite": 4,
+                            "renamed_constraints": [1]},
+        },
+    },
+    "pair-grid.json": {
+        "error": {
+            "kind": "class",
+            "message": "renaming is defined over Boolean domains; variable 0 has 3 values",
+        },
+    },
+    "sat-blocks.json": {
+        "renamable": True,
+        "renaming": [False, False, False, False],
+        "result": {
+            "format": "vcsp-solution/1",
+            "assignment": [0, 0, 1, 0, 1, 0],
+            "cost": "0",
+            "solver": "renamable-cfc",
+            "certificate": {"flow_cost": "0", "constant": "0", "sets_after_rewrite": 4,
+                            "renamed_constraints": []},
+        },
+    },
+    "sat-fan.json": {"renamable": False},
+}
+
+
+def test_rename_recognises_once(monkeypatch, capsys):
+    from vcspkit import cli, renaming
+    from vcspkit.formats import dumps
+
+    calls = []
+    original = renaming.recognize_renamable
+
+    def counted(inst):
+        calls.append(inst)
+        return original(inst)
+
+    # patched where the command binds it and where the library binds it
+    monkeypatch.setattr(cli, "recognize_renamable", counted)
+    monkeypatch.setattr(renaming, "recognize_renamable", counted)
+    for name, expected in _RENAME_STDOUT.items():
+        calls.clear()
+        cli.main(["rename", str(FIXTURES / name)])
+        out, _ = capsys.readouterr()
+        assert len(calls) == 1, name
+        assert out == dumps(expected), name

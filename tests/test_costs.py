@@ -89,3 +89,40 @@ def test_format_round_trips():
     for _ in range(500):
         c = _random_cost(rng)
         assert parse_cost(format_cost(c)) == c
+
+
+def test_cost_keeps_a_given_fraction():
+    half = Fraction(1, 2)
+    assert Cost(half).value is half
+    with pytest.raises(ValueError):
+        Cost(Fraction(-1, 3))
+    with pytest.raises(TypeError):
+        Cost(True)
+
+
+def test_cost_sum_is_exact_over_mixed_denominators():
+    from vcspkit.costs import cost_sum
+
+    assert cost_sum([]) == ZERO
+    parts = [Cost(Fraction(1, 2)), Cost(Fraction(1, 3)), Cost(2), Cost(Fraction(5, 6))]
+    assert cost_sum(parts) == Cost(Fraction(11, 3))
+    assert cost_sum(iter(parts + [INF, Cost(1)])) == INF
+    rng = random.Random(11)
+    for _ in range(300):
+        items = [INF if rng.random() < 0.03 else Cost(Fraction(rng.randint(0, 40), rng.randint(1, 12)))
+                 for _ in range(rng.randint(0, 12))]
+        pairwise = ZERO
+        for c in items:
+            pairwise = pairwise + c
+        assert cost_sum(items) == pairwise
+
+
+def test_no_float_in_the_package():
+    import pathlib
+
+    import vcspkit
+
+    package = pathlib.Path(vcspkit.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert modules
+    assert [p.name for p in modules if "float(" in p.read_text(encoding="utf-8")] == []

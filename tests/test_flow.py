@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
-from vcspkit.costs import Cost, INF, ZERO
+from vcspkit.costs import Cost, INF, ZERO, cost_sum
 from vcspkit.errors import InstanceError
 from vcspkit.flow import (
     Arc,
@@ -109,6 +110,67 @@ def test_matches_enumeration_oracle():
                 fails.append(seed)
     assert not fails
     assert feasible >= 50
+
+
+def _fractional_network(rng):
+    """Small random network whose convex tables have denominators 2, 3 or 6.
+
+    Slopes may be negative; windows sometimes start above 0; the arcs of one
+    network mix denominators, so the solver's common scale is their lcm.
+    """
+    num_nodes = rng.randint(2, 6)
+    value = rng.randint(0, 3)
+    arcs = []
+    for _ in range(rng.randint(1, 9)):
+        tail = rng.randrange(num_nodes)
+        head = rng.randrange(num_nodes)
+        while head == tail:
+            head = rng.randrange(num_nodes)
+        hi = rng.randint(1, 3)
+        lo = rng.randint(1, hi) if rng.random() < 0.3 else 0
+        den = rng.choice((2, 3, 6))
+        values = [0]
+        for slope in sorted(rng.randint(-4, 5) for _ in range(hi - lo)):
+            values.append(values[-1] + slope)
+        floor = min(values)
+        base = Fraction(rng.randint(0, 5), rng.choice((1, 2, 3)))
+        table = [INF] * (hi + 1)
+        for k, v in enumerate(values):
+            table[lo + k] = C(Fraction(v - floor, den) + base)
+        arcs.append(Arc(tail, head, lo, hi, CountFunction(tuple(table))))
+    return FlowNetwork(num_nodes, 0, num_nodes - 1, value, tuple(arcs))
+
+
+def test_fractional_costs_match_enumeration_oracle():
+    rng = random.Random(2012)
+    seen = {"feasible": 0, "infeasible": 0, "negative": 0, "lo > 0": 0, "fractional": 0}
+    for _ in range(300):
+        net = _fractional_network(rng)
+        ms = [m for arc in net.arcs for m in marginals(arc.cost)]
+        seen["negative"] += any(m < 0 for m in ms)
+        seen["lo > 0"] += any(arc.lo > 0 for arc in net.arcs)
+        seen["fractional"] += any(m.denominator > 1 for m in ms)
+        got = min_convex_cost_flow(net)
+        want = oracle_flow(net)
+        if want is None:
+            seen["infeasible"] += 1
+            assert isinstance(got, Infeasible)
+        else:
+            seen["feasible"] += 1
+            assert isinstance(got, Flow)
+            assert got.total == want[1]
+            assert got.total == cost_sum(
+                arc.cost.table[f] for arc, f in zip(net.arcs, got.amounts)
+            )
+    assert seen["feasible"] >= 100 and seen["infeasible"] >= 20
+    assert min(seen["negative"], seen["lo > 0"], seen["fractional"]) >= 50
+
+
+def test_arc_keeps_integer_slopes():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    arc = Arc(0, 1, 1, 3, CountFunction((INF, C(half), C(third), C(1))))
+    assert (arc.den, arc.slopes) == (6, (-1, 4))
+    assert marginals(arc.cost) == (Fraction(-1, 6), Fraction(2, 3))
 
 
 def test_matches_classic_linear_reference():
