@@ -1,9 +1,12 @@
 """Polynomial solvers for the tractable triangle classes, plus a dispatcher.
 
-Each solver checks its class precondition (the profile check against its
-cells in ``triangles._SOLVER_CELLS``, plus any structural assumption it
-leans on) and returns a SolveResult whose assignment re-evaluates exactly
-to the reported cost.  The dispatcher scans the triangles once, reads every
+Each solver checks its class precondition, the profile check against its
+cells in ``triangles._SOLVER_CELLS``, and nothing the cell already implies
+(matching-cardinality: no assignment zero-pairs with two variables;
+weighted-matching: no assignment is below the maximum M in two tables, and
+no pair minimum exceeds M; min0-structure: mu is 0 when a table is absent).
+It returns a SolveResult whose assignment re-evaluates exactly to the
+reported cost.  The dispatcher scans the triangles once, reads every
 applicable scheme's profile from that scan, and passes the scan on, so the
 routed solver's check reads it too.
 
@@ -294,6 +297,9 @@ def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveRe
 
     Every assignment zero-pairs with at most one other variable, so the
     minimum cost is pairs-minus-maximum-matching on the variable graph.
+    That is not re-tested: zero pairs of (i, a) with j through b and with k
+    through c would make the triangle (i, a), (j, b), (k, c) hold two zeros,
+    a type outside the cell {>, 1}.
     """
     _require_profile(inst, "matching-cardinality", scan)
     for table in inst.unary:
@@ -303,30 +309,6 @@ def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveRe
                     f"matching-cardinality: unary cost {c} outside {{0, 1}}"
                 )
     n = inst.n
-    # absent tables are uniformly zero: every value pair of those variable
-    # pairs is a zero-cost pair
-    partners = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            table = inst.pair_table(i, j)
-            if table is None:
-                for a in range(len(inst.domains[i])):
-                    partners.setdefault((i, a), set()).add(j)
-                for b in range(len(inst.domains[j])):
-                    partners.setdefault((j, b), set()).add(i)
-                continue
-            for a, row in enumerate(table):
-                if any(c == ZERO for c in row):
-                    partners.setdefault((i, a), set()).add(j)
-            for b, col in enumerate(zip(*table)):
-                if any(c == ZERO for c in col):
-                    partners.setdefault((j, b), set()).add(i)
-    for (i, a), js in sorted(partners.items()):
-        if len(js) > 1:
-            raise ClassViolation(
-                "matching-cardinality: an assignment zero-pairs with two variables",
-                witness=[i, a, sorted(js)],
-            )
     # unary preprocessing: all-one unary tables add a constant; otherwise
     # values of unary cost one can be dropped
     constant = ZERO
@@ -385,7 +367,8 @@ def solve_min0_class(inst: BinaryInstance, scan=None) -> SolveResult:
 
     Either all non-zero normalised costs touch one variable (solved by
     instantiating it) or a single non-zero value occurs (solved by scaling
-    down to the zero/one two-sided class).
+    down to the zero/one two-sided class).  An absent table counts as cost
+    0, which makes the minimum mu 0, so absent tables need no normalising.
     """
     mu = _require_profile(inst, "min0-structure", scan).mu
     n = inst.n
@@ -395,8 +378,6 @@ def solve_min0_class(inst: BinaryInstance, scan=None) -> SolveResult:
     def norm_table(i, j):
         table = inst.pair_table(i, j)
         if table is None:
-            if mu != ZERO:
-                raise ClassViolation("min0-structure: absent table below the minimum")
             return None
         if mu == ZERO:
             return table
@@ -492,35 +473,16 @@ def solve_weighted_matching_class(inst: BinaryInstance, scan=None) -> SolveResul
     """Finite-valued instances whose triangles carry at least two maximum
     costs: reduced to maximum-weight matching.
 
+    An assignment is below M in at most one table, since two such entries
+    would give a triangle with fewer than two entries equal to M, outside
+    the cell {>M, M}; and at the unary minima a pair costs at most M, so no
+    pair minimum exceeds M.  Neither is re-tested.
+
     The reported certificate satisfies
     ``matching_weight + (cost - unary_offset) == pairs * M`` exactly.
     """
     m_val = _require_profile(inst, "weighted-matching", scan).m_value
     n = inst.n
-    # a below-maximum entry may share an assignment with at most one table;
-    # absent tables are uniformly zero, hence below a positive maximum
-    cheap_tables = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            table = inst.pair_table(i, j)
-            if table is None:
-                if m_val > ZERO:
-                    for a in range(len(inst.domains[i])):
-                        cheap_tables.setdefault((i, a), set()).add(j)
-                    for b in range(len(inst.domains[j])):
-                        cheap_tables.setdefault((j, b), set()).add(i)
-                continue
-            for a, row in enumerate(table):
-                for b, c in enumerate(row):
-                    if c < m_val:
-                        cheap_tables.setdefault((i, a), set()).add(j)
-                        cheap_tables.setdefault((j, b), set()).add(i)
-    for (i, a), js in sorted(cheap_tables.items()):
-        if len(js) > 1:
-            raise ClassViolation(
-                "weighted-matching: an assignment is below the maximum in two tables",
-                witness=[i, a, sorted(js)],
-            )
     mins = []
     for i in range(n):
         lo = min(inst.unary[i])
@@ -552,11 +514,6 @@ def solve_weighted_matching_class(inst: BinaryInstance, scan=None) -> SolveResul
                     if best is None or alpha < best[0]:
                         best = (alpha, a, b)
             alpha, a, b = best
-            if alpha > m_val:
-                raise ClassViolation(
-                    "weighted-matching: a pair minimum exceeds the maximum cost",
-                    witness=[i, j, str(alpha)],
-                )
             argmins[(i, j)] = (a, b)
             if alpha < m_val:
                 edges.append((i, j, m_val - alpha))

@@ -168,10 +168,7 @@ def crossfree_to_laminar(inst: CountInstance) -> CountInstance:
             sets.append(_fold(universe - aset.members, aset.g, inst.n))
         else:
             sets.append(aset)
-    result = CountInstance.build(inst.domains, sets, names=inst.names, constant=constant)
-    if not _is_laminar([aset.members for aset in result.sets], universe):
-        raise InstanceError("the complement rule failed to produce a laminar family")
-    return result
+    return CountInstance.build(inst.domains, sets, names=inst.names, constant=constant)
 
 
 @dataclass(frozen=True)
@@ -186,10 +183,6 @@ class LaminarForest:
     sets: Tuple[AssignmentSet, ...]
     father: Tuple[int, ...]
     smallest: Mapping[tuple, int]
-
-    @property
-    def root_index(self) -> int:
-        return 0
 
 
 def build_laminar_forest(inst: CountInstance) -> LaminarForest:
@@ -210,10 +203,8 @@ def build_laminar_forest(inst: CountInstance) -> LaminarForest:
     if root is None:
         root = AssignmentSet(universe, CountFunction.zero(inst.n))
     order, father, smallest = _nest([aset.members for aset in rest], universe)
-    sets = [root] + [rest[k] for k in order]
-    if len(sets) > 2 * len(universe) - 1:
-        raise InstanceError("laminar family exceeds the 2N - 1 bound")
-    return LaminarForest(tuple(sets), tuple(father), smallest)
+    sets = (root,) + tuple(rest[k] for k in order)
+    return LaminarForest(sets, tuple(father), smallest)
 
 
 def build_network(forest: LaminarForest, inst: CountInstance) -> FlowNetwork:
@@ -245,10 +236,9 @@ def build_network(forest: LaminarForest, inst: CountInstance) -> FlowNetwork:
     return FlowNetwork(base + len(forest.sets), 0, base, n, tuple(arcs))
 
 
-def solve_cfc(inst: CountInstance, check=True) -> SolveResult:
+def solve_cfc(inst: CountInstance) -> SolveResult:
     """Exact optimum of a cross-free convex instance via min convex-cost flow."""
-    if check:
-        _require_convex(inst)
+    _require_convex(inst)
     lam = crossfree_to_laminar(inst)
     for k, aset in enumerate(lam.sets):
         if aset.g.support is None:
@@ -423,7 +413,7 @@ def forest_to_dot(forest: LaminarForest, inst: CountInstance) -> str:
     """Graphviz rendering of the containment forest."""
     lines = ["digraph laminar {", "  rankdir=BT;"]
     for k, aset in enumerate(forest.sets):
-        label = "universe" if k == forest.root_index else _set_label(aset, inst)
+        label = "universe" if k == 0 else _set_label(aset, inst)
         lines.append(f'  s{k} [label="{label}", shape=box];')
     for k, parent in enumerate(forest.father):
         if parent >= 0:

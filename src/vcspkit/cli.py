@@ -120,17 +120,20 @@ def cmd_solve(args):
 
 def cmd_solve_cfc(args):
     inst = _load(args.file, CountInstance)
+    result = solve_cfc(inst)
     if args.dot_network or args.dot_forest:
+        # drawn only from an instance the solver has accepted
         lam = crossfree_to_laminar(inst)
         forest = build_laminar_forest(lam)
         if args.dot_forest:
             with open(args.dot_forest, "w", encoding="utf-8") as handle:
                 handle.write(forest_to_dot(forest, lam))
-        if args.dot_network:
+        if args.dot_network and "empty_support_set" in result.certificate:
+            print("note: no network drawn: a set has no finite count", file=sys.stderr)
+        elif args.dot_network:
             net = build_network(forest, lam)
             with open(args.dot_network, "w", encoding="utf-8") as handle:
                 handle.write(network_to_dot(net))
-    result = solve_cfc(inst)
     _emit(result.to_doc())
     return 0
 

@@ -224,12 +224,9 @@ def solve_renaming(inst: CountInstance, ren: Renaming) -> SolveResult:
     ``recognize_renamable``.
 
     Renaming changes constraints, not variables, so the assignment maps back
-    unchanged; it is re-evaluated against the original instance.  The
-    renamed instance is solved without a second convexity check: recognition
-    has checked the original functions, and reading a convex function
-    backwards keeps it convex.
+    unchanged; it is re-evaluated against the original instance.
     """
-    inner = solve_cfc(ren.renamed, check=False)
+    inner = solve_cfc(ren.renamed)
     got = evaluate_count(inst, inner.assignment)
     if got != inner.cost:
         raise InstanceError(

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .costs import Cost, INF, ZERO
 from .errors import BudgetExceeded, GenerationError
@@ -39,14 +38,28 @@ def _raw(c: Cost):
 def oracle_binary(inst: BinaryInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum of a binary instance by full enumeration.
 
-    Ties break to the lexicographically smallest optimal assignment.
+    The finite costs are scaled once to integers by the least common
+    multiple of their denominators, so the enumeration adds ints.  Ties
+    break to the lexicographically smallest optimal assignment.
     """
     space = prod(len(d) for d in inst.domains)
     if space > budget:
         raise BudgetExceeded(f"{space} assignments exceed the budget of {budget}")
-    unary = [[_raw(c) for c in table] for table in inst.unary]
+    den = lcm(*{
+        c.value.denominator
+        for rows in (inst.unary, *inst.binary.values())
+        for row in rows
+        for c in row
+        if not c.is_infinite
+    })
+
+    def scaled(c):
+        """None for inf, else the cost times den, an int."""
+        return None if c.is_infinite else c.value.numerator * (den // c.value.denominator)
+
+    unary = [[scaled(c) for c in table] for table in inst.unary]
     pairs = [
-        (i, j, [[_raw(c) for c in row] for row in table])
+        (i, j, [[scaled(c) for c in row] for row in table])
         for (i, j), table in sorted(inst.binary.items())
     ]
     best_x = None
@@ -74,7 +87,7 @@ def oracle_binary(inst: BinaryInstance, budget: int = DEFAULT_BUDGET) -> SolveRe
         if best is None or total < best:
             best = total
             best_x = x
-    cost_out = INF if best is None else Cost(Fraction(best))
+    cost_out = INF if best is None else Cost(Fraction(best, den))
     return SolveResult(best_x, cost_out, "oracle", {"enumerated": space})
 
 
@@ -242,30 +255,6 @@ def oracle_flow(net: FlowNetwork):
 
 # ---------------------------------------------------------------------------
 # generators
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Seeded, deterministic description of a generated instance."""
-
-    kind: str
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def build(self):
-        if self.kind == "random-profile":
-            return gen_profile(seed=self.seed, **self.params)
-        if self.kind == "maxcut":
-            return gen_maxcut(**self.params)
-        if self.kind == "matching-encoding":
-            return gen_matching_encoding(**self.params)
-        if self.kind == "soft-gcc":
-            return gen_soft_gcc(**self.params)
-        if self.kind == "nested-gcc":
-            return gen_nested_gcc(**self.params)
-        if self.kind == "fixture-id":
-            return fixtures()[self.params["name"]]
-        raise GenerationError(f"unknown generator kind {self.kind!r}")
 
 
 def _rational_pool(rng, *, allow_inf=False):

@@ -14,7 +14,7 @@ from vcspkit.binary_solvers import (
     solve_weighted_matching_class,
 )
 from vcspkit.costs import Cost, INF, ZERO
-from vcspkit.errors import ClassViolation
+from vcspkit.errors import ClassViolation, GenerationError
 from vcspkit.instances import BinaryInstance, evaluate_binary
 from vcspkit.testkit import gen_matching_encoding, gen_profile, oracle_binary
 from vcspkit.triangles import Scheme
@@ -330,3 +330,123 @@ def test_out_of_range_solver_call_raises_before_scanning(monkeypatch):
     with pytest.raises(ClassViolation, match="anchored schemes require finite"):
         binary_solvers.solve_weighted_matching_class(inst)
     assert calls == []
+
+
+# -- the profile check owns the structure each solver relies on -------------
+
+_CELL_OF = {
+    "matching-cardinality": (Scheme.MAXCSP, {">", "1"}, [1], [0]),
+    "weighted-matching": (Scheme.MAXM, {">M", "M"}, [3], [0, 1, 2, Fraction(1, 2)]),
+    "min0-structure": (Scheme.MIN0, {">0", "0"}, [0], [1, 2, Fraction(1, 2), 3]),
+}
+
+
+def _full_row(inst, i, a, j):
+    """Costs of (i, a) against every value of j; an absent table is zero."""
+    table = inst.pair_table(min(i, j), max(i, j))
+    if table is None:
+        return [ZERO] * len(inst.domains[j])
+    return list(table[a]) if i < j else [row[a] for row in table]
+
+
+def _hit_in_two_tables(inst, below):
+    """Whether some assignment has an entry ``below`` in two tables."""
+    return any(
+        sum(any(below(c) for c in _full_row(inst, i, a, j)) for j in range(inst.n) if j != i) > 1
+        for i in range(inst.n)
+        for a in range(len(inst.domains[i]))
+    )
+
+
+def _max_binary(inst):
+    costs = [c for t in inst.binary.values() for row in t for c in row]
+    if len(inst.binary) < inst.n * (inst.n - 1) // 2:
+        costs.append(ZERO)
+    return max(costs, default=ZERO)
+
+
+def _pair_minimum_exceeds(inst, m):
+    lows = [min(t) for t in inst.unary]
+    if any(lo.is_infinite for lo in lows):
+        return False
+    for i in range(inst.n):
+        for j in range(i + 1, inst.n):
+            best = min(
+                inst.unary[i][a].value - lows[i].value + w.value
+                + inst.unary[j][b].value - lows[j].value
+                for a in range(len(inst.domains[i]))
+                if not inst.unary[i][a].is_infinite
+                for b, w in enumerate(_full_row(inst, i, a, j))
+                if not inst.unary[j][b].is_infinite
+            )
+            if best > m.value:
+                return True
+    return False
+
+
+def _in_cell_instances():
+    """Seeded instances, generated and random, each tagged with its solver."""
+    for solver, (scheme, cell, _, _) in _CELL_OF.items():
+        for n in range(3, 8):
+            for d in range(1, 4):
+                for seed in range(30):
+                    try:
+                        yield solver, gen_profile(n, d, cell, scheme, seed)
+                    except GenerationError:
+                        pass
+    rng = random.Random(99)
+    for _ in range(1000):
+        for solver, (_, _, common, rare) in _CELL_OF.items():
+            n = rng.randint(3, 5)
+            domains = [["v"] * rng.randint(1, 3) for _ in range(n)]
+            p = rng.choice([0.05, 0.15, 0.3])
+
+            def cost():
+                return C(Fraction(rng.choice(rare if rng.random() < p else common)))
+
+            unary = {i: [C(rng.randint(0, 2)) for _ in domains[i]] for i in range(n)}
+            binary = {
+                (i, j): [[cost() for _ in domains[j]] for _ in domains[i]]
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.85
+            }
+            yield solver, BinaryInstance.build(domains, unary=unary, binary=binary)
+
+
+def test_profile_check_settles_the_solver_conditions():
+    seen = {solver: 0 for solver in _CELL_OF}
+    for solver, inst in _in_cell_instances():
+        scheme, cell, _, _ = _CELL_OF[solver]
+        try:
+            prof = triangles.profile(inst, scheme)
+        except ClassViolation:
+            continue
+        if not prof.observed <= cell:
+            continue
+        seen[solver] += 1
+        if solver == "matching-cardinality":
+            assert not _hit_in_two_tables(inst, lambda c: c == ZERO)
+        elif solver == "weighted-matching":
+            m = _max_binary(inst)
+            assert not _hit_in_two_tables(inst, lambda c: c < m)
+            assert not _pair_minimum_exceeds(inst, m)
+        elif len(inst.binary) < inst.n * (inst.n - 1) // 2:
+            assert prof.mu == ZERO
+    assert sum(seen.values()) >= 2000
+    assert min(seen.values()) >= 400
+
+
+def test_profile_check_rejects_what_the_solvers_rely_on():
+    # (0, a) zero-pairs with variables 1 and 2
+    zero_twice = BinaryInstance.build(
+        [["a"]] * 3, binary={(0, 1): [[ZERO]], (0, 2): [[ZERO]], (1, 2): [[C(1)]]}
+    )
+    with pytest.raises(ClassViolation, match="triangle type .* outside"):
+        solve_matching_cardinality_class(zero_twice)
+    # (0, a) is below the maximum 2 in the tables with 1 and 2
+    below_twice = BinaryInstance.build(
+        [["a"]] * 3, binary={(0, 1): [[C(1)]], (0, 2): [[ZERO]], (1, 2): [[C(2)]]}
+    )
+    with pytest.raises(ClassViolation, match="triangle type .* outside"):
+        solve_weighted_matching_class(below_twice)

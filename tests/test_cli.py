@@ -85,6 +85,25 @@ def test_solve_cfc_writes_dot_files(tmp_path):
     assert network.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("fixture, g", [
+    ("sat-blocks.json", ["inf", "inf", "inf", "inf"]),  # empty finite support
+    ("pair-grid.json", ["0", "1", "0"]),  # not convex
+])
+def test_solve_cfc_dot_flags_leave_the_answer_alone(tmp_path, fixture, g):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    doc["sets"][0]["g"] = g
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    plain = run_cli("solve-cfc", str(path))
+    drawn = run_cli(
+        "solve-cfc", str(path),
+        "--dot-forest", str(tmp_path / "forest.dot"),
+        "--dot-network", str(tmp_path / "net.dot"),
+    )
+    assert (drawn.returncode, drawn.stdout) == (plain.returncode, plain.stdout)
+    assert not (tmp_path / "net.dot").exists()
+
+
 def test_usage_error_exits_two():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

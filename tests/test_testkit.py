@@ -1,3 +1,7 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from vcspkit.costs import Cost, INF, ZERO
@@ -5,7 +9,6 @@ from vcspkit.errors import BudgetExceeded, GenerationError
 from vcspkit.formats import serialize_instance
 from vcspkit.instances import BinaryInstance, evaluate_binary
 from vcspkit.testkit import (
-    GeneratorSpec,
     fixtures,
     gen_matching_encoding,
     gen_maxcut,
@@ -46,6 +49,40 @@ def test_oracle_binary_prefers_lexicographic_optimum():
     assert oracle_binary(inst).assignment == (0, 0)
 
 
+def test_oracle_binary_matches_fraction_enumeration():
+    # reference: Fraction sums over every assignment, first optimum kept
+    pool = [0, 1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(7, 3), None]
+    rng = random.Random(2024)
+    for _ in range(320):
+        n = rng.randint(1, 4)
+        domains = [["v"] * rng.randint(1, 3) for _ in range(n)]
+
+        def draw():
+            v = rng.choice(pool)
+            return INF if v is None else C(Fraction(v))
+
+        unary = {i: [draw() for _ in domains[i]] for i in range(n)}
+        binary = {
+            (i, j): [[draw() for _ in domains[j]] for _ in domains[i]]
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.8
+        }
+        inst = BinaryInstance.build(domains, unary=unary, binary=binary)
+        want_x, want = (0,) * n, None
+        for x in itertools.product(*(range(len(d)) for d in domains)):
+            costs = [unary[i][a] for i, a in enumerate(x)]
+            costs += [t[x[i]][x[j]] for (i, j), t in sorted(binary.items())]
+            if any(c.is_infinite for c in costs):
+                continue
+            total = sum((c.value for c in costs), Fraction(0))
+            if want is None or total < want:
+                want_x, want = x, total
+        res = oracle_binary(inst)
+        assert res.cost == (INF if want is None else C(want))
+        assert res.assignment == want_x
+
+
 def test_oracle_count_constant_only():
     inst = gen_soft_gcc(3, 2, [(0, 3), (0, 3)])
     res = oracle_count(inst)
@@ -73,11 +110,11 @@ def test_generator_outputs_are_certified_in_class():
 
 
 def test_generation_is_seed_deterministic():
-    a = GeneratorSpec("random-profile", 5, {"n": 5, "d": 3, "types": {">", "0"}, "scheme": Scheme.MAXCSP})
-    b = GeneratorSpec("random-profile", 5, {"n": 5, "d": 3, "types": {">", "0"}, "scheme": Scheme.MAXCSP})
-    assert serialize_instance(a.build()) == serialize_instance(b.build())
-    c = GeneratorSpec("random-profile", 6, {"n": 5, "d": 3, "types": {">", "0"}, "scheme": Scheme.MAXCSP})
-    assert serialize_instance(a.build()) != serialize_instance(c.build())
+    def build(seed):
+        return serialize_instance(gen_profile(5, 3, {">", "0"}, Scheme.MAXCSP, seed))
+
+    assert build(5) == build(5)
+    assert build(5) != build(6)
 
 
 def test_two_sided_zero_one_generation_fails_on_six_variables():
