@@ -29,8 +29,9 @@ from .matching import MatchingGraph, max_weight_matching
 from .results import SolveResult
 from .triangles import (
     _SOLVER_CELLS,
-    _binary_values,
     _range_check,
+    _rank_tables,
+    _scan_ranks,
     Scheme,
     has_soft_unaries,
     in_range,
@@ -48,7 +49,10 @@ def _require_profile(inst, solver, scan=None):
     ``scan`` is ``scan_triangles(inst)``, computed here when not given, and
     only once some cell's scheme has every binary cost in its range.
     """
-    values = _binary_values(inst) if scan is None else scan.values
+    if scan is None:
+        values, ranks = _rank_tables(inst)
+    else:
+        values = scan.values
     err = None
     for scheme, cells in _SOLVER_CELLS.items():
         for cell, sid in cells:
@@ -60,7 +64,7 @@ def _require_profile(inst, solver, scan=None):
                 err = exc
                 continue
             if scan is None:
-                scan = scan_triangles(inst)
+                scan = _scan_ranks(inst, values, ranks)
             prof = profile(inst, scheme, scan=scan)
             stray = prof.observed - cell
             if not stray:

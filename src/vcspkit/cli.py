@@ -2,8 +2,11 @@
 
 Every command writes exactly one JSON document to stdout; human-readable
 diagnostics go to stderr.  Exit codes: 0 success (including infinite-cost
-results), 2 usage error, 3 input validation error, 4 class or precondition
-violation, 5 oracle budget exceeded.
+results), 1 internal error, 2 usage error (a missing argument, an unknown
+command or option: an error document of kind ``usage``, with the usage on
+stderr), 3 input validation error, 4 class or precondition violation,
+5 oracle budget exceeded.  ``--help`` and ``--version`` print text, not
+JSON, and exit 0.
 """
 
 from __future__ import annotations
@@ -256,8 +259,22 @@ def cmd_oracle(args):
     return 0
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, after argparse's usage text on stderr, where
+    argparse would exit; subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vcspkit",
         description="Classify and solve binary VCSPs by triangle patterns; "
         "solve cross-free convex count instances by convex flow.",
@@ -318,8 +335,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _emit({"error": {"kind": "usage", "message": str(exc)}})
+        return 2
     try:
         return args.func(args)
     except FormatError as exc:

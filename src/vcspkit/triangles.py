@@ -19,13 +19,26 @@ binary cost.  So the triangles are scanned once (``scan_triangles``), on
 integer ranks into the sorted distinct binary costs, and each scheme types
 one triple per signature found (see ``TriangleScan``).  Ranks are exact
 because they keep order and equality, and each triple is typed on the
-``Cost`` values its ranks stand for.
+``Cost`` values its ranks stand for.  The tables are ranked through exact
+integer keys, ``(numerator, denominator)`` or None for ``inf``, so only the
+distinct values are compared as costs.
+
+With at most 16 distinct values (``_MASK_VALUES``) the scan is
+bit-parallel: per variable pair and value pair it ANDs bit masks of the
+third assignments, one per rank pair whose signature is still unseen, and
+reads the earliest triangle off the lowest set bit.  With more values the
+masks would cost more than they save, and the scan visits each triangle.
+``check_jwp`` stops at the first variable pair (or triple, without masks)
+that violates the property.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Mapping, Optional, Tuple
 
 from .costs import ONE, Cost, ZERO
@@ -162,12 +175,46 @@ def _range_check(inst: BinaryInstance, scheme: Scheme, values):
                     )
 
 
-def _binary_values(inst: BinaryInstance):
-    """Distinct binary costs in increasing order; absent tables count as 0."""
-    values = set(inst.all_binary_costs())
-    if len(inst.binary) < inst.n * (inst.n - 1) // 2:
-        values.add(ZERO)
-    return tuple(sorted(values))
+def _rank_tables(inst: BinaryInstance):
+    """The distinct binary costs in increasing order, with ``ZERO`` added
+    when some variable pair has no table, and every pair i < j's table as
+    ranks into them (an absent table as the rank of ``ZERO``).
+
+    Entries are told apart by ``Cost.exact_key``, which hashes in C; only
+    the distinct values are compared, by integer part and then, on a tie,
+    by fractional part.
+    """
+    cost_of = {}
+    keyed = {}
+    for pair, table in inst.binary.items():
+        entries = tuple(chain.from_iterable(table))
+        keyed[pair] = keys = tuple(map(Cost.exact_key, entries))
+        for key in set(keys).difference(cost_of):
+            cost_of[key] = entries[keys.index(key)]
+    n, sizes = inst.n, [len(d) for d in inst.domains]
+    zero = ZERO.exact_key()
+    if len(keyed) < n * (n - 1) // 2:
+        cost_of.setdefault(zero, ZERO)
+
+    def by_value(key):
+        p, q = key
+        return (p // q, Fraction(p % q, q) if q > 1 else 0)
+
+    order = sorted((k for k in cost_of if k is not None), key=by_value)
+    if None in cost_of:
+        order.append(None)
+    values = tuple(map(cost_of.__getitem__, order))
+    rank = {k: r for r, k in enumerate(order)}.__getitem__
+    ranks = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            keys = keyed.get((i, j))
+            if keys is None:
+                ranks[i, j] = ((rank(zero),) * sizes[j],) * sizes[i]
+            else:
+                # the row-major ranks, cut into rows of |D_j|
+                ranks[i, j] = tuple(zip(*[map(rank, keys)] * sizes[j]))
+    return values, ranks
 
 
 def _extremes(values):
@@ -188,28 +235,101 @@ class TriangleScan:
     many distinct costs there are.  It maps each signature to the first
     triangle with it, given as (i, j, k, a, b, c) so that tuple order is loop
     order, and to that triangle's sorted rank triple.
+
+    With at most ``_MASK_VALUES`` (16) distinct values the scan is
+    bit-parallel: for each pair i < j and each (a, b) it ANDs, per rank pair
+    whose signature is still unseen, the mask of the (k, c) where
+    c[i,k](a, c) has the one rank with the mask where c[j,k](b, c) has the
+    other, and the lowest set bit is the earliest such (k, c).  With more
+    values it visits every triangle.  Both give the same ``first``.
     """
 
     values: Tuple[Cost, ...]
     first: Mapping[Tuple[bool, bool, bool, bool], Tuple[Tuple[int, ...], Tuple[int, int, int]]]
 
 
-def scan_triangles(inst: BinaryInstance) -> TriangleScan:
-    """One pass over all triangles, on the ranks of their costs."""
-    n = inst.n
-    values = _binary_values(inst)
-    rank = {x: r for r, x in enumerate(values)}
-    top = len(values) - 1
-    ranks = {}
+# Up to this many distinct binary costs the scan ANDs position masks, one
+# per rank pair; above it that is more ANDs per (a, b) than the per-triangle
+# loop costs, and the loop runs instead.
+_MASK_VALUES = 16
+
+
+@lru_cache(maxsize=_MASK_VALUES + 1)
+def _signature_table(count):
+    """``table[x][y][z]``: the signature of rank triple (x, y, z) over
+    ``count`` distinct values, for each count the masks take."""
+    top = count - 1
+
+    def signature(x, y, z):
+        x, y, z = sorted((x, y, z))
+        return (x == 0, z == top, x == y, y == z)
+
+    return tuple(
+        tuple(tuple(signature(x, y, z) for z in range(count)) for y in range(count))
+        for x in range(count)
+    )
+
+
+def _mask_scan(sizes, ranks, count):
+    """``_found_in_order`` on the masks of positions: (k, c) is bit
+    ``offset[k] + c``, so the lowest bit of a mask is its earliest (k, c)."""
+    n = len(sizes)
+    sig_of = _signature_table(count)
+    offset = list(accumulate(sizes, initial=0))
+    where = [(k, c) for k in range(n) for c in range(sizes[k])]
+    # masks[i][a]: (r, positions (k, c) with k > i where c[i,k](a, c) has
+    # rank r), for each rank r that occurs
+    masks = []
     for i in range(n):
-        for j in range(i + 1, n):
-            table = inst.binary.get((i, j))
-            if table is None:
-                row = (rank[ZERO],) * len(inst.domains[j])
-                ranks[i, j] = (row,) * len(inst.domains[i])
-            else:
-                ranks[i, j] = tuple(tuple(rank[x] for x in row) for row in table)
-    first = {}
+        per_value = []
+        for a in range(sizes[i]):
+            by_rank = [0] * count
+            for k in range(i + 1, n):
+                bit = 1 << offset[k]
+                for r in ranks[i, k][a]:
+                    by_rank[r] |= bit
+                    bit <<= 1
+            per_value.append([(r, m) for r, m in enumerate(by_rank) if m])
+        masks.append(per_value)
+    seen = set()
+    for i in range(n - 2):
+        for j in range(i + 1, n - 1):
+            t_ij = ranks[i, j]
+            skip = set(seen)
+            best = {}  # signature -> least (k, a, b, c) over the pair
+            for a, row in enumerate(t_ij):
+                masks_a = masks[i][a]
+                for b, x in enumerate(row):
+                    masks_b = masks[j][b]
+                    sig_x = sig_of[x]
+                    hits = {}
+                    for ry, my in masks_a:
+                        sig_xy = sig_x[ry]
+                        for rz, mz in masks_b:
+                            sig = sig_xy[rz]
+                            if sig not in skip:
+                                m = my & mz
+                                if m:
+                                    hits[sig] = hits.get(sig, 0) | m
+                    for sig, m in hits.items():
+                        k, c = where[(m & -m).bit_length() - 1]
+                        # a later (a, b) comes first only at a smaller k
+                        if sig not in best or k < best[sig][0]:
+                            best[sig] = (k, a, b, c)
+                            if k == j + 1:
+                                skip.add(sig)
+            if best:
+                found = {}
+                for sig, (k, a, b, c) in sorted(best.items(), key=lambda e: e[1]):
+                    key = tuple(sorted((t_ij[a][b], ranks[i, k][a][c], ranks[j, k][b][c])))
+                    found[sig] = ((i, j, k, a, b, c), key)
+                seen.update(found)
+                yield found
+
+
+def _loop_scan(n, ranks, top):
+    """``_found_in_order`` triangle by triangle, for each (i, j, k)."""
+    seen = set()
     for i in range(n):
         for j in range(i + 1, n):
             t_ij = ranks[i, j]
@@ -224,12 +344,36 @@ def scan_triangles(inst: BinaryInstance) -> TriangleScan:
                             key = (x, y, z)
                             if key not in local:
                                 local[key] = (i, j, k, a, b, c)
+                found = {}
                 for key, pos in local.items():
                     x, y, z = sorted(key)
                     sig = (x == 0, z == top, x == y, y == z)
-                    if sig not in first:
-                        first[sig] = (pos, (x, y, z))
+                    if sig not in seen:
+                        seen.add(sig)
+                        found[sig] = (pos, (x, y, z))
+                if found:
+                    yield found
+
+
+def _found_in_order(inst: BinaryInstance, values, ranks):
+    """The entries of ``TriangleScan.first``, yielded in loop order, a batch
+    after each variable pair (or triple), so that a caller wanting only the
+    earliest triangle of some kind can stop at the first batch holding it."""
+    if len(values) <= _MASK_VALUES:
+        return _mask_scan([len(d) for d in inst.domains], ranks, len(values))
+    return _loop_scan(inst.n, ranks, len(values) - 1)
+
+
+def _scan_ranks(inst: BinaryInstance, values, ranks) -> TriangleScan:
+    first = {}
+    for found in _found_in_order(inst, values, ranks):
+        first.update(found)
     return TriangleScan(values, first)
+
+
+def scan_triangles(inst: BinaryInstance) -> TriangleScan:
+    """One pass over all triangles, on the ranks of their costs."""
+    return _scan_ranks(inst, *_rank_tables(inst))
 
 
 def profile(
@@ -239,9 +383,12 @@ def profile(
 
     ``scan`` is ``scan_triangles(inst)``, computed here when not given.
     """
-    _range_check(inst, scheme, scan.values if scan is not None else _binary_values(inst))
     if scan is None:
-        scan = scan_triangles(inst)
+        values, ranks = _rank_tables(inst)
+        _range_check(inst, scheme, values)
+        scan = _scan_ranks(inst, values, ranks)
+    else:
+        _range_check(inst, scheme, scan.values)
     values = scan.values
     lo, hi = _extremes(values)
     mu = lo if scheme is Scheme.MIN0 else None
@@ -268,14 +415,15 @@ def check_jwp(inst: BinaryInstance):
 
     Returns ``(ok, witness)`` with the first violating triangle in
     lexicographic (i, j, k, a, b, c) order, or None.  The violating triples
-    are exactly the ORDER types ``>`` and ``delta``.
+    are exactly those whose two least ranks differ (the ORDER types ``>``
+    and ``delta``), so the scan stops at the first batch that finds one.
     """
-    prof = profile(inst, Scheme.ORDER)
-    bad = [prof.witnesses[tt] for tt in (">", "delta") if tt in prof.observed]
-    if not bad:
-        return True, None
-    # a witness is (i, a, j, b, k, c); the earlier one in loop order wins
-    return False, min(bad, key=lambda w: (w[0], w[2], w[4], w[1], w[3], w[5]))
+    for found in _found_in_order(inst, *_rank_tables(inst)):
+        bad = [pos for (_, _, low_equal, _), (pos, _) in found.items() if not low_equal]
+        if bad:
+            i, j, k, a, b, c = min(bad)
+            return False, (i, a, j, b, k, c)
+    return True, None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from vcspkit import __version__
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -109,6 +111,30 @@ def test_usage_error_exits_two():
     assert proc.returncode == 2
 
 
+def _usage_error(proc):
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert list(doc) == ["error"] and doc["error"]["kind"] == "usage"
+    assert proc.stderr.startswith("usage: vcspkit")
+    assert "Traceback" not in proc.stderr
+    return doc["error"]["message"]
+
+
+def test_missing_file_is_a_usage_error_document():
+    assert _usage_error(run_cli("solve")) == "the following arguments are required: file"
+
+
+def test_unknown_command_is_a_usage_error_document():
+    assert "invalid choice: 'frobnicate'" in _usage_error(run_cli("frobnicate"))
+
+
+def test_help_prints_text_and_exits_zero():
+    proc = run_cli("solve", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: vcspkit solve")
+    assert proc.stderr == ""
+
+
 def test_classify_range_violation_exits_four():
     gen = run_cli("gen", "profile", "--scheme", "csp", "--types", ">,0,inf",
                   "--n", "3", "--d", "2", "--seed", "5")
@@ -209,6 +235,7 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "vcspkit" in proc.stdout
+    assert proc.stdout.strip() == f"vcspkit {__version__}"
 
 
 def test_gen_fixture_matches_shipped_file():

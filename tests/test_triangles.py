@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from vcspkit.errors import ClassViolation
 from vcspkit.instances import BinaryInstance
 from vcspkit.testkit import gen_maxcut, gen_profile
 from vcspkit.triangles import (
+    _MASK_VALUES,
     ALPHABET,
     OTHER,
     Scheme,
@@ -375,3 +377,138 @@ def test_scan_stays_bounded_with_all_distinct_costs():
     for scheme in (Scheme.ORDER, Scheme.MIN0, Scheme.MAXM):
         prof = profile(inst, scheme)
         assert (prof.observed, prof.witnesses, prof.mu, prof.m_value) == _reference_profile(inst, scheme)
+
+
+def _reference_scan(inst):
+    """``scan_triangles``'s values and first, and each scheme's
+    (observed, witnesses, mu, m_value) or range error, from one walk over
+    every triangle in loop order."""
+    n, sizes = inst.n, [len(d) for d in inst.domains]
+    costs = set(inst.all_binary_costs())
+    if len(inst.binary) < n * (n - 1) // 2:
+        costs.add(ZERO)
+    values = tuple(sorted(costs))
+    rank = {x: r for r, x in enumerate(values)}
+    table = {
+        (i, j): [[rank[inst.pair_cost(i, a, j, b)] for b in range(sizes[j])] for a in range(sizes[i])]
+        for i, j in itertools.combinations(range(n), 2)
+    }
+    first, triples = {}, {}
+    for i, j, k in itertools.combinations(range(n), 3):
+        t_ij, t_ik, t_jk = table[i, j], table[i, k], table[j, k]
+        for a, b, c in itertools.product(range(sizes[i]), range(sizes[j]), range(sizes[k])):
+            key = tuple(sorted((t_ij[a][b], t_ik[a][c], t_jk[b][c])))
+            if key not in triples:
+                triples[key] = (i, j, k, a, b, c)
+                x, y, z = key
+                first.setdefault((x == 0, z == len(values) - 1, x == y, y == z), (triples[key], key))
+    profiles = {}
+    for scheme in Scheme:
+        profiles[scheme] = _reference_range_error(inst, scheme)
+        if profiles[scheme] is not None:
+            continue
+        mu = (values[0] if values else ZERO) if scheme is Scheme.MIN0 else None
+        m_value = (values[-1] if values else ZERO) if scheme is Scheme.MAXM else None
+        earliest = {}
+        for key, pos in triples.items():
+            triple = [values[r] - mu if mu is not None else values[r] for r in key]
+            tt = classify_triple(triple, scheme, m_value=m_value)
+            earliest[tt] = min(earliest.get(tt, pos), pos)
+        witnesses = {tt: (i, a, j, b, k, c) for tt, (i, j, k, a, b, c) in earliest.items()}
+        profiles[scheme] = (frozenset(witnesses), witnesses, mu, m_value)
+    return values, first, profiles
+
+
+def _distinct_pool(rng, size, zero=False):
+    """``size`` distinct costs, some fractional, ``inf`` among them at times."""
+    pool = {ZERO} if zero else set()
+    if rng.random() < 0.3:
+        pool.add(INF)
+    while len(pool) < size:
+        pool.add(C(Fraction(rng.randint(0, 4 * size), rng.choice((1, 1, 2, 3)))))
+    return list(pool)
+
+
+def _differential_instance(rng, kind):
+    """``small``: up to 5 distinct costs; ``16`` and ``17``: exactly that
+    many where there are cells for all of them (0 among them, so absent
+    tables add none); ``long``: more than 64 positions (k, c), so that the
+    masks span several machine words, on few variables with large domains."""
+    if kind == "long":
+        sizes = []
+        while sum(sizes) <= 64:
+            sizes.append(rng.randint(8, 24))
+        pool = _distinct_pool(rng, rng.choice((2, 3, 5, 16, 17)), zero=True)
+    elif kind == "small":
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(3, 5))]
+        pool = _distinct_pool(rng, rng.randint(1, 5))
+    else:
+        sizes = [rng.randint(2, 3) for _ in range(rng.randint(4, 5))]
+        pool = _distinct_pool(rng, int(kind), zero=True)
+    n = len(sizes)
+    absent = rng.choice((0.0, 0.2, 0.5))
+    binary = {
+        (i, j): [[rng.choice(pool) for _ in range(sizes[j])] for _ in range(sizes[i])]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() >= absent
+    }
+    cells = [(pair, a, b) for pair, rows in binary.items() for a, row in enumerate(rows) for b in range(len(row))]
+    for (pair, a, b), x in zip(rng.sample(cells, min(len(cells), len(pool))), pool):
+        binary[pair][a][b] = x
+    return BinaryInstance.build([[str(v) for v in range(d)] for d in sizes], binary=binary)
+
+
+def test_scan_and_profiles_match_per_triangle_walk_on_both_paths():
+    rng = random.Random(1211)
+    tally = Counter()
+    for kind in ["small"] * 2000 + ["16"] * 500 + ["17"] * 500 + ["long"] * 12:
+        inst = _differential_instance(rng, kind)
+        values, first, profiles = _reference_scan(inst)
+        scan = scan_triangles(inst)
+        assert (scan.values, scan.first) == (values, first)
+        for scheme in Scheme:
+            try:
+                prof = profile(inst, scheme, scan=scan)
+            except ClassViolation as exc:
+                assert (str(exc), exc.witness) == profiles[scheme]
+                continue
+            assert (prof.observed, prof.witnesses, prof.mu, prof.m_value) == profiles[scheme]
+        tally[len(values)] += 1
+        if sum(len(d) for d in inst.domains) > 64:
+            tally["long", len(values) > _MASK_VALUES] += 1
+    assert tally[16] >= 400 and tally[17] >= 400
+    assert tally["long", False] >= 5 and tally["long", True] >= 2
+
+
+def _jwp_violating_instance(rng, count):
+    """c[i,j] = f(i) for a non-decreasing f with ``count`` distinct values
+    has the property; one to three entries set off it break it somewhere."""
+    n = max(count + 1, rng.randint(4, 8))
+    sizes = [rng.randint(1, 2) for _ in range(n)]
+    levels = sorted(_distinct_pool(rng, count))
+    f = sorted(levels + [rng.choice(levels) for _ in range(n - count)])
+    binary = {
+        (i, j): [[f[i]] * sizes[j] for _ in range(sizes[i])]
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    while True:
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(n), 2))
+            binary[i, j][rng.randrange(sizes[i])][rng.randrange(sizes[j])] = rng.choice(levels)
+        inst = BinaryInstance.build([[str(v) for v in range(d)] for d in sizes], binary=binary)
+        if not _reference_jwp(inst)[0]:
+            return inst
+
+
+def test_early_stopping_jwp_matches_reference_on_both_paths():
+    rng = random.Random(4)
+    paths = Counter()
+    for count in [rng.randint(2, 16) for _ in range(150)] + [rng.randint(17, 20) for _ in range(60)]:
+        inst = _jwp_violating_instance(rng, count)
+        ok, witness = check_jwp(inst)
+        assert not ok
+        assert (ok, witness) == _reference_jwp(inst)
+        paths[len(scan_triangles(inst).values) > _MASK_VALUES] += 1
+    assert paths[False] >= 100 and paths[True] >= 40
