@@ -259,18 +259,14 @@ def cmd_oracle(args):
     return 0
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises on a usage error, after argparse's usage text on stderr, where
-    argparse would exit; subcommand parsers are of this class too."""
+    """On a usage error, writes the usage error document as well as
+    argparse's usage text; subcommand parsers are of this class too."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message)
+        _emit({"error": {"kind": "usage", "message": message}})
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser():
@@ -335,11 +331,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        _emit({"error": {"kind": "usage", "message": str(exc)}})
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

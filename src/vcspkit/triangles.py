@@ -23,7 +23,7 @@ because they keep order and equality, and each triple is typed on the
 integer keys, ``(numerator, denominator)`` or None for ``inf``, so only the
 distinct values are compared as costs.
 
-With at most 16 distinct values (``_MASK_VALUES``) the scan is
+With at most 18 distinct values (``_MASK_VALUES``) the scan is
 bit-parallel: per variable pair and value pair it ANDs bit masks of the
 third assignments, one per rank pair whose signature is still unseen, and
 reads the earliest triangle off the lowest set bit.  With more values the
@@ -189,8 +189,7 @@ def _rank_tables(inst: BinaryInstance):
     for pair, table in inst.binary.items():
         entries = tuple(chain.from_iterable(table))
         keyed[pair] = keys = tuple(map(Cost.exact_key, entries))
-        for key in set(keys).difference(cost_of):
-            cost_of[key] = entries[keys.index(key)]
+        cost_of.update(zip(keys, entries))
     n, sizes = inst.n, [len(d) for d in inst.domains]
     zero = ZERO.exact_key()
     if len(keyed) < n * (n - 1) // 2:
@@ -236,7 +235,7 @@ class TriangleScan:
     triangle with it, given as (i, j, k, a, b, c) so that tuple order is loop
     order, and to that triangle's sorted rank triple.
 
-    With at most ``_MASK_VALUES`` (16) distinct values the scan is
+    With at most ``_MASK_VALUES`` (18) distinct values the scan is
     bit-parallel: for each pair i < j and each (a, b) it ANDs, per rank pair
     whose signature is still unseen, the mask of the (k, c) where
     c[i,k](a, c) has the one rank with the mask where c[j,k](b, c) has the
@@ -250,8 +249,9 @@ class TriangleScan:
 
 # Up to this many distinct binary costs the scan ANDs position masks, one
 # per rank pair; above it that is more ANDs per (a, b) than the per-triangle
-# loop costs, and the loop runs instead.
-_MASK_VALUES = 16
+# loop costs, and the loop runs instead.  Timed on random n=16, d=3 tables
+# the two break even between 18 and 20 values (n=12, d=4: at 18).
+_MASK_VALUES = 18
 
 
 @lru_cache(maxsize=_MASK_VALUES + 1)

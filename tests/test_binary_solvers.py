@@ -286,15 +286,16 @@ _ROUTED_CELLS = pytest.mark.parametrize(
 
 def _count_scans(monkeypatch):
     calls = []
-    real_scan = binary_solvers.scan_triangles
+    real_scan = triangles._found_in_order
 
-    def counting_scan(inst):
+    def counting_scan(inst, values, ranks):
         calls.append(inst)
-        return real_scan(inst)
+        return real_scan(inst, values, ranks)
 
-    # a profile called without the scan would rescan through triangles
-    monkeypatch.setattr(binary_solvers, "scan_triangles", counting_scan)
-    monkeypatch.setattr(triangles, "scan_triangles", counting_scan)
+    # every scan of the triangles, whether through scan_triangles or from
+    # the rank tables a profile or a solver's check has already built,
+    # starts here
+    monkeypatch.setattr(triangles, "_found_in_order", counting_scan)
     return calls
 
 

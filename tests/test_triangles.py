@@ -430,21 +430,21 @@ def _distinct_pool(rng, size, zero=False):
 
 
 def _differential_instance(rng, kind):
-    """``small``: up to 5 distinct costs; ``16`` and ``17``: exactly that
-    many where there are cells for all of them (0 among them, so absent
+    """``small``: up to 5 distinct costs; ``edge`` and ``over``: exactly
+    ``_MASK_VALUES`` and one more, where there are cells for all of them (0 among them, so absent
     tables add none); ``long``: more than 64 positions (k, c), so that the
     masks span several machine words, on few variables with large domains."""
     if kind == "long":
         sizes = []
         while sum(sizes) <= 64:
             sizes.append(rng.randint(8, 24))
-        pool = _distinct_pool(rng, rng.choice((2, 3, 5, 16, 17)), zero=True)
+        pool = _distinct_pool(rng, rng.choice((2, 3, 5, _MASK_VALUES, _MASK_VALUES + 1)), zero=True)
     elif kind == "small":
         sizes = [rng.randint(1, 3) for _ in range(rng.randint(3, 5))]
         pool = _distinct_pool(rng, rng.randint(1, 5))
     else:
         sizes = [rng.randint(2, 3) for _ in range(rng.randint(4, 5))]
-        pool = _distinct_pool(rng, int(kind), zero=True)
+        pool = _distinct_pool(rng, _MASK_VALUES + (kind == "over"), zero=True)
     n = len(sizes)
     absent = rng.choice((0.0, 0.2, 0.5))
     binary = {
@@ -462,7 +462,7 @@ def _differential_instance(rng, kind):
 def test_scan_and_profiles_match_per_triangle_walk_on_both_paths():
     rng = random.Random(1211)
     tally = Counter()
-    for kind in ["small"] * 2000 + ["16"] * 500 + ["17"] * 500 + ["long"] * 12:
+    for kind in ["small"] * 2000 + ["edge"] * 500 + ["over"] * 500 + ["long"] * 12:
         inst = _differential_instance(rng, kind)
         values, first, profiles = _reference_scan(inst)
         scan = scan_triangles(inst)
@@ -477,7 +477,7 @@ def test_scan_and_profiles_match_per_triangle_walk_on_both_paths():
         tally[len(values)] += 1
         if sum(len(d) for d in inst.domains) > 64:
             tally["long", len(values) > _MASK_VALUES] += 1
-    assert tally[16] >= 400 and tally[17] >= 400
+    assert tally[_MASK_VALUES] >= 400 and tally[_MASK_VALUES + 1] >= 400
     assert tally["long", False] >= 5 and tally["long", True] >= 2
 
 
@@ -505,7 +505,9 @@ def _jwp_violating_instance(rng, count):
 def test_early_stopping_jwp_matches_reference_on_both_paths():
     rng = random.Random(4)
     paths = Counter()
-    for count in [rng.randint(2, 16) for _ in range(150)] + [rng.randint(17, 20) for _ in range(60)]:
+    for count in [rng.randint(2, _MASK_VALUES) for _ in range(150)] + [
+        rng.randint(_MASK_VALUES + 1, _MASK_VALUES + 4) for _ in range(60)
+    ]:
         inst = _jwp_violating_instance(rng, count)
         ok, witness = check_jwp(inst)
         assert not ok
