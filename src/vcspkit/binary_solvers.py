@@ -5,10 +5,14 @@ cells in ``triangles._SOLVER_CELLS``, and nothing the cell already implies
 (matching-cardinality: no assignment zero-pairs with two variables;
 weighted-matching: no assignment is below the maximum M in two tables, and
 no pair minimum exceeds M; min0-structure: mu is 0 when a table is absent).
-It returns a SolveResult whose assignment re-evaluates exactly to the
-reported cost.  The dispatcher scans the triangles once, reads every
-applicable scheme's profile from that scan, and passes the scan on, so the
-routed solver's check reads it too.
+The solvers that add or compare costs (sac, lr, min0-structure,
+weighted-matching) read the instance's integer costs
+(``BinaryInstance.integer_costs``: every finite cost times one common
+denominator, None for inf) and make a ``Cost`` only of what they report.
+Every SolveResult's assignment is re-evaluated on the ``Cost`` tables by
+``evaluate_binary`` and must give the reported cost.  The dispatcher scans
+the triangles once, reads every applicable scheme's profile from that
+scan, and passes the scan on, so the routed solver's check reads it too.
 
 The crisp solver needs no consistency propagation: in its class no triangle
 has exactly one infinite cost, so values zero-compatible with a common
@@ -19,11 +23,10 @@ values of one variable is exact.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import prod
 
-from .costs import ONE, Cost, INF, ZERO, cost_sum
-from .errors import ClassViolation, InstanceError
+from .costs import ONE, Cost, INF, ZERO
+from .errors import DEFAULT_BUDGET, ClassViolation, InstanceError
 from .instances import BinaryInstance, evaluate_binary
 from .matching import MatchingGraph, max_weight_matching
 from .results import SolveResult
@@ -85,6 +88,16 @@ def _check_result(inst, x, total):
         )
 
 
+def _add(x, y):
+    """Sum of two integer costs, None (inf) if either is None."""
+    return None if x is None or y is None else x + y
+
+
+def _key(x):
+    """Order of integer costs, with None (inf) above every int."""
+    return (1, 0) if x is None else (0, x)
+
+
 def _brute_force(inst):
     best_x, best = None, None
     for x in itertools.product(*(range(len(d)) for d in inst.domains)):
@@ -110,32 +123,29 @@ def solve_sac_class(inst: BinaryInstance, scan=None) -> SolveResult:
     taking minimum-cost compatible unaries elsewhere.
     """
     _require_profile(inst, "sac", scan)
-    n = inst.n
+    ints = inst.integer_costs
+    unary = ints.unary
     best = None
-    for a1 in range(len(inst.domains[0])):
-        total = inst.unary[0][a1]
+    for a1, total in enumerate(unary[0]):
         picks = [a1]
-        feasible = True
-        for i in range(1, n):
-            table = inst.pair_table(0, i)
+        for i in range(1, inst.n):
+            table = ints.binary.get((0, i))
             candidates = [
-                b for b in range(len(inst.domains[i]))
-                if table is None or table[a1][b] == ZERO
+                (_key(u), b) for b, u in enumerate(unary[i])
+                if table is None or table[a1][b] == 0
             ]
             if not candidates:
-                feasible = False
                 break
-            b = min(candidates, key=lambda v: (inst.unary[i][v], v))
-            total = total + inst.unary[i][b]
+            b = min(candidates)[1]
+            total = _add(total, unary[i][b])
             picks.append(b)
-        if not feasible:
-            continue
-        if best is None or total < best[0]:
-            best = (total, tuple(picks))
+        else:
+            if best is None or _key(total) < _key(best[0]):
+                best = (total, tuple(picks))
     if best is None:
-        x = (0,) * inst.n
-        return SolveResult(x, INF, "sac", {"wipeout": True})
-    res = SolveResult(best[1], best[0], "sac", {"anchor_value": best[1][0]})
+        return SolveResult((0,) * inst.n, INF, "sac", {"wipeout": True})
+    total, x = best
+    res = SolveResult(x, ints.cost(total), "sac", {"anchor_value": x[0]})
     _check_result(inst, res.assignment, res.cost)
     return res
 
@@ -166,25 +176,21 @@ def solve_trivial_class(inst: BinaryInstance, scan=None) -> SolveResult:
     return res
 
 
-def _split_signatures(inst, a1, a2, pivot_cost):
+def _split_signatures(ints, binary, one, a1, a2, pivot):
     """Per-assignment side labels relative to the two pivot assignments.
 
-    With a costly pivot pair the sides are (1,0) vs (0,1); with a cheap one
-    they are (0,0) vs (1,1).  Anything else contradicts the class.
+    With a costly pivot pair (cost ``one``) the sides are (one, 0) vs
+    (0, one); with a cheap one they are (0, 0) vs (one, one).  Anything
+    else contradicts the class.
     """
-    n = inst.n
-    if pivot_cost == ONE:
-        sig_l, sig_r = (ONE, ZERO), (ZERO, ONE)
-    else:
-        sig_l, sig_r = (ZERO, ZERO), (ONE, ONE)
+    sig_l, sig_r = ((one, 0), (0, one)) if pivot == one else ((0, 0), (one, one))
     sides = []
-    for i in range(2, n):
-        t1 = inst.pair_table(0, i)
-        t2 = inst.pair_table(1, i)
+    for i in range(2, len(ints.unary)):
+        t1, t2 = binary.get((0, i)), binary.get((1, i))
         row = []
-        for b in range(len(inst.domains[i])):
-            c1 = t1[a1][b] if t1 is not None else ZERO
-            c2 = t2[a2][b] if t2 is not None else ZERO
+        for b in range(len(ints.unary[i])):
+            c1 = t1[a1][b] if t1 is not None else 0
+            c2 = t2[a2][b] if t2 is not None else 0
             if (c1, c2) == sig_l:
                 row.append("L")
             elif (c1, c2) == sig_r:
@@ -192,7 +198,7 @@ def _split_signatures(inst, a1, a2, pivot_cost):
             else:
                 raise ClassViolation(
                     "lr: assignment signature fits neither side",
-                    witness=[i, b, str(c1), str(c2)],
+                    witness=[i, b, str(ints.cost(c1)), str(ints.cost(c2))],
                 )
         sides.append(row)
     return sides
@@ -208,74 +214,80 @@ def solve_lr_class(inst: BinaryInstance, scan=None) -> SolveResult:
     provably sits at an end, which is re-verified numerically).
     """
     _require_profile(inst, "lr", scan)
-    return _solve_lr(inst)
-
-
-def _solve_lr(inst):
-    n = inst.n
-    if n <= 2:
+    if inst.n <= 2:
         x, total = _brute_force(inst)
         res = SolveResult(x, total, "lr", {"enumerated": True})
-        _check_result(inst, x, total)
-        return res
-    zero_one_unaries = all(c == ZERO or c == ONE for t in inst.unary for c in t)
+    else:
+        res = _solve_lr(inst)
+    _check_result(inst, res.assignment, res.cost)
+    return res
+
+
+def _solve_lr(inst, binary=None, one=None):
+    """The pivot scan on n >= 3 variables, over tables of the integer
+    costs whose entries are 0 and ``one``: by default the instance's own,
+    with ``one`` their denominator (cost 1)."""
+    ints = inst.integer_costs
+    if binary is None:
+        binary, one = ints.binary, ints.den
+    n, unary = inst.n, ints.unary
+    zero_one_unaries = all(u == 0 or u == one for t in unary for u in t)
+    t01 = binary.get((0, 1))
     best = None
-    for a1 in range(len(inst.domains[0])):
-        for a2 in range(len(inst.domains[1])):
-            pivot_cost = inst.pair_cost(0, a1, 1, a2)
-            sides = _split_signatures(inst, a1, a2, pivot_cost)
-            base = inst.unary[0][a1] + inst.unary[1][a2]
-            if base.is_infinite:
+    for a1 in range(len(unary[0])):
+        for a2 in range(len(unary[1])):
+            pivot = t01[a1][a2] if t01 is not None else 0
+            sides = _split_signatures(ints, binary, one, a1, a2, pivot)
+            base = _add(unary[0][a1], unary[1][a2])
+            if base is None:
                 continue
             forced_l = 0
-            fixed = ZERO
+            fixed = 0
             fixed_picks = {}
             mixed = []
             feasible = True
-            for off, row in enumerate(sides):
-                i = off + 2
+            for i, row in enumerate(sides, 2):
 
                 def side_min(side):
-                    vals = [b for b, s in enumerate(row) if s == side]
-                    if not vals:
-                        return INF, None
-                    w = min(inst.unary[i][b] for b in vals)
-                    return w, min(b for b in vals if inst.unary[i][b] == w)
+                    """The least finite unary on the side, with its least value."""
+                    return min(
+                        ((u, b) for b, (s, u) in enumerate(zip(row, unary[i]))
+                         if s == side and u is not None),
+                        default=(None, None),
+                    )
 
                 w_l, pick_l = side_min("L")
                 w_r, pick_r = side_min("R")
-                if w_l.is_infinite and w_r.is_infinite:
+                if w_l is None and w_r is None:
                     feasible = False  # only infinite completions through here
                     break
-                if w_r.is_infinite:
+                if w_r is None:
                     forced_l += 1
-                    fixed = fixed + w_l
+                    fixed += w_l
                     fixed_picks[i] = pick_l
-                elif w_l.is_infinite:
-                    fixed = fixed + w_r
+                elif w_l is None:
+                    fixed += w_r
                     fixed_picks[i] = pick_r
                 else:
                     mixed.append((i, w_l, w_r, pick_l, pick_r))
             if not feasible:
                 continue
             # choosing k_m of the mixed variables for the L side: sorting by
-            # the finite cost delta makes every k_m take its cheapest prefix
-            mixed.sort(key=lambda item: (item[1].value - item[2].value, item[0]))
+            # the cost delta makes every k_m take its cheapest prefix
+            mixed.sort(key=lambda item: (item[1] - item[2], item[0]))
             m = len(mixed)
-            acc = sum((item[2].value for item in mixed), Fraction(0))
-            unary_tot = [acc]
-            for k in range(1, m + 1):
-                _, w_l, w_r, _, _ = mixed[k - 1]
-                acc = acc + w_l.value - w_r.value
-                unary_tot.append(acc)
+            unary_tot = list(itertools.accumulate(
+                (w_l - w_r for _, w_l, w_r, _, _ in mixed),
+                initial=sum(item[2] for item in mixed),
+            ))
             totals = []
             for k_m in range(m + 1):
                 k = forced_l + k_m
-                if pivot_cost == ONE:
+                if pivot == one:
                     quad = (n - 1) + k * (n - 2 - k)
                 else:
                     quad = (k + 2) * (n - 2 - k)
-                totals.append(base + fixed + Cost(unary_tot[k_m] + quad))
+                totals.append(base + fixed + unary_tot[k_m] + quad * one)
             k_best = min(range(m + 1), key=lambda k: (totals[k], k))
             if zero_one_unaries and totals[k_best] < min(totals[0], totals[m]):
                 raise InstanceError("lr: end-point dominance failed on a zero/one instance")
@@ -286,14 +298,10 @@ def _solve_lr(inst):
                 x = (a1, a2) + tuple(picks[i] for i in range(2, n))
                 best = (totals[k_best], x, forced_l + k_best)
     if best is None:
-        x = (0,) * inst.n
-        _check_result(inst, x, INF)
-        return SolveResult(x, INF, "lr", {"wipeout": True})
+        return SolveResult((0,) * n, INF, "lr", {"wipeout": True})
     total, x, k = best
     cert = {"pivot": [x[0], x[1]], "k": k, "endpoint_dominance_verified": zero_one_unaries}
-    res = SolveResult(x, total, "lr", cert)
-    _check_result(inst, x, total)
-    return res
+    return SolveResult(x, ints.cost(total), "lr", cert)
 
 
 def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveResult:
@@ -327,13 +335,10 @@ def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveRe
     for i in range(n):
         for j in range(i + 1, n):
             table = inst.pair_table(i, j)
-            for a in surviving[i]:
-                for b in surviving[j]:
-                    if table is None or table[a][b] == ZERO:
-                        edges.setdefault((i, j), (a, b))
-                        break
-                if (i, j) in edges:
-                    break
+            zero = next(((a, b) for a in surviving[i] for b in surviving[j]
+                         if table is None or table[a][b] == ZERO), None)
+            if zero is not None:
+                edges[i, j] = zero
     # unit weights: a maximum-weight matching is a maximum-cardinality one
     matching, _ = max_weight_matching(
         MatchingGraph(n, tuple((u, v, ONE) for u, v in sorted(edges)))
@@ -370,106 +375,72 @@ def solve_min0_class(inst: BinaryInstance, scan=None) -> SolveResult:
     two-equal-nonzero-plus-zero.
 
     Either all non-zero normalised costs touch one variable (solved by
-    instantiating it) or a single non-zero value occurs (solved by scaling
-    down to the zero/one two-sided class).  An absent table counts as cost
+    instantiating it) or a single non-zero value occurs (solved as the
+    zero/one two-sided class, with that value as the unit).  An absent table counts as cost
     0, which makes the minimum mu 0, so absent tables need no normalising.
     """
-    mu = _require_profile(inst, "min0-structure", scan).mu
-    n = inst.n
-    pairs = n * (n - 1) // 2
-    offset = mu * pairs if pairs else ZERO
-
-    def norm_table(i, j):
-        table = inst.pair_table(i, j)
-        if table is None:
-            return None
-        if mu == ZERO:
-            return table
-        return tuple(tuple(c - mu for c in row) for row in table)
-
-    nonzero_pairs = []
+    prof = _require_profile(inst, "min0-structure", scan)
+    ints = inst.integer_costs
+    n, unary = inst.n, ints.unary
+    mu = int(prof.mu.value * ints.den)
+    offset = mu * (n * (n - 1) // 2)
+    # each table normalised once; an absent table stays absent (mu is 0)
+    norm = {pair: tuple(tuple(c - mu for c in row) for row in table)
+            for pair, table in ints.binary.items()} if mu else ints.binary
+    witnesses = {}  # first non-zero entry (a, b, cost) of each pair, in pair order
     values = set()
-    witnesses = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            table = norm_table(i, j)
-            if table is None:
-                continue
-            for a, row in enumerate(table):
-                for b, c in enumerate(row):
-                    if c != ZERO:
-                        if (i, j) not in witnesses:
-                            nonzero_pairs.append((i, j))
-                            witnesses[(i, j)] = (a, b, c)
-                        values.add(c)
-    common = None
-    for (i, j) in nonzero_pairs:
-        common = {i, j} if common is None else common & {i, j}
-    if not nonzero_pairs:
-        common = {0}
+    for pair, table in sorted(norm.items()):
+        for a, row in enumerate(table):
+            for b, c in enumerate(row):
+                if c:
+                    witnesses.setdefault(pair, (a, b, c))
+                    values.add(c)
+    common = set.intersection(*(set(pair) for pair in witnesses)) if witnesses else {0}
     if common:
         k = min(common)
         best = None
-        for a in range(len(inst.domains[k])):
-            total = inst.unary[k][a]
-            picks = {}
+        for a, total in enumerate(unary[k]):
+            picks = {k: a}
             for i in range(n):
                 if i == k:
                     continue
-                table = norm_table(min(i, k), max(i, k))
+                table = norm.get((min(i, k), max(i, k)))
+
                 def fold(b):
-                    if table is None:
-                        return inst.unary[i][b]
-                    w = table[a][b] if k < i else table[b][a]
-                    return inst.unary[i][b] + w
-                b = min(range(len(inst.domains[i])), key=lambda v: (fold(v), v))
-                total = total + fold(b)
+                    w = 0 if table is None else table[a][b] if k < i else table[b][a]
+                    return _add(unary[i][b], w)
+
+                b = min(range(len(unary[i])), key=lambda v: (_key(fold(v)), v))
+                total = _add(total, fold(b))
                 picks[i] = b
-            if best is None or total < best[0]:
-                picks[k] = a
+            if best is None or _key(total) < _key(best[0]):
                 best = (total, tuple(picks[i] for i in range(n)), a)
         total, x, a = best
-        total = total + offset
-        res = SolveResult(x, total, "min0-structure", {"case": "anchor-variable", "anchor": [k, a]})
-        _check_result(inst, x, total)
+        res = SolveResult(x, ints.cost(_add(total, offset)), "min0-structure",
+                          {"case": "anchor-variable", "anchor": [k, a]})
+        _check_result(inst, x, res.cost)
         return res
     if len(values) == 1:
-        alpha = next(iter(values))
-        scaled_tables = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                table = norm_table(i, j)
-                if table is not None:
-                    scaled_tables[(i, j)] = [[c / alpha for c in row] for row in table]
-        scaled = BinaryInstance.build(
-            inst.domains,
-            names=inst.names,
-            unary={i: [c / alpha for c in t] for i, t in enumerate(inst.unary)},
-            binary=scaled_tables,
-        )
-        # one non-zero value, scaled to one: the zero/one lr cell
-        inner = _solve_lr(scaled)
-        if inner.cost.is_infinite:
-            res = SolveResult(inner.assignment, INF, "min0-structure", {"case": "single-value"})
-            _check_result(inst, res.assignment, INF)
-            return res
-        total = inner.cost * alpha.value + offset
-        res = SolveResult(
-            inner.assignment, total, "min0-structure",
-            {"case": "single-value", "alpha": str(alpha), "inner_k": inner.certificate.get("k")},
-        )
-        _check_result(inst, res.assignment, total)
+        # one non-zero value: the zero/one lr cell with that value as one
+        alpha = values.pop()
+        inner = _solve_lr(inst, norm, alpha)
+        cert = {"case": "single-value"}
+        if not inner.cost.is_infinite:
+            cert.update(alpha=str(ints.cost(alpha)), inner_k=inner.certificate["k"])
+        res = SolveResult(inner.assignment, inner.cost + ints.cost(offset), "min0-structure", cert)
+        _check_result(inst, res.assignment, res.cost)
         return res
-    pair_a, pair_b = nonzero_pairs[0], None
-    for cand in nonzero_pairs[1:]:
-        if not (set(cand) & set(pair_a)) and witnesses[cand][2] != witnesses[pair_a][2]:
-            pair_b = cand
-            break
-    detail_a = [list(pair_a), list(witnesses[pair_a][:2]), str(witnesses[pair_a][2])]
-    detail_b = None if pair_b is None else [list(pair_b), list(witnesses[pair_b][:2]), str(witnesses[pair_b][2])]
+    pair_a, *others = witnesses
+    pair_b = next((cand for cand in others if not set(cand) & set(pair_a)
+                   and witnesses[cand][2] != witnesses[pair_a][2]), None)
+
+    def detail(pair):
+        a, b, c = witnesses[pair]
+        return [list(pair), [a, b], str(ints.cost(c))]
+
     raise ClassViolation(
         "min0-structure: several non-zero costs without a shared variable",
-        witness=[detail_a, detail_b],
+        witness=[detail(pair_a), None if pair_b is None else detail(pair_b)],
     )
 
 
@@ -486,49 +457,37 @@ def solve_weighted_matching_class(inst: BinaryInstance, scan=None) -> SolveResul
     ``matching_weight + (cost - unary_offset) == pairs * M`` exactly.
     """
     m_val = _require_profile(inst, "weighted-matching", scan).m_value
+    ints = inst.integer_costs
     n = inst.n
-    mins = []
-    for i in range(n):
-        lo = min(inst.unary[i])
-        if lo.is_infinite:
-            x = (0,) * inst.n
-            return SolveResult(x, INF, "weighted-matching", {"wipeout_variable": i})
-        mins.append(lo)
-    offset = cost_sum(mins)
-    defaults = [
-        min(range(len(inst.domains[i])), key=lambda a: (inst.unary[i][a], a))
-        for i in range(n)
-    ]
+    m = int(m_val.value * ints.den)
+    offset = 0
+    reduced = []  # (unary less the variable's minimum, value), finite ones
+    for i, table in enumerate(ints.unary):
+        finite = [u for u in table if u is not None]
+        if not finite:
+            return SolveResult((0,) * n, INF, "weighted-matching", {"wipeout_variable": i})
+        lo = min(finite)
+        offset += lo
+        reduced.append([(u - lo, a) for a, u in enumerate(table) if u is not None])
+    x = [min(r)[1] for r in reduced]
     edges = []
     argmins = {}
     for i in range(n):
         for j in range(i + 1, n):
-            table = inst.pair_table(i, j)
-            best = None
-            for a in range(len(inst.domains[i])):
-                ua = inst.unary[i][a] - mins[i]
-                if ua.is_infinite:
-                    continue
-                for b in range(len(inst.domains[j])):
-                    ub = inst.unary[j][b] - mins[j]
-                    if ub.is_infinite:
-                        continue
-                    w = table[a][b] if table is not None else ZERO
-                    alpha = ua + w + ub
-                    if best is None or alpha < best[0]:
-                        best = (alpha, a, b)
-            alpha, a, b = best
-            argmins[(i, j)] = (a, b)
-            if alpha < m_val:
-                edges.append((i, j, m_val - alpha))
+            table = ints.binary.get((i, j))
+            alpha, a, b = min(
+                (ua + ub + (0 if table is None else table[a][b]), a, b)
+                for ua, a in reduced[i]
+                for ub, b in reduced[j]
+            )
+            argmins[i, j] = (a, b)
+            if alpha < m:
+                edges.append((i, j, ints.cost(m - alpha)))
     matching, weight = max_weight_matching(MatchingGraph(n, tuple(edges)))
-    x = list(defaults)
     for (i, j) in matching:
-        a, b = argmins[(i, j)]
-        x[i], x[j] = a, b
+        x[i], x[j] = argmins[i, j]
     pairs = n * (n - 1) // 2
-    normalised_cost = (m_val * pairs if pairs else ZERO) - weight
-    total = normalised_cost + offset
+    total = ints.cost(m * pairs + offset) - weight
     res = SolveResult(
         tuple(x),
         total,
@@ -537,7 +496,7 @@ def solve_weighted_matching_class(inst: BinaryInstance, scan=None) -> SolveResul
             "m_value": str(m_val),
             "matching": [list(e) for e in sorted(matching)],
             "matching_weight": str(weight),
-            "unary_offset": str(offset),
+            "unary_offset": str(ints.cost(offset)),
             "pair_count": pairs,
         },
     )
@@ -567,7 +526,7 @@ def _applicable(inst, scheme, values):
     return all(in_range(scheme, c) for c in values)
 
 
-def dispatch(inst: BinaryInstance, *, oracle_budget=2_000_000) -> SolveResult:
+def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResult:
     """Classify under every applicable scheme and run the matching solver.
 
     The triangles are scanned once, and every applicable scheme's profile

@@ -28,6 +28,7 @@ from .cfc import (
     solve_cfc,
 )
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     ClassViolation,
     FormatError,
@@ -42,17 +43,6 @@ from .formats import (
 )
 from .instances import BinaryInstance, CountInstance
 from .renaming import recognize_renamable, solve_renaming
-from .testkit import (
-    DEFAULT_BUDGET,
-    fixtures,
-    gen_matching_encoding,
-    gen_maxcut,
-    gen_nested_gcc,
-    gen_profile,
-    gen_soft_gcc,
-    oracle_binary,
-    oracle_count,
-)
 from .triangles import Scheme, check_jwp, profile_report
 
 NAMED_GRAPHS = {
@@ -198,27 +188,29 @@ def cmd_rename(args):
 
 
 def cmd_gen(args):
+    from . import testkit  # imported only by the two commands that use it
+
     if args.kind in ("profile", "soft-gcc", "nested-gcc") and args.n < 1:
         raise FormatError(f"--n must be at least 1, got {args.n}")
     if args.kind == "profile":
-        inst = gen_profile(
+        inst = testkit.gen_profile(
             args.n, args.d, frozenset(args.types.split(",")), Scheme(args.scheme), args.seed
         )
     elif args.kind == "maxcut":
         vertices, edges = _parse_graph(args)
-        inst = gen_maxcut(vertices, edges)
+        inst = testkit.gen_maxcut(vertices, edges)
     elif args.kind == "matching":
         vertices, edges = _parse_graph(args)
-        inst = gen_matching_encoding(vertices, edges)
+        inst = testkit.gen_matching_encoding(vertices, edges)
     elif args.kind == "soft-gcc":
-        inst = gen_soft_gcc(args.n, args.d, _parse_bounds(args.bounds, args.d))
+        inst = testkit.gen_soft_gcc(args.n, args.d, _parse_bounds(args.bounds, args.d))
     elif args.kind == "nested-gcc":
         groups = _parse_groups(args.groups)
         pairs = iter(_parse_bounds(args.bounds, len(groups) * args.d))
         bounds = {(gi, val): next(pairs) for gi in range(len(groups)) for val in range(args.d)}
-        inst = gen_nested_gcc(args.n, args.d, groups, bounds)
+        inst = testkit.gen_nested_gcc(args.n, args.d, groups, bounds)
     else:  # fixture
-        table = fixtures()
+        table = testkit.fixtures()
         if args.name not in table:
             raise FormatError(f"unknown fixture {args.name!r}; have {sorted(table)}")
         inst = table[args.name]
@@ -250,11 +242,13 @@ def _parse_groups(spec):
 
 
 def cmd_oracle(args):
+    from . import testkit
+
     inst = _load(args.file)
     if isinstance(inst, BinaryInstance):
-        result = oracle_binary(inst, budget=args.budget)
+        result = testkit.oracle_binary(inst, budget=args.budget)
     else:
-        result = oracle_count(inst, budget=args.budget)
+        result = testkit.oracle_count(inst, budget=args.budget)
     _emit(result.to_doc())
     return 0
 

@@ -89,11 +89,6 @@ class Cost:
             return INF
         return Cost(self._v / divisor)
 
-    def exact_key(self):
-        """``(numerator, denominator)`` in lowest terms, or None for infinity:
-        equal exactly when the costs are, and hashed in C."""
-        return None if self._v is None else self._v.as_integer_ratio()
-
     def _key(self):
         # INF sorts above every finite value
         return (1,) if self._v is None else (0, self._v)

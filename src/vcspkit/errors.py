@@ -35,5 +35,9 @@ class BudgetExceeded(VcspError):
     """Exhaustive enumeration would exceed the configured budget."""
 
 
+# assignments an exhaustive oracle enumerates unless told otherwise
+DEFAULT_BUDGET = 2_000_000
+
+
 class GenerationError(VcspError):
     """A seeded generator could not produce an instance in its target class."""

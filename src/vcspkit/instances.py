@@ -7,15 +7,36 @@ A solution is a plain tuple of value indices, one per variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .costs import Cost, ZERO, cost_sum
+from .costs import Cost, INF, ZERO, cost_sum
 from .errors import InstanceError
 
 Solution = Tuple[int, ...]
 Assignment = Tuple[int, int]  # (variable index, value index)
+
+
+@dataclass(frozen=True)
+class IntegerCosts:
+    """The costs of a binary instance as integers over one denominator.
+
+    Each finite cost times ``den``, the least common multiple of the
+    denominators of all unary and binary costs, is an int; ``inf`` is None.
+    ``unary`` and ``binary`` are shaped as in ``BinaryInstance``, with the
+    present tables only.
+    """
+
+    den: int
+    unary: Tuple[Tuple[Optional[int], ...], ...]
+    binary: Mapping[Tuple[int, int], Tuple[Tuple[Optional[int], ...], ...]]
+
+    def cost(self, v: Optional[int]) -> Cost:
+        """The cost a scaled value stands for."""
+        return INF if v is None else Cost(Fraction(v, self.den))
 
 
 def _freeze_table(rows, n_rows, n_cols, what):
@@ -92,6 +113,25 @@ class BinaryInstance:
     @property
     def max_domain(self) -> int:
         return max(len(d) for d in self.domains)
+
+    @cached_property
+    def integer_costs(self) -> IntegerCosts:
+        """The costs scaled to integers, built on first use and kept.  The
+        triangle scan, the class solvers and the oracle read these;
+        ``evaluate_binary`` reads the ``Cost`` tables."""
+        tables = (self.unary, *self.binary.values())
+        den = lcm(*{c.value.denominator for t in tables for row in t for c in row
+                    if not c.is_infinite})
+
+        def scale(table):
+            return tuple(
+                tuple(None if c.is_infinite else c.value.numerator * (den // c.value.denominator)
+                      for c in row)
+                for row in table
+            )
+
+        return IntegerCosts(den, scale(self.unary), MappingProxyType(
+            {pair: scale(t) for pair, t in self.binary.items()}))
 
     def pair_table(self, i: int, j: int):
         """Table for the unordered pair, oriented as (i, j); None if absent."""

@@ -1,8 +1,10 @@
 """Ground-truth oracles, seeded instance generators and named fixtures.
 
 The oracles are deliberately independent re-implementations: they
-accumulate costs straight from the raw tables and share no code with the
-solvers they are used to check.
+enumerate every assignment and share no search code with the solvers they
+are used to check.  ``oracle_binary`` adds the instance's integer costs,
+which the solvers read too; the tests check those entry by entry against
+the ``Cost`` tables, and every solver's answer is re-evaluated on them.
 """
 
 from __future__ import annotations
@@ -10,10 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .costs import Cost, INF, ZERO
-from .errors import BudgetExceeded, GenerationError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, GenerationError
 from .flow import Arc, FlowNetwork
 from .instances import (
     AssignmentSet,
@@ -23,8 +25,6 @@ from .instances import (
 )
 from .results import SolveResult
 from .triangles import ALPHABET, Scheme, profile
-
-DEFAULT_BUDGET = 2_000_000
 
 
 def _raw(c: Cost):
@@ -38,30 +38,16 @@ def _raw(c: Cost):
 def oracle_binary(inst: BinaryInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum of a binary instance by full enumeration.
 
-    The finite costs are scaled once to integers by the least common
-    multiple of their denominators, so the enumeration adds ints.  Ties
-    break to the lexicographically smallest optimal assignment.
+    It enumerates on the instance's integer costs
+    (``BinaryInstance.integer_costs``), so it adds ints.  Ties break to the
+    lexicographically smallest optimal assignment.
     """
     space = prod(len(d) for d in inst.domains)
     if space > budget:
         raise BudgetExceeded(f"{space} assignments exceed the budget of {budget}")
-    den = lcm(*{
-        c.value.denominator
-        for rows in (inst.unary, *inst.binary.values())
-        for row in rows
-        for c in row
-        if not c.is_infinite
-    })
-
-    def scaled(c):
-        """None for inf, else the cost times den, an int."""
-        return None if c.is_infinite else c.value.numerator * (den // c.value.denominator)
-
-    unary = [[scaled(c) for c in table] for table in inst.unary]
-    pairs = [
-        (i, j, [[scaled(c) for c in row] for row in table])
-        for (i, j), table in sorted(inst.binary.items())
-    ]
+    ints = inst.integer_costs
+    unary = ints.unary
+    pairs = [(i, j, rows) for (i, j), rows in sorted(ints.binary.items())]
     best_x = None
     best = None  # None encodes +inf here
     for x in itertools.product(*(range(len(d)) for d in inst.domains)):
@@ -87,8 +73,7 @@ def oracle_binary(inst: BinaryInstance, budget: int = DEFAULT_BUDGET) -> SolveRe
         if best is None or total < best:
             best = total
             best_x = x
-    cost_out = INF if best is None else Cost(Fraction(best, den))
-    return SolveResult(best_x, cost_out, "oracle", {"enumerated": space})
+    return SolveResult(best_x, ints.cost(best), "oracle", {"enumerated": space})
 
 
 def oracle_count(inst: CountInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:

@@ -19,9 +19,11 @@ binary cost.  So the triangles are scanned once (``scan_triangles``), on
 integer ranks into the sorted distinct binary costs, and each scheme types
 one triple per signature found (see ``TriangleScan``).  Ranks are exact
 because they keep order and equality, and each triple is typed on the
-``Cost`` values its ranks stand for.  The tables are ranked through exact
-integer keys, ``(numerator, denominator)`` or None for ``inf``, so only the
-distinct values are compared as costs.
+``Cost`` values its ranks stand for.  The tables are ranked on the
+instance's integer costs over one denominator
+(``BinaryInstance.integer_costs``, shared with the class solvers and the
+oracle), so only the distinct values become ``Cost`` values; answers are
+re-evaluated on the ``Cost`` tables.
 
 With at most 18 distinct values (``_MASK_VALUES``) the scan is
 bit-parallel: per variable pair and value pair it ANDs bit masks of the
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Mapping, Optional, Tuple
@@ -180,40 +181,28 @@ def _rank_tables(inst: BinaryInstance):
     when some variable pair has no table, and every pair i < j's table as
     ranks into them (an absent table as the rank of ``ZERO``).
 
-    Entries are told apart by ``Cost.exact_key``, which hashes in C; only
-    the distinct values are compared, by integer part and then, on a tie,
-    by fractional part.
+    Entries are ranked on the instance's integer costs
+    (``BinaryInstance.integer_costs``), so only the distinct values are
+    made into ``Cost`` values.
     """
-    cost_of = {}
-    keyed = {}
-    for pair, table in inst.binary.items():
-        entries = tuple(chain.from_iterable(table))
-        keyed[pair] = keys = tuple(map(Cost.exact_key, entries))
-        cost_of.update(zip(keys, entries))
+    ints = inst.integer_costs
     n, sizes = inst.n, [len(d) for d in inst.domains]
-    zero = ZERO.exact_key()
-    if len(keyed) < n * (n - 1) // 2:
-        cost_of.setdefault(zero, ZERO)
-
-    def by_value(key):
-        p, q = key
-        return (p // q, Fraction(p % q, q) if q > 1 else 0)
-
-    order = sorted((k for k in cost_of if k is not None), key=by_value)
-    if None in cost_of:
+    present = set(chain.from_iterable(chain.from_iterable(ints.binary.values())))
+    if len(ints.binary) < n * (n - 1) // 2:
+        present.add(0)
+    order = sorted(v for v in present if v is not None)
+    if None in present:
         order.append(None)
-    values = tuple(map(cost_of.__getitem__, order))
-    rank = {k: r for r, k in enumerate(order)}.__getitem__
+    rank = {v: r for r, v in enumerate(order)}.__getitem__
     ranks = {}
     for i in range(n):
         for j in range(i + 1, n):
-            keys = keyed.get((i, j))
-            if keys is None:
-                ranks[i, j] = ((rank(zero),) * sizes[j],) * sizes[i]
+            table = ints.binary.get((i, j))
+            if table is None:
+                ranks[i, j] = ((rank(0),) * sizes[j],) * sizes[i]
             else:
-                # the row-major ranks, cut into rows of |D_j|
-                ranks[i, j] = tuple(zip(*[map(rank, keys)] * sizes[j]))
-    return values, ranks
+                ranks[i, j] = tuple(tuple(map(rank, row)) for row in table)
+    return tuple(map(ints.cost, order)), ranks
 
 
 def _extremes(values):

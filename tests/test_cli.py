@@ -208,6 +208,18 @@ def test_cli_import_leaves_networkx_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_testkit_unloaded():
+    # only `gen` and `oracle` use the testkit; no other command compiles it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vcspkit.cli; print('vcspkit.testkit' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_class_violation_exits_four():
     proc = run_cli("solve-cfc", str(FIXTURES / "maxsat-overlap.json"))
     assert proc.returncode == 4

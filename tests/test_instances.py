@@ -28,6 +28,47 @@ def _random_binary(rng, n, d):
     return BinaryInstance.build([[str(v) for v in range(d)]] * n, unary=unary, binary=binary)
 
 
+def test_integer_costs_map_back_to_every_cost():
+    # binary denominators 1 and 2 only, unary ones 1, 2, 3 and 6, so the
+    # common denominator often comes from the unaries alone
+    binary_pool = [ZERO, Cost(1), Cost(4), Cost(Fraction(1, 2)), Cost(Fraction(5, 2)), INF]
+    unary_pool = binary_pool + [Cost(Fraction(1, 3)), Cost(Fraction(7, 3)), Cost(Fraction(5, 6))]
+    rng = random.Random(612)
+    dens = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        domains = [[str(v) for v in range(rng.randint(1, 3))] for _ in range(n)]
+        unary = {i: [rng.choice(unary_pool) for _ in dom] for i, dom in enumerate(domains)}
+        binary = {
+            (i, j): [[rng.choice(binary_pool) for _ in domains[j]] for _ in domains[i]]
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.7
+        }
+        inst = BinaryInstance.build(domains, unary=unary, binary=binary)
+        ints = inst.integer_costs
+        assert inst.integer_costs is ints
+        assert set(ints.binary) == set(inst.binary)
+        tables = [(inst.unary, ints.unary)]
+        tables += [(inst.binary[pair], ints.binary[pair]) for pair in inst.binary]
+        finite = []
+        for costs, scaled in tables:
+            assert len(scaled) == len(costs)
+            for row, scaled_row in zip(costs, scaled):
+                assert len(scaled_row) == len(row)
+                for c, v in zip(row, scaled_row):
+                    assert (v is None) == c.is_infinite
+                    assert v is None or type(v) is int
+                    assert ints.cost(v) == c
+                    if not c.is_infinite:
+                        finite.append(c.value)
+        # the least d > 0 that makes every finite cost an integer
+        least = next(d for d in range(1, 7) if all((x * d).denominator == 1 for x in finite))
+        assert ints.den == least
+        dens.add(least)
+    assert dens == {1, 2, 3, 6}
+
+
 def test_all_zero_instance_evaluates_to_zero():
     inst = BinaryInstance.build([["a", "b"], ["a", "b"]])
     assert evaluate_binary(inst, (0, 1)) == ZERO
