@@ -335,10 +335,13 @@ def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveRe
     for i in range(n):
         for j in range(i + 1, n):
             table = inst.pair_table(i, j)
-            zero = next(((a, b) for a in surviving[i] for b in surviving[j]
-                         if table is None or table[a][b] == ZERO), None)
-            if zero is not None:
-                edges[i, j] = zero
+            for a in surviving[i]:
+                for b in surviving[j]:
+                    if table is None or table[a][b] == ZERO:
+                        edges.setdefault((i, j), (a, b))
+                        break
+                if (i, j) in edges:
+                    break
     # unit weights: a maximum-weight matching is a maximum-cardinality one
     matching, _ = max_weight_matching(
         MatchingGraph(n, tuple((u, v, ONE) for u, v in sorted(edges)))
