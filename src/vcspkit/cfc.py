@@ -15,9 +15,10 @@ and two sets that both miss u0 cannot cover the universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .costs import INF, ZERO
+from .costs import Cost, INF, ZERO, scale_tables
 from .errors import ClassViolation, InstanceError
 from .flow import Arc, Flow, FlowNetwork, Infeasible, min_convex_cost_flow
 from .instances import (
@@ -47,17 +48,27 @@ def check_family(members_list, universe):
     of the family tested.  Only a NEITHER family is scanned pair by pair, to
     return the first crossing pair of set indices in index order.
     """
-    if _is_laminar(members_list, universe):
-        return LAMINAR, None
+    kind, witness, _ = _classify(members_list, universe)
+    return kind, witness
+
+
+def _classify(members_list, universe):
+    """``check_family``'s answer plus, for a laminar family, ``_nest``'s
+    result on its sets other than the universe (None otherwise), which
+    ``_forest`` reuses."""
+    try:
+        return LAMINAR, None, _nest([m for m in members_list if m != universe], universe)
+    except ClassViolation:
+        pass
     u0 = min(universe)
     flipped = [universe - m if u0 in m else m for m in members_list if m != universe]
     if _is_laminar(flipped, universe):
-        return CROSS_FREE, None
+        return CROSS_FREE, None, None
     for i, a in enumerate(members_list):
         for j in range(i + 1, len(members_list)):
             b = members_list[j]
             if a & b and not (a <= b or b <= a) and a | b != universe:
-                return NEITHER, (i, j)
+                return NEITHER, (i, j), None
 
 
 def _nest(members_list, universe):
@@ -112,15 +123,16 @@ def check_convexity(g: CountFunction):
 
 
 def _require_crossfree(inst: CountInstance):
+    """The family's kind and ``_classify``'s nesting; raises on NEITHER."""
     members = [aset.members for aset in inst.sets]
-    kind, witness = check_family(members, inst.universe())
+    kind, witness, nesting = _classify(members, inst.universe())
     if kind == NEITHER:
         i, j = witness
         raise ClassViolation(
             f"assignment-sets {i} and {j} overlap without covering the universe",
             witness=[sorted(members[i]), sorted(members[j])],
         )
-    return kind
+    return kind, nesting
 
 
 def _require_convex(inst: CountInstance):
@@ -133,7 +145,7 @@ def _require_convex(inst: CountInstance):
             )
 
 
-def _fold(members, g: CountFunction, n: int) -> AssignmentSet:
+def _complement(members, g: CountFunction, n: int) -> AssignmentSet:
     """The complement of a set scored by g: g(n - y), inf out of range.
 
     Every solution makes n assignments, so it hits the set n - y times when
@@ -155,8 +167,15 @@ def crossfree_to_laminar(inst: CountInstance) -> CountInstance:
     is laminar; ``CountInstance.build`` sums a set and a complement that
     coincide.  The result agrees with the input on every solution, exactly.
     """
-    if _require_crossfree(inst) == LAMINAR:
-        return inst
+    return _to_laminar(inst)[0]
+
+
+def _to_laminar(inst: CountInstance):
+    """``crossfree_to_laminar``'s result, with the nesting of the family
+    when the input was already laminar (None after a rewrite)."""
+    kind, nesting = _require_crossfree(inst)
+    if kind == LAMINAR:
+        return inst, nesting
     universe = inst.universe()
     u0 = min(universe)
     constant = inst.constant
@@ -165,10 +184,10 @@ def crossfree_to_laminar(inst: CountInstance) -> CountInstance:
         if aset.members == universe:
             constant = constant + aset.g.table[inst.n]
         elif u0 in aset.members:
-            sets.append(_fold(universe - aset.members, aset.g, inst.n))
+            sets.append(_complement(universe - aset.members, aset.g, inst.n))
         else:
             sets.append(aset)
-    return CountInstance.build(inst.domains, sets, names=inst.names, constant=constant)
+    return CountInstance.build(inst.domains, sets, names=inst.names, constant=constant), None
 
 
 @dataclass(frozen=True)
@@ -192,6 +211,12 @@ def build_laminar_forest(inst: CountInstance) -> LaminarForest:
     of an inserted set must agree on their current minimal container;
     disagreement certifies that the family is not laminar.
     """
+    return _forest(inst, None)
+
+
+def _forest(inst: CountInstance, nesting):
+    """The forest of a laminar instance, from ``_classify``'s nesting of its
+    sets when given, else nesting them here."""
     universe = inst.universe()
     root = None
     rest = []
@@ -202,51 +227,102 @@ def build_laminar_forest(inst: CountInstance) -> LaminarForest:
             rest.append(aset)
     if root is None:
         root = AssignmentSet(universe, CountFunction.zero(inst.n))
-    order, father, smallest = _nest([aset.members for aset in rest], universe)
+    if nesting is None:
+        nesting = _nest([aset.members for aset in rest], universe)
+    order, father, smallest = nesting
     sets = (root,) + tuple(rest[k] for k in order)
     return LaminarForest(sets, tuple(father), smallest)
+
+
+_UNIT = CountFunction((ZERO, ZERO))
+_FORCED = CountFunction((INF, ZERO))
+
+
+def _folded_costs(inst: CountInstance, folded):
+    """Per variable with folded sets, the cost function of each value's
+    assignment arc: (0, c) with c the sum over the variable's folded sets
+    of g(1) for a member and g(0) otherwise, or (0,) when c is inf.  The
+    sums are taken in integers over one denominator, and equal sums share
+    one function."""
+    den, (tables,) = scale_tables([[aset.g.table for aset in folded]])
+    sums = {}
+    for aset, (g0, g1) in zip(folded, tables):
+        i = next(iter(aset.members))[0]
+        terms = [g0] * len(inst.domains[i])
+        for _, a in aset.members:
+            terms[a] = g1
+        acc = sums.get(i, [0] * len(terms))
+        sums[i] = [None if c is None or t is None else c + t for c, t in zip(acc, terms)]
+    shared = {0: _UNIT, None: CountFunction((ZERO,))}
+
+    def function(c):
+        if c not in shared:
+            shared[c] = CountFunction((ZERO, Cost(Fraction(c, den))))
+        return shared[c]
+
+    return {i: [function(c) for c in acc] for i, acc in sums.items()}
 
 
 def build_network(forest: LaminarForest, inst: CountInstance) -> FlowNetwork:
     """Flow network whose value-n min-cost flows encode the optimal solutions.
 
-    Nodes: source 0, variable i at 1 + i, forest set k at 1 + n + k (the
-    root, the universe, is the sink).  Arcs in order: source -> each
-    variable, window [1, 1]; variable i -> the minimal set of (i, a), window
-    [0, 1] at no cost, one per assignment in sorted order, so arc n + k
-    picks assignment k; each non-root set -> its father, carrying the set's
-    count over the finite window of its function.
+    A non-root forest set whose members all belong to one variable i is
+    folded into i's assignment arcs: its count is 1 exactly when the arc of
+    a member carries the variable's unit, so arc (i, a) costs the sum over
+    the folded sets of i of g(1) if (i, a) is a member and g(0) if not.
+    The other sets are kept; their fathers are kept too, since every subset
+    of a one-variable set spans one variable.
+
+    Nodes: source 0, variable i at 1 + i, the root (the universe) at 1 + n
+    as the sink, then the kept sets in forest order.  Arcs in order: source
+    -> each variable, window [1, 1]; variable i -> the node of the minimal
+    kept set holding (i, a), one per assignment in sorted order, so arc
+    n + k picks assignment k, window [0, 1] with its folded cost, or [0, 0]
+    when that cost is inf; each kept set -> its father's node, carrying the
+    set's count over the finite window of its function.
     """
     n = inst.n
-    base = 1 + n  # node of forest set k is base + k; the root (k=0) is the sink
-    unit = CountFunction((ZERO, ZERO))
-    forced = CountFunction((INF, ZERO))
-    arcs = [Arc(0, 1 + i, 1, 1, forced) for i in range(n)]
-    for (i, a) in sorted(inst.universe()):
-        arcs.append(Arc(1 + i, base + forest.smallest[(i, a)], 0, 1, unit))
-    for k in range(1, len(forest.sets)):
-        g = forest.sets[k].g
-        support = g.support
-        if support is None:
+    sets, father = forest.sets, forest.father
+    # node[k]: the node of forest set k, or of its nearest kept ancestor when
+    # folded (a father precedes its children in forest order)
+    node = [n + 1] + [0] * (len(sets) - 1)
+    folded = []
+    kept = []
+    for k in range(1, len(sets)):
+        g = sets[k].g
+        if g.support is None:
             raise InstanceError("set with empty finite support reached the network builder")
-        lo, hi = support
+        if g.size == 1:  # g covers counts 0..s, s the variables spanned
+            node[k] = node[father[k]]
+            folded.append(k)
+        else:
+            node[k] = n + 2 + len(kept)
+            kept.append(k)
+    costs = _folded_costs(inst, [sets[k] for k in folded])
+    arcs = [Arc(0, 1 + i, 1, 1, _FORCED) for i in range(n)]
+    for (i, a) in sorted(inst.universe()):
+        fn = costs[i][a] if i in costs else _UNIT
+        arcs.append(Arc(1 + i, node[forest.smallest[(i, a)]], 0, fn.size, fn))
+    for k in kept:
+        g = sets[k].g
+        lo, hi = g.support
         if hi < g.size:
             g = CountFunction(g.table[:hi + 1])
-        arcs.append(Arc(base + k, base + forest.father[k], lo, hi, g))
-    return FlowNetwork(base + len(forest.sets), 0, base, n, tuple(arcs))
+        arcs.append(Arc(node[k], node[father[k]], lo, hi, g))
+    return FlowNetwork(n + 2 + len(kept), 0, n + 1, n, tuple(arcs))
 
 
 def solve_cfc(inst: CountInstance) -> SolveResult:
     """Exact optimum of a cross-free convex instance via min convex-cost flow."""
     _require_convex(inst)
-    lam = crossfree_to_laminar(inst)
+    lam, nesting = _to_laminar(inst)
     for k, aset in enumerate(lam.sets):
         if aset.g.support is None:
             x = (0,) * inst.n
             res = SolveResult(x, INF, "cfc-flow", {"empty_support_set": k})
             _verify(inst, res)
             return res
-    forest = build_laminar_forest(lam)
+    forest = _forest(lam, nesting)
     root_term = forest.sets[0].g.table[inst.n]
     net = build_network(forest, lam)
     outcome = min_convex_cost_flow(net)

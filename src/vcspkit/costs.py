@@ -146,6 +146,37 @@ def cost_sum(items) -> Cost:
     return Cost(Fraction(sum(p * (den // q) for p, q in ratios), den))
 
 
+def scale_tables(tables):
+    """``(den, scaled)`` for tables of rows of Costs: every finite cost times
+    ``den``, the least common multiple of all their denominators, as an int,
+    and ``inf`` as None, shaped as the input.  Each cost's ratio is read
+    once, in one pass: when a denominator does not divide the running
+    ``den``, the rows scaled so far are multiplied up, which happens at most
+    once per prime factor of the final ``den``."""
+    den = 1
+    out = []
+    for table in tables:
+        rows = []
+        out.append(rows)
+        for row in table:
+            ints = []
+            for c in row:
+                v = c._v
+                if v is None:
+                    ints.append(None)
+                    continue
+                p, q = v.as_integer_ratio()
+                if den % q:
+                    grown = lcm(den, q)
+                    k, den = grown // den, grown
+                    out = [[tuple([x if x is None else x * k for x in r]) for r in t] for t in out]
+                    rows = out[-1]
+                    ints = [x if x is None else x * k for x in ints]
+                ints.append(p * (den // q))
+            rows.append(tuple(ints))
+    return den, [tuple(rows) for rows in out]
+
+
 _COST_GRAMMAR = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 

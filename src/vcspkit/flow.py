@@ -2,9 +2,10 @@
 
 Arcs carry a demand/capacity window [lo, hi] and a cost table over flow
 amounts, finite exactly on [lo, hi] and convex there.  Each arc keeps the
-slopes of its table as integers over the table's common denominator,
-computed and checked once when the arc is built; the solver rescales them
-to one denominator for the whole network and works on integers only.  It
+slopes of its table as integers over the table's common denominator (the
+cost function computes them once; the arc checks them when it is built);
+the solver rescales each function's slopes to one denominator for the
+whole network, once per function, and works on integers only.  It
 runs successive shortest augmenting paths with node potentials over unit
 steps with non-decreasing costs.  Units with negative marginal cost are
 saturated up front (their removal stays available through residual arcs),
@@ -126,10 +127,13 @@ def min_convex_cost_flow(net: FlowNetwork):
     establishes node potentials, then depth-first search pushes blocks of
     units along zero-reduced-cost paths until none remain.  Pushes never
     cross a marginal-cost breakpoint, which keeps all residual reduced
-    costs non-negative.  Each residual arc a keeps the integer cost of its
-    next unit: ``fw[a]`` to push one more, ``bw[a]`` to cancel one (None
-    when the arc is saturated, respectively empty); only the arcs of an
-    augmenting path change them.
+    costs non-negative.  Each cost function is scaled to the network
+    denominator and cut into constant-slope segments once per call, shared
+    by the arcs that carry it.  Residual arc a has two slots in one flat
+    list: ``rc[2a]`` is the integer cost of pushing one more unit and
+    ``rc[2a + 1]`` that of cancelling one (None when the arc is saturated,
+    respectively empty); only the arcs of an augmenting path change them.
+    Each node's adjacency holds ``(slot, other end)`` pairs.
     """
     n_arcs = len(net.arcs)
     denom = lcm(*(arc.den for arc in net.arcs))
@@ -157,12 +161,15 @@ def min_convex_cost_flow(net: FlowNetwork):
         caps.append(seg_ends[-1] if seg_ends else 0)
         flows.append(e0)
 
+    segments = {}  # id of a cost function -> (values, ends, negative units)
     for arc in net.arcs:
-        scale = denom // arc.den
-        scaled = [m * scale for m in arc.slopes]
-        seg_vals, seg_ends = _compress(scaled)
+        seg = segments.get(id(arc.cost))
+        if seg is None:
+            scale = denom // arc.den
+            scaled = [m * scale for m in arc.slopes]
+            seg = segments[id(arc.cost)] = (*_compress(scaled), sum(1 for m in scaled if m < 0))
+        seg_vals, seg_ends, presat = seg
         # saturate negative-marginal units so residual costs start non-negative
-        presat = sum(1 for m in scaled if m < 0)
         if presat:
             g[arc.tail] += presat
             g[arc.head] -= presat
@@ -176,22 +183,23 @@ def min_convex_cost_flow(net: FlowNetwork):
         elif g[x] > 0:
             add_residual(x, t_node, [0], [g[x]])
 
-    fw = [None] * len(tails)
-    bw = [None] * len(tails)
+    rc = [None] * (2 * len(tails))
 
     def refresh(aidx):
         e = flows[aidx]
         seg_vals, seg_ends = vals[aidx], ends[aidx]
-        fw[aidx] = seg_vals[bisect_left(seg_ends, e + 1)] if e < caps[aidx] else None
-        bw[aidx] = -seg_vals[bisect_left(seg_ends, e)] if e > 0 else None
+        rc[2 * aidx] = seg_vals[bisect_left(seg_ends, e + 1)] if e < caps[aidx] else None
+        rc[2 * aidx + 1] = -seg_vals[bisect_left(seg_ends, e)] if e > 0 else None
 
-    # adjacency entries (side, arc, other end): side is fw for the forward
-    # residual arc out of the tail and bw for the backward one out of the head
+    # slot 2a leaves the tail of arc a for its head, slot 2a + 1 the reverse
+    to = [None] * len(rc)
     adjacency = [[] for _ in range(num_nodes)]
     for aidx in range(len(tails)):
         refresh(aidx)
-        adjacency[tails[aidx]].append((fw, aidx, heads[aidx]))
-        adjacency[heads[aidx]].append((bw, aidx, tails[aidx]))
+        tail, head = tails[aidx], heads[aidx]
+        to[2 * aidx], to[2 * aidx + 1] = head, tail
+        adjacency[tail].append((2 * aidx, head))
+        adjacency[head].append((2 * aidx + 1, tail))
     adjacency = [tuple(entries) for entries in adjacency]
 
     pot = [0] * num_nodes
@@ -213,8 +221,10 @@ def min_convex_cost_flow(net: FlowNetwork):
             if x == t_node:
                 break
             px = pot[x]
-            for side, aidx, y in adjacency[x]:
-                w = side[aidx]
+            for slot, y in adjacency[x]:
+                if done[y]:
+                    continue
+                w = rc[slot]
                 if w is None:
                     continue
                 nd = d + w + px - pot[y]
@@ -239,46 +249,45 @@ def min_convex_cost_flow(net: FlowNetwork):
             x = s_node
             reached = False
             while True:
-                advanced = False
                 entries = adjacency[x]
                 px = pot[x]
-                while ptr[x] < len(entries):
-                    entry = entries[ptr[x]]
-                    side, aidx, y = entry
-                    w = side[aidx]
-                    if w is None or visited[y] == stamp or w + px - pot[y] != 0:
-                        ptr[x] += 1
-                        continue
-                    path.append(entry)
+                k, end = ptr[x], len(entries)
+                while k < end:
+                    slot, y = entries[k]
+                    w = rc[slot]
+                    if w is not None and visited[y] != stamp and w + px == pot[y]:
+                        break
+                    k += 1
+                ptr[x] = k
+                if k < end:
+                    path.append(slot)
                     visited[y] = stamp
                     x = y
-                    advanced = True
-                    break
-                if advanced:
                     if x == t_node:
                         reached = True
                         break
                     continue
                 if x == s_node:
                     break
-                side, aidx, _ = path.pop()
-                x = tails[aidx] if side is fw else heads[aidx]
+                x = to[path.pop() ^ 1]
                 ptr[x] += 1
             if not reached:
                 break
             delta = target - pushed
-            for side, aidx, _ in path:
+            for slot in path:
+                aidx = slot >> 1
                 e = flows[aidx]
                 seg_ends = ends[aidx]
-                if side is fw:
-                    run = seg_ends[bisect_left(seg_ends, e + 1)] - e
-                else:
+                if slot & 1:
                     seg = bisect_left(seg_ends, e)
                     run = e - (seg_ends[seg - 1] if seg else 0)
+                else:
+                    run = seg_ends[bisect_left(seg_ends, e + 1)] - e
                 if run < delta:
                     delta = run
-            for side, aidx, _ in path:
-                flows[aidx] += delta if side is fw else -delta
+            for slot in path:
+                aidx = slot >> 1
+                flows[aidx] += -delta if slot & 1 else delta
                 refresh(aidx)
             pushed += delta
 

@@ -13,7 +13,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .costs import Cost, INF, ZERO, cost_sum
+from .costs import Cost, INF, ZERO, cost_sum, scale_tables
 from .errors import InstanceError
 
 Solution = Tuple[int, ...]
@@ -119,19 +119,8 @@ class BinaryInstance:
         """The costs scaled to integers, built on first use and kept.  The
         triangle scan, the class solvers and the oracle read these;
         ``evaluate_binary`` reads the ``Cost`` tables."""
-        tables = (self.unary, *self.binary.values())
-        den = lcm(*{c.value.denominator for t in tables for row in t for c in row
-                    if not c.is_infinite})
-
-        def scale(table):
-            return tuple(
-                tuple(None if c.is_infinite else c.value.numerator * (den // c.value.denominator)
-                      for c in row)
-                for row in table
-            )
-
-        return IntegerCosts(den, scale(self.unary), MappingProxyType(
-            {pair: scale(t) for pair, t in self.binary.items()}))
+        den, (unary, *binary) = scale_tables((self.unary, *self.binary.values()))
+        return IntegerCosts(den, unary, MappingProxyType(dict(zip(self.binary, binary))))
 
     def pair_table(self, i: int, j: int):
         """Table for the unordered pair, oriented as (i, j); None if absent."""
@@ -214,7 +203,11 @@ class CountFunction:
     def integer_slopes(self) -> Tuple[int, Tuple[int, ...]]:
         """``(den, slopes)``: the first differences of the finite part, each
         ``slopes[k] / den`` with ``den`` the values' common denominator;
-        ``(1, ())`` on an empty support."""
+        ``(1, ())`` on an empty support.  Computed on first use and kept."""
+        return self._integer_slopes
+
+    @cached_property
+    def _integer_slopes(self):
         lo, hi = self._support or (0, -1)
         ratios = [c.value.as_integer_ratio() for c in self.table[lo:hi + 1]]
         den = lcm(*[q for _, q in ratios])

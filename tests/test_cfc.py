@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcspkit.cfc import (
     CROSS_FREE,
@@ -29,6 +30,7 @@ from vcspkit.testkit import (
     count_finite_solutions,
     enumerate_feasible_flows,
     fixtures,
+    gen_full_laminar_tree,
     gen_nested_gcc,
     gen_random_crossfree,
     gen_random_laminar,
@@ -305,6 +307,87 @@ def test_network_size_bounds():
         assert len(net.arcs) <= n + 2 * total_assignments + r
 
 
+def _solve_through_network(inst):
+    forest = build_laminar_forest(inst)
+    return build_network(forest, inst), solve_cfc(inst)
+
+
+def test_network_keeps_only_sets_over_two_or_more_variables():
+    # source, one node per variable, the root, and one node and arc per
+    # non-root set spanning two or more variables; one-variable sets ride
+    # on the assignment arcs
+    cases = [gen_random_laminar(4, 3, seed) for seed in range(15)]
+    cases += [gen_random_crossfree(4, 3, seed) for seed in range(15)]
+    cases += [gen_full_laminar_tree(n, d, 1) for n, d in ((1, 3), (2, 2), (9, 4))]
+    for inst in cases:
+        lam = crossfree_to_laminar(inst)
+        if any(a.g.support is None for a in lam.sets):
+            continue
+        forest = build_laminar_forest(lam)
+        net = build_network(forest, lam)
+        wide = sum(1 for a in forest.sets[1:] if len({i for i, _ in a.members}) >= 2)
+        assignments = sum(len(dom) for dom in inst.domains)
+        assert net.num_nodes == 1 + inst.n + 1 + wide
+        assert len(net.arcs) == inst.n + assignments + wide
+    tree = gen_full_laminar_tree(400, 4, 1)
+    net = build_network(build_laminar_forest(tree), tree)
+    assert (net.num_nodes, len(net.arcs)) == (1328, 2926)
+
+
+def test_folded_forced_and_forbidden_sets_match_oracle():
+    half, third = C(Fraction(1, 2)), C(Fraction(1, 3))
+    sets = [
+        # variable 0 must take value 1: the set costs inf at count 0
+        AssignmentSet(frozenset([(0, 1)]), CountFunction((INF, half))),
+        # variable 1 may not take value 0 or 2: inf at count 1
+        AssignmentSet(frozenset([(1, 0), (1, 2)]), CountFunction((third, INF))),
+        # nested one-variable sets with fractional costs on variable 2
+        AssignmentSet(frozenset([(2, 0), (2, 1)]), CountFunction((C(1), third))),
+        AssignmentSet(frozenset([(2, 0)]), CountFunction((ZERO, half))),
+        # a kept set over two variables
+        AssignmentSet(frozenset([(1, 1), (2, 2)]), CountFunction((C(2), ZERO, C(1)))),
+    ]
+    inst = CountInstance.build([["a", "b", "c"]] * 3, sets)
+    net, res = _solve_through_network(inst)
+    want = oracle_count(inst)
+    assert res.cost == want.cost == C(Fraction(7, 6))
+    assert res.assignment == want.assignment == (1, 1, 1)
+    assert evaluate_count(inst, res.assignment) == res.cost
+    # assignment arcs n + k in sorted order: windows and folded costs
+    windows = [(arc.lo, arc.hi) for arc in net.arcs[3:12]]
+    assert windows == [(0, 0), (0, 1), (0, 0), (0, 0), (0, 1), (0, 0), (0, 1), (0, 1), (0, 1)]
+    assert [arc.cost.table[-1] for arc in net.arcs[10:12]] == [third, C(1)]
+    assert net.arcs[9].cost.table == (ZERO, C(Fraction(5, 6)))
+    assert net.num_nodes == 1 + 3 + 1 + 1 and len(net.arcs) == 3 + 9 + 1
+
+
+def test_folded_sets_forbidding_every_value_make_the_instance_infeasible():
+    sets = [
+        AssignmentSet(frozenset([(1, 0)]), CountFunction((ZERO, INF))),
+        AssignmentSet(frozenset([(1, 1), (1, 2)]), CountFunction((C(1), INF))),
+        AssignmentSet(frozenset([(0, 0), (1, 0), (1, 1), (1, 2)]), CountFunction((ZERO, C(1), C(3)))),
+    ]
+    inst = CountInstance.build([["a", "b"], ["a", "b", "c"]], sets)
+    net, res = _solve_through_network(inst)
+    assert [(arc.lo, arc.hi) for arc in net.arcs[2 + 2:2 + 5]] == [(0, 0)] * 3
+    assert oracle_count(inst).cost == INF
+    assert res.cost == INF
+    # the unroutable demand is variable 1's unit, on the source arc 0 -> 2
+    assert res.certificate == {"infeasible": True, "witness_arc": 1}
+    assert (net.arcs[1].tail, net.arcs[1].head, net.arcs[1].lo) == (0, 2, 1)
+
+
+def test_solve_cfc_nests_a_laminar_family_once(monkeypatch):
+    import vcspkit.cfc as cfc
+
+    calls = []
+    nest = cfc._nest
+    monkeypatch.setattr(cfc, "_nest", lambda *args: calls.append(args) or nest(*args))
+    inst = gen_full_laminar_tree(6, 3, 0)
+    assert solve_cfc(inst).cost == oracle_count(inst).cost
+    assert len(calls) == 1
+
+
 def test_network_feasible_iff_finite_solution():
     for seed in range(25):
         inst = gen_random_laminar(3, 2, seed)
@@ -409,3 +492,66 @@ def test_forest_dot_export():
     forest = build_laminar_forest(inst)
     dot = forest_to_dot(forest, inst)
     assert "digraph" in dot and "universe" in dot
+
+
+_FRACTIONS = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)])
+
+
+@st.composite
+def _convex_function(draw, size):
+    """A convex table over counts 0..size, finite on a drawn window (on
+    all counts two times in three, so that most instances stay feasible)."""
+    lo, hi = 0, size
+    if not draw(st.integers(0, 2)):
+        lo = draw(st.integers(0, size))
+        hi = draw(st.integers(lo, size))
+    slopes = sorted(draw(st.lists(st.integers(-2, 2), min_size=hi - lo, max_size=hi - lo)))
+    step = draw(_FRACTIONS) or Fraction(1)
+    values = [Fraction(0)]
+    for m in slopes:
+        values.append(values[-1] + m * step)
+    floor = min(values) - draw(_FRACTIONS)
+    table = [INF] * (size + 1)
+    for m, v in zip(range(lo, hi + 1), values):
+        table[m] = C(v - floor)
+    return CountFunction(tuple(table))
+
+
+@st.composite
+def _single_variable_rich_instances(draw):
+    """Small laminar or cross-free instances whose sets mostly span one
+    variable: the universe, listed variable by variable with each
+    variable's values in a drawn order, is split recursively, and drawn
+    parts become sets; a cross-free instance complements some of them."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    items = [(i, a) for i in range(n) for a in draw(st.permutations(range(d)))]
+    parts = []
+
+    def split(part):
+        if draw(st.integers(0, 3)):
+            parts.append(frozenset(part))
+        if len(part) > 1:
+            cut = draw(st.integers(1, len(part) - 1))
+            split(part[:cut])
+            split(part[cut:])
+
+    split(items)
+    universe = frozenset(items)
+    crossfree = draw(st.booleans())
+    sets = []
+    for members in parts:
+        if crossfree and members != universe and draw(st.booleans()):
+            members = universe - members
+        s = len({i for i, _ in members})
+        sets.append(AssignmentSet(members, draw(_convex_function(s))))
+    constant = C(draw(_FRACTIONS))
+    return CountInstance.build([[str(v) for v in range(d)]] * n, sets, constant=constant)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_single_variable_rich_instances())
+def test_solve_cfc_matches_oracle_on_single_variable_rich_instances(inst):
+    res = solve_cfc(inst)
+    assert res.cost == oracle_count(inst).cost
+    assert evaluate_count(inst, res.assignment) == res.cost

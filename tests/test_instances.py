@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,6 +14,8 @@ from vcspkit.instances import (
     evaluate_binary,
     evaluate_count,
 )
+from vcspkit.testkit import gen_profile
+from vcspkit.triangles import _SOLVER_CELLS
 
 
 def _random_binary(rng, n, d):
@@ -67,6 +70,50 @@ def test_integer_costs_map_back_to_every_cost():
         assert ints.den == least
         dens.add(least)
     assert dens == {1, 2, 3, 6}
+
+
+def test_integer_costs_equal_lcm_scaled_tables_on_generated_instances():
+    # every solver's cells of the dichotomy, as generated and
+    # with a few entries redrawn from fractions whose denominators first
+    # show up in later tables, so the common denominator grows mid-way
+    pool = [Cost(Fraction(1, 2)), Cost(Fraction(2, 3)), Cost(Fraction(3, 4)),
+            Cost(Fraction(7, 5)), Cost(Fraction(5, 6)), INF]
+    rng = random.Random(1313)
+    checked = set()
+    for scheme, cells in _SOLVER_CELLS.items():
+        for cell, solver in cells:
+            if solver is None:
+                continue
+            for seed in range(3):
+                inst = gen_profile(5, 3, sorted(cell), scheme, seed)
+                tables = {i: [list(inst.unary[i])] for i in range(inst.n)}
+                tables.update({pair: [list(row) for row in t] for pair, t in inst.binary.items()})
+                for rows in tables.values():
+                    for row in rows:
+                        for b in range(len(row)):
+                            if rng.random() < 0.1:
+                                row[b] = rng.choice(pool)
+                redrawn = BinaryInstance.build(
+                    inst.domains,
+                    unary={i: tables[i][0] for i in range(inst.n)},
+                    binary={pair: tables[pair] for pair in inst.binary},
+                )
+                for case in (inst, redrawn):
+                    costs = [c for t in (case.unary, *case.binary.values()) for row in t for c in row]
+                    den = lcm(*(c.value.denominator for c in costs if not c.is_infinite))
+
+                    def scaled(table):
+                        return tuple(
+                            tuple(None if c.is_infinite else int(c.value * den) for c in row)
+                            for row in table
+                        )
+
+                    ints = case.integer_costs
+                    assert ints.den == den
+                    assert ints.unary == scaled(case.unary)
+                    assert dict(ints.binary) == {p: scaled(t) for p, t in case.binary.items()}
+                    checked.add(den)
+    assert 1 in checked and 60 in checked and len(checked) >= 4, checked
 
 
 def test_all_zero_instance_evaluates_to_zero():
