@@ -137,13 +137,8 @@ def cost(value) -> Cost:
 def cost_sum(items) -> Cost:
     """Exact sum of Costs, INF if any is infinite; the finite values are
     added as integers over their common denominator."""
-    ratios = []
-    for item in items:
-        if item._v is None:
-            return INF
-        ratios.append(item._v.as_integer_ratio())
-    den = lcm(*[q for _, q in ratios])
-    return Cost(Fraction(sum(p * (den // q) for p, q in ratios), den))
+    den, ((ints,),) = scale_tables([[items]])
+    return INF if None in ints else Cost(Fraction(sum(ints), den))
 
 
 def scale_tables(tables):

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -209,9 +208,7 @@ class CountFunction:
     @cached_property
     def _integer_slopes(self):
         lo, hi = self._support or (0, -1)
-        ratios = [c.value.as_integer_ratio() for c in self.table[lo:hi + 1]]
-        den = lcm(*[q for _, q in ratios])
-        scaled = [p * (den // q) for p, q in ratios]
+        den, ((scaled,),) = scale_tables([[self.table[lo:hi + 1]]])
         return den, tuple([b - a for a, b in zip(scaled, scaled[1:])])
 
     def __call__(self, m: int) -> Cost:
