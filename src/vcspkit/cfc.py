@@ -1,9 +1,10 @@
 """Count-cost instances over cross-free families, solved by convex flow.
 
-Pipeline: validate the family and functions, rewrite cross-free to laminar,
-build the containment forest, translate to a flow network whose
-minimum-cost integral flows of value n correspond one-to-one to the
-finite-cost solutions, solve, decode.
+Pipeline: check that the functions are convex; build the containment
+forest of the family's laminar form (``build_laminar_forest`` rewrites a
+cross-free family to a laminar one on the way); translate to a flow network
+whose minimum-cost integral flows of value n correspond one-to-one to the
+finite-cost solutions; solve; decode.
 
 One complement rule both decides the family's kind and does the rewrite:
 fix one assignment u0 and complement every set that contains u0.  The
@@ -48,27 +49,23 @@ def check_family(members_list, universe):
     of the family tested.  Only a NEITHER family is scanned pair by pair, to
     return the first crossing pair of set indices in index order.
     """
-    kind, witness, _ = _classify(members_list, universe)
-    return kind, witness
-
-
-def _classify(members_list, universe):
-    """``check_family``'s answer plus, for a laminar family, ``_nest``'s
-    result on its sets other than the universe (None otherwise), which
-    ``_forest`` reuses."""
-    try:
-        return LAMINAR, None, _nest([m for m in members_list if m != universe], universe)
-    except ClassViolation:
-        pass
+    rest = [m for m in members_list if m != universe]
+    if _is_laminar(rest, universe):
+        return LAMINAR, None
     u0 = min(universe)
-    flipped = [universe - m if u0 in m else m for m in members_list if m != universe]
-    if _is_laminar(flipped, universe):
-        return CROSS_FREE, None, None
+    if _is_laminar([universe - m if u0 in m else m for m in rest], universe):
+        return CROSS_FREE, None
+    return NEITHER, _crossing_pair(members_list, universe)
+
+
+def _crossing_pair(members_list, universe):
+    """The first pair (i, j), i < j, of sets that overlap without nesting
+    and without covering the universe."""
     for i, a in enumerate(members_list):
         for j in range(i + 1, len(members_list)):
             b = members_list[j]
             if a & b and not (a <= b or b <= a) and a | b != universe:
-                return NEITHER, (i, j), None
+                return i, j
 
 
 def _nest(members_list, universe):
@@ -122,38 +119,23 @@ def check_convexity(g: CountFunction):
     return True, None
 
 
-def _require_crossfree(inst: CountInstance):
-    """The family's kind and ``_classify``'s nesting; raises on NEITHER."""
-    members = [aset.members for aset in inst.sets]
-    kind, witness, nesting = _classify(members, inst.universe())
-    if kind == NEITHER:
-        i, j = witness
-        raise ClassViolation(
-            f"assignment-sets {i} and {j} overlap without covering the universe",
-            witness=[sorted(members[i]), sorted(members[j])],
-        )
-    return kind, nesting
-
-
-def _require_convex(inst: CountInstance):
+def first_nonconvex_set(inst: CountInstance):
+    """``(k, m)``: the first set k whose function is not convex, at count m
+    (``check_convexity``); None when all are convex."""
     for k, aset in enumerate(inst.sets):
         ok, at = check_convexity(aset.g)
         if not ok:
-            raise ClassViolation(
-                f"count function of set {k} is not convex (violated at count {at})",
-                witness=[k, at],
-            )
+            return k, at
+    return None
 
 
-def _complement(members, g: CountFunction, n: int) -> AssignmentSet:
-    """The complement of a set scored by g: g(n - y), inf out of range.
-
-    Every solution makes n assignments, so it hits the set n - y times when
-    it hits its complement y times.
-    """
-    s = len({v for v, _ in members})
-    table = tuple(g.table[n - y] if 0 <= n - y <= g.size else INF for y in range(s + 1))
-    return AssignmentSet(members, CountFunction(table))
+def _require_convex(inst: CountInstance):
+    bad = first_nonconvex_set(inst)
+    if bad is not None:
+        raise ClassViolation(
+            f"count function of set {bad[0]} is not convex (violated at count {bad[1]})",
+            witness=list(bad),
+        )
 
 
 def crossfree_to_laminar(inst: CountInstance) -> CountInstance:
@@ -162,21 +144,46 @@ def crossfree_to_laminar(inst: CountInstance) -> CountInstance:
     Already-laminar families are returned unchanged.  Otherwise fix
     u0 = min(universe): a set that misses u0 stays, the universe set adds
     g(n) to the constant, and every other set becomes its complement scored
-    by g(n - y).  Complementing keeps the family cross-free, and no two of
-    the resulting sets cover the universe since both miss u0, so the result
-    is laminar; ``CountInstance.build`` sums a set and a complement that
-    coincide.  The result agrees with the input on every solution, exactly.
+    by g(n - y), as a solution makes n assignments.  Complementing keeps the
+    family cross-free, and no two of the resulting sets cover the universe
+    since both miss u0, so the result is laminar; ``CountInstance.build``
+    sums a set and a complement that coincide.  The result agrees with the
+    input on every solution, exactly.
     """
-    return _to_laminar(inst)[0]
+    return build_laminar_forest(inst).instance
 
 
-def _to_laminar(inst: CountInstance):
-    """``crossfree_to_laminar``'s result, with the nesting of the family
-    when the input was already laminar (None after a rewrite)."""
-    kind, nesting = _require_crossfree(inst)
-    if kind == LAMINAR:
-        return inst, nesting
+@dataclass(frozen=True)
+class LaminarForest:
+    """Containment forest of the laminar form of a count instance.
+
+    ``instance`` is that laminar form: the input itself when its family is
+    laminar, else the input's rewrite by ``crossfree_to_laminar``.
+    ``sets[0]`` is the root, ``instance``'s universe set or the zero
+    function on the universe; ``father[k]`` indexes the minimal set
+    properly containing set k; ``smallest`` maps every assignment to the
+    minimal set containing it.
+    """
+
+    instance: CountInstance
+    sets: Tuple[AssignmentSet, ...]
+    father: Tuple[int, ...]
+    smallest: Mapping[tuple, int]
+
+
+def build_laminar_forest(inst: CountInstance) -> LaminarForest:
+    """The forest of a cross-free instance's laminar form.
+
+    The family is nested once.  If it is not laminar, it is rewritten as
+    ``crossfree_to_laminar`` describes and the rewritten family is nested
+    once.  If that is not laminar either, the family is not cross-free: the
+    ClassViolation names the first pair of the input's sets that cross.
+    """
     universe = inst.universe()
+    try:
+        return _nested(inst, universe)
+    except ClassViolation:
+        pass
     u0 = min(universe)
     constant = inst.constant
     sets = []
@@ -184,54 +191,38 @@ def _to_laminar(inst: CountInstance):
         if aset.members == universe:
             constant = constant + aset.g.table[inst.n]
         elif u0 in aset.members:
-            sets.append(_complement(universe - aset.members, aset.g, inst.n))
+            members = universe - aset.members
+            g = aset.g.reflected(inst.n, len({v for v, _ in members}))
+            sets.append(AssignmentSet(members, g))
         else:
             sets.append(aset)
-    return CountInstance.build(inst.domains, sets, names=inst.names, constant=constant), None
+    lam = CountInstance.build(inst.domains, sets, names=inst.names, constant=constant)
+    try:
+        return _nested(lam, universe)
+    except ClassViolation:
+        members = [aset.members for aset in inst.sets]
+        i, j = _crossing_pair(members, universe)
+        raise ClassViolation(
+            f"assignment-sets {i} and {j} overlap without covering the universe",
+            witness=[sorted(members[i]), sorted(members[j])],
+        ) from None
 
 
-@dataclass(frozen=True)
-class LaminarForest:
-    """Containment forest of a laminar family, rooted at the universe set.
-
-    ``sets[0]`` is the root; ``father[k]`` indexes the minimal set properly
-    containing set k; ``smallest`` maps every assignment to the minimal set
-    containing it.
-    """
-
-    sets: Tuple[AssignmentSet, ...]
-    father: Tuple[int, ...]
-    smallest: Mapping[tuple, int]
-
-
-def build_laminar_forest(inst: CountInstance) -> LaminarForest:
-    """Insert sets in decreasing size, tracking the minimal container.
-
-    The universe set is added with the zero function when absent.  Members
-    of an inserted set must agree on their current minimal container;
-    disagreement certifies that the family is not laminar.
-    """
-    return _forest(inst, None)
-
-
-def _forest(inst: CountInstance, nesting):
-    """The forest of a laminar instance, from ``_classify``'s nesting of its
-    sets when given, else nesting them here."""
-    universe = inst.universe()
+def _nested(lam: CountInstance, universe) -> LaminarForest:
+    """The forest of ``lam``, nested once; ``_nest`` raises if the family is
+    not laminar.  An absent universe set is added with the zero function."""
     root = None
     rest = []
-    for aset in inst.sets:
+    for aset in lam.sets:
         if aset.members == universe:
             root = aset
         else:
             rest.append(aset)
     if root is None:
-        root = AssignmentSet(universe, CountFunction.zero(inst.n))
-    if nesting is None:
-        nesting = _nest([aset.members for aset in rest], universe)
-    order, father, smallest = nesting
+        root = AssignmentSet(universe, CountFunction.zero(lam.n))
+    order, father, smallest = _nest([aset.members for aset in rest], universe)
     sets = (root,) + tuple(rest[k] for k in order)
-    return LaminarForest(sets, tuple(father), smallest)
+    return LaminarForest(lam, sets, tuple(father), smallest)
 
 
 _UNIT = CountFunction((ZERO, ZERO))
@@ -263,8 +254,9 @@ def _folded_costs(inst: CountInstance, folded):
     return {i: [function(c) for c in acc] for i, acc in sums.items()}
 
 
-def build_network(forest: LaminarForest, inst: CountInstance) -> FlowNetwork:
-    """Flow network whose value-n min-cost flows encode the optimal solutions.
+def build_network(forest: LaminarForest) -> FlowNetwork:
+    """Flow network whose value-n min-cost flows encode the optimal
+    solutions of ``forest.instance``.
 
     A non-root forest set whose members all belong to one variable i is
     folded into i's assignment arcs: its count is 1 exactly when the arc of
@@ -281,6 +273,7 @@ def build_network(forest: LaminarForest, inst: CountInstance) -> FlowNetwork:
     when that cost is inf; each kept set -> its father's node, carrying the
     set's count over the finite window of its function.
     """
+    inst = forest.instance
     n = inst.n
     sets, father = forest.sets, forest.father
     # node[k]: the node of forest set k, or of its nearest kept ancestor when
@@ -315,32 +308,32 @@ def build_network(forest: LaminarForest, inst: CountInstance) -> FlowNetwork:
 def solve_cfc(inst: CountInstance) -> SolveResult:
     """Exact optimum of a cross-free convex instance via min convex-cost flow."""
     _require_convex(inst)
-    lam, nesting = _to_laminar(inst)
-    for k, aset in enumerate(lam.sets):
-        if aset.g.support is None:
-            x = (0,) * inst.n
-            res = SolveResult(x, INF, "cfc-flow", {"empty_support_set": k})
-            _verify(inst, res)
-            return res
-    forest = _forest(lam, nesting)
-    root_term = forest.sets[0].g.table[inst.n]
-    net = build_network(forest, lam)
-    outcome = min_convex_cost_flow(net)
-    if isinstance(outcome, Infeasible):
-        x = (0,) * inst.n
-        res = SolveResult(
-            x, INF, "cfc-flow",
-            {"infeasible": True, "witness_arc": outcome.witness_arc},
-        )
-        _verify(inst, res)
-        return res
-    x = _decode(net, outcome, inst)
-    total = outcome.total + lam.constant + root_term
-    res = SolveResult(
-        x, total, "cfc-flow",
-        {"flow_cost": str(outcome.total), "constant": str(lam.constant),
-         "sets_after_rewrite": len(lam.sets)},
-    )
+    return _solve_forest(inst, build_laminar_forest(inst))
+
+
+def _solve_forest(inst: CountInstance, forest: LaminarForest) -> SolveResult:
+    """The optimum of ``forest.instance``, whose functions are convex, by
+    convex flow; the answer is re-evaluated against ``inst``, the instance
+    the forest was built from."""
+    lam = forest.instance
+    empty = [k for k, aset in enumerate(lam.sets) if aset.g.support is None]
+    if empty:
+        res = SolveResult((0,) * inst.n, INF, "cfc-flow", {"empty_support_set": empty[0]})
+    else:
+        net = build_network(forest)
+        outcome = min_convex_cost_flow(net)
+        if isinstance(outcome, Infeasible):
+            res = SolveResult(
+                (0,) * inst.n, INF, "cfc-flow",
+                {"infeasible": True, "witness_arc": outcome.witness_arc},
+            )
+        else:
+            total = outcome.total + lam.constant + forest.sets[0].g.table[inst.n]
+            res = SolveResult(
+                _decode(net, outcome, inst), total, "cfc-flow",
+                {"flow_cost": str(outcome.total), "constant": str(lam.constant),
+                 "sets_after_rewrite": len(lam.sets)},
+            )
     _verify(inst, res)
     return res
 
@@ -412,7 +405,7 @@ def reduce_domains_pairsets(inst: CountInstance) -> DomainReduction:
                 "applies to sets of size at most 2",
                 witness=sorted(aset.members),
             )
-    _require_crossfree(inst)
+    build_laminar_forest(inst)  # raises on a family that is not cross-free
 
     new_domains = []
     new_names = []
@@ -485,11 +478,13 @@ def _fresh_name(base, taken):
     return name
 
 
-def forest_to_dot(forest: LaminarForest, inst: CountInstance) -> str:
+def forest_to_dot(forest: LaminarForest) -> str:
     """Graphviz rendering of the containment forest."""
+    inst = forest.instance
     lines = ["digraph laminar {", "  rankdir=BT;"]
     for k, aset in enumerate(forest.sets):
         label = "universe" if k == 0 else _set_label(aset, inst)
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  s{k} [label="{label}", shape=box];')
     for k, parent in enumerate(forest.father):
         if parent >= 0:

@@ -21,9 +21,8 @@ from .cfc import (
     LAMINAR,
     build_laminar_forest,
     build_network,
-    check_convexity,
     check_family,
-    crossfree_to_laminar,
+    first_nonconvex_set,
     forest_to_dot,
     solve_cfc,
 )
@@ -116,15 +115,14 @@ def cmd_solve_cfc(args):
     result = solve_cfc(inst)
     if args.dot_network or args.dot_forest:
         # drawn only from an instance the solver has accepted
-        lam = crossfree_to_laminar(inst)
-        forest = build_laminar_forest(lam)
+        forest = build_laminar_forest(inst)
         if args.dot_forest:
             with open(args.dot_forest, "w", encoding="utf-8") as handle:
-                handle.write(forest_to_dot(forest, lam))
+                handle.write(forest_to_dot(forest))
         if args.dot_network and "empty_support_set" in result.certificate:
             print("note: no network drawn: a set has no finite count", file=sys.stderr)
         elif args.dot_network:
-            net = build_network(forest, lam)
+            net = build_network(forest)
             with open(args.dot_network, "w", encoding="utf-8") as handle:
                 handle.write(network_to_dot(net))
     _emit(result.to_doc())
@@ -145,14 +143,10 @@ def cmd_check(args):
     elif prop == "convex":
         if not isinstance(inst, CountInstance):
             raise FormatError("the convex check applies to count instances")
-        holds = True
-        for k, aset in enumerate(inst.sets):
-            ok, at = check_convexity(aset.g)
-            if not ok:
-                holds = False
-                doc["witness"] = {"set": k, "count": at}
-                break
-        doc["holds"] = holds
+        bad = first_nonconvex_set(inst)
+        if bad is not None:
+            doc["witness"] = {"set": bad[0], "count": bad[1]}
+        doc["holds"] = bad is None
     else:
         if not isinstance(inst, CountInstance):
             raise FormatError("family checks apply to count instances")

@@ -216,6 +216,13 @@ class CountFunction:
             raise InstanceError(f"count {m} outside [0, {self.size}]")
         return self.table[m]
 
+    def reflected(self, t: int, s: int) -> "CountFunction":
+        """y -> g(t - y) over counts 0..s, inf where t - y is no count of g:
+        the function of a set hit y times when g's set is hit t - y times."""
+        return CountFunction(tuple(
+            self.table[t - y] if 0 <= t - y <= self.size else INF for y in range(s + 1)
+        ))
+
     @classmethod
     def zero(cls, s: int) -> "CountFunction":
         return cls(tuple(ZERO for _ in range(s + 1)))

@@ -12,10 +12,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cfc import CROSS_FREE, LAMINAR, _require_convex, check_family, solve_cfc
-from .costs import INF
+from .cfc import LaminarForest, _require_convex, _solve_forest, build_laminar_forest
 from .errors import ClassViolation, InstanceError
-from .instances import AssignmentSet, CountFunction, CountInstance, evaluate_count
+from .instances import AssignmentSet, CountInstance, evaluate_count
 from .results import SolveResult
 
 
@@ -37,12 +36,7 @@ def rename_set(aset: AssignmentSet, domains) -> AssignmentSet:
 def _rename(aset: AssignmentSet) -> AssignmentSet:
     """``rename_set`` over domains already known to be Boolean."""
     members = frozenset((i, 1 - a) for i, a in aset.members)
-    m = len(aset.members)
-    s = aset.var_count
-    table = tuple(
-        aset.g.table[m - z] if 0 <= m - z <= s else INF for z in range(s + 1)
-    )
-    return AssignmentSet(members, CountFunction(table))
+    return AssignmentSet(members, aset.g.reflected(len(aset.members), aset.var_count))
 
 
 @dataclass(frozen=True)
@@ -181,21 +175,24 @@ def _clauses(members, universe):
 
 @dataclass(frozen=True)
 class Renaming:
+    """Renaming flags per constraint, the renamed instance and its forest."""
+
     flags: Tuple[bool, ...]
     renamed: CountInstance
+    forest: LaminarForest
 
 
 def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:
     """Find per-constraint renaming flags making the family cross-free.
 
     The flags are a model of the 2-SAT clauses of ``_clauses``.  The model
-    is post-verified: a renamed family that still fails the cross-freeness
-    check is reported as not renamable rather than trusted.
+    is post-verified by building the renamed instance's forest: a renamed
+    family that is still not cross-free is reported as not renamable rather
+    than trusted.
     """
     _require_boolean(inst.domains)
     _require_convex(inst)
-    universe = inst.universe()
-    clauses = _clauses([aset.members for aset in inst.sets], universe)
+    clauses = _clauses([aset.members for aset in inst.sets], inst.universe())
     model = solve_2sat(TwoSatInstance(len(inst.sets), tuple(clauses)))
     if model is None:
         return None
@@ -205,10 +202,11 @@ def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:
     renamed = CountInstance.build(
         inst.domains, renamed_sets, names=inst.names, constant=inst.constant
     )
-    kind, _ = check_family([a.members for a in renamed.sets], universe)
-    if kind not in (LAMINAR, CROSS_FREE):
+    try:
+        forest = build_laminar_forest(renamed)
+    except ClassViolation:
         return None
-    return Renaming(model, renamed)
+    return Renaming(model, renamed, forest)
 
 
 def solve_renamable(inst: CountInstance) -> SolveResult:
@@ -221,12 +219,16 @@ def solve_renamable(inst: CountInstance) -> SolveResult:
 
 def solve_renaming(inst: CountInstance, ren: Renaming) -> SolveResult:
     """Solve ``inst`` through ``ren``, its renaming found by
-    ``recognize_renamable``.
+    ``recognize_renamable``, by convex flow on ``ren.forest``.
 
-    Renaming changes constraints, not variables, so the assignment maps back
-    unchanged; it is re-evaluated against the original instance.
+    Convexity and the family are not checked again: a renamed function is
+    the input's read backwards, so it is convex when the input's is, and
+    the forest exists only for a cross-free renamed family.  Renaming
+    changes constraints, not variables, so the assignment maps back
+    unchanged; it is re-evaluated against the renamed and the original
+    instance.
     """
-    inner = solve_cfc(ren.renamed)
+    inner = _solve_forest(ren.renamed, ren.forest)
     got = evaluate_count(inst, inner.assignment)
     if got != inner.cost:
         raise InstanceError(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -284,7 +285,7 @@ def test_forest_insertion_is_deterministic_on_ties():
 def test_network_for_single_assignment_instance():
     inst = CountInstance.build([["a"]], [])
     forest = build_laminar_forest(inst)
-    net = build_network(forest, inst)
+    net = build_network(forest)
     # source -> variable -> universe/sink: the assignment's arc ends at its
     # minimal set, here the root
     assert net.num_nodes == 3
@@ -299,7 +300,7 @@ def test_network_size_bounds():
         inst = gen_random_laminar(4, 3, seed)
         lam = crossfree_to_laminar(inst)
         forest = build_laminar_forest(lam)
-        net = build_network(forest, lam)
+        net = build_network(forest)
         n = inst.n
         total_assignments = sum(len(d) for d in inst.domains)
         r = len(forest.sets)
@@ -309,7 +310,7 @@ def test_network_size_bounds():
 
 def _solve_through_network(inst):
     forest = build_laminar_forest(inst)
-    return build_network(forest, inst), solve_cfc(inst)
+    return build_network(forest), solve_cfc(inst)
 
 
 def test_network_keeps_only_sets_over_two_or_more_variables():
@@ -324,13 +325,13 @@ def test_network_keeps_only_sets_over_two_or_more_variables():
         if any(a.g.support is None for a in lam.sets):
             continue
         forest = build_laminar_forest(lam)
-        net = build_network(forest, lam)
+        net = build_network(forest)
         wide = sum(1 for a in forest.sets[1:] if len({i for i, _ in a.members}) >= 2)
         assignments = sum(len(dom) for dom in inst.domains)
         assert net.num_nodes == 1 + inst.n + 1 + wide
         assert len(net.arcs) == inst.n + assignments + wide
     tree = gen_full_laminar_tree(400, 4, 1)
-    net = build_network(build_laminar_forest(tree), tree)
+    net = build_network(build_laminar_forest(tree))
     assert (net.num_nodes, len(net.arcs)) == (1328, 2926)
 
 
@@ -388,6 +389,42 @@ def test_solve_cfc_nests_a_laminar_family_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_cross_free_and_renamed_solves_nest_each_family_once(monkeypatch):
+    import vcspkit.cfc as cfc
+    from vcspkit.renaming import rename_set, solve_renamable
+
+    # a complemented tree: the failed laminarity test, then the rewrite
+    base = gen_full_laminar_tree(6, 3, 0)
+    universe = base.universe()
+    sets = list(base.sets)
+    for k in range(1, len(sets), 4):
+        members = universe - sets[k].members
+        sets[k] = AssignmentSet(members, CountFunction.zero(len({i for i, _ in members})))
+    inst = CountInstance.build(base.domains, sets)
+    assert check_family([a.members for a in inst.sets], universe)[0] == CROSS_FREE
+    nests = _counting(monkeypatch, cfc, "_nest")
+    assert solve_cfc(inst).cost == oracle_count(inst).cost
+    assert len(nests) == 2
+    # a renamed Boolean tree: the renamed family is nested once, and each
+    # function is checked for convexity once
+    base = gen_full_laminar_tree(5, 2, 0)
+    sets = [rename_set(a, base.domains) if k % 2 else a for k, a in enumerate(base.sets)]
+    inst = CountInstance.build(base.domains, sets)
+    assert check_family([a.members for a in inst.sets], inst.universe())[0] != LAMINAR
+    nests.clear()
+    convexity = _counting(monkeypatch, cfc, "check_convexity")
+    assert solve_renamable(inst).cost == oracle_count(inst).cost
+    assert len(nests) == 1
+    assert len(convexity) == len(inst.sets)
+
+
 def test_network_feasible_iff_finite_solution():
     for seed in range(25):
         inst = gen_random_laminar(3, 2, seed)
@@ -395,7 +432,7 @@ def test_network_feasible_iff_finite_solution():
         if any(a.g.support is None for a in lam.sets):
             continue
         forest = build_laminar_forest(lam)
-        net = build_network(forest, lam)
+        net = build_network(forest)
         feasible = not isinstance(min_convex_cost_flow(net), Infeasible)
         assert feasible == (count_finite_solutions(inst) > 0)
 
@@ -407,7 +444,7 @@ def test_flow_solution_bijection_counts():
         if any(a.g.support is None for a in lam.sets):
             continue
         forest = build_laminar_forest(lam)
-        net = build_network(forest, lam)
+        net = build_network(forest)
         n_flows = sum(1 for _ in enumerate_feasible_flows(net))
         assert n_flows == count_finite_solutions(inst)
 
@@ -490,8 +527,22 @@ def test_singleton_injection_cannot_break_family():
 def test_forest_dot_export():
     inst = fixtures()["pair-grid"]
     forest = build_laminar_forest(inst)
-    dot = forest_to_dot(forest, inst)
+    dot = forest_to_dot(forest)
     assert "digraph" in dot and "universe" in dot
+
+
+def test_forest_dot_labels_escape_quotes_and_backslashes():
+    inst = CountInstance.build(
+        [["a", "b\\"], ["a"]],
+        [AssignmentSet(frozenset([(0, 1), (1, 0)]), CountFunction((ZERO, ZERO, C(1))))],
+        names=['x"1', "y"],
+    )
+    dot = forest_to_dot(build_laminar_forest(inst))
+    nodes = [line for line in dot.splitlines() if "label=" in line]
+    assert len(nodes) == 2
+    for line in nodes:
+        assert re.fullmatch(r'  s\d+ \[label="(?:[^"\\]|\\.)*", shape=box\];', line), line
+    assert 'label="{x\\"1=b\\\\, y=a}"' in dot
 
 
 _FRACTIONS = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)])

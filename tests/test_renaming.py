@@ -1,10 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcspkit.cfc import CROSS_FREE, LAMINAR, check_family
-from vcspkit.costs import Cost, ZERO
+from vcspkit.costs import Cost, INF, ZERO
 from vcspkit.errors import ClassViolation
 from vcspkit.instances import (
     AssignmentSet,
@@ -133,6 +135,15 @@ def test_fan_fixture_is_not_renamable():
     assert recognize_renamable(fixtures()["sat-fan"]) is None
 
 
+def test_renaming_model_is_post_verified(monkeypatch):
+    import vcspkit.renaming as renaming
+
+    # without clauses the 2-SAT model renames nothing, and the fan's own
+    # family is not cross-free
+    monkeypatch.setattr(renaming, "_clauses", lambda members, universe: [])
+    assert recognize_renamable(fixtures()["sat-fan"]) is None
+
+
 def test_already_crossfree_instance_needs_no_renaming():
     inst = gen_random_laminar(3, 2, seed=5)
     ren = recognize_renamable(inst)
@@ -224,3 +235,98 @@ def test_clauses_match_pairwise_reference_without_renaming():
         if solve_2sat(TwoSatInstance(len(members), tuple(want))) is None:
             unsatisfiable += 1
     assert unsatisfiable >= 50, unsatisfiable
+
+
+@st.composite
+def _boolean_instances(draw):
+    """Small Boolean instances, most of them renamable: a laminar family
+    over the literals (a recursive split, so sets may hold both values of
+    one variable), each set negated or not, and sometimes one more set.
+    Tables are finite on a window, on all counts two times in three; an
+    instance's tables are convex two times in three, else concave."""
+    n = draw(st.integers(1, 4))
+    literals = draw(st.permutations([(v, a) for v in range(n) for a in range(2)]))
+    parts = []
+
+    def split(part):
+        if draw(st.integers(0, 2)):
+            parts.append(frozenset(part))
+        if len(part) > 1:
+            cut = draw(st.integers(1, len(part) - 1))
+            split(part[:cut])
+            split(part[cut:])
+
+    split(literals)
+    parts = [frozenset((i, 1 - a) for i, a in p) if draw(st.booleans()) else p for p in parts]
+    if not parts or not draw(st.integers(0, 3)):
+        parts.append(frozenset(draw(st.lists(st.sampled_from(literals), min_size=1, max_size=4))))
+    convex = draw(st.integers(0, 2)) > 0
+    sets = []
+    for members in parts:
+        s = len({v for v, _ in members})
+        lo, hi = 0, s
+        if not draw(st.integers(0, 2)):
+            lo = draw(st.integers(0, s))
+            hi = draw(st.integers(lo, s))
+        steps = draw(st.lists(st.integers(-2, 2), min_size=hi - lo, max_size=hi - lo))
+        values = [0]
+        for step in sorted(steps, reverse=not convex):
+            values.append(values[-1] + step)
+        den = draw(st.sampled_from([1, 2, 3]))
+        table = [INF] * (s + 1)
+        for m, v in zip(range(lo, hi + 1), values):
+            table[m] = C(Fraction(v - min(values), den))
+        sets.append(AssignmentSet(members, CountFunction(tuple(table))))
+    return CountInstance.build([BOOL] * n, sets)
+
+
+def _first_nonconvex(inst):
+    for k, aset in enumerate(inst.sets):
+        lo, hi = aset.g.support or (0, -1)
+        values = [aset.g.table[m].value for m in range(lo, hi + 1)]
+        for m in range(len(values) - 2):
+            if values[m + 2] - values[m + 1] < values[m + 1] - values[m]:
+                return k, lo + m
+    return None
+
+
+def _crossfree_after(inst, flags):
+    members = [
+        frozenset((i, 1 - a) for i, a in aset.members) if flag else aset.members
+        for aset, flag in zip(inst.sets, flags)
+    ]
+    return check_family(members, inst.universe())[0] in (LAMINAR, CROSS_FREE)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_boolean_instances())
+def test_solve_renamable_matches_oracle_or_reports_why_not(inst):
+    for aset in inst.sets:
+        g, m, s = aset.g, len(aset.members), aset.var_count
+        n = inst.n
+        for t in (m, n, s):
+            # the old renaming and complement formulas
+            assert g.reflected(t, s).table == tuple(
+                g.table[t - z] if 0 <= t - z <= s else INF for z in range(s + 1)
+            )
+            assert g.reflected(t, n).table == tuple(
+                g.table[t - y] if 0 <= t - y <= g.size else INF for y in range(n + 1)
+            )
+    bad = _first_nonconvex(inst)
+    if bad is not None:
+        k, at = bad
+        with pytest.raises(ClassViolation) as info:
+            solve_renamable(inst)
+        assert str(info.value) == f"count function of set {k} is not convex (violated at count {at})"
+        assert info.value.witness == [k, at]
+        return
+    ren = recognize_renamable(inst)
+    if ren is None:
+        assert not any(
+            _crossfree_after(inst, flags)
+            for flags in itertools.product([False, True], repeat=len(inst.sets))
+        )
+        return
+    res = solve_renamable(inst)
+    assert res.cost == oracle_count(inst).cost
+    assert evaluate_count(inst, res.assignment) == res.cost
