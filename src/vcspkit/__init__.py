@@ -3,7 +3,7 @@ count-cost instances."""
 
 __version__ = "0.1.0"
 
-from .costs import Cost, INF, ZERO, cost
+from .costs import Cost, INF, ZERO
 from .instances import (
     AssignmentSet,
     BinaryInstance,
@@ -24,7 +24,6 @@ __all__ = [
     "INF",
     "SolveResult",
     "ZERO",
-    "cost",
     "evaluate_binary",
     "evaluate_count",
     "parse_instance",

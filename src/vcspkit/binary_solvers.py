@@ -334,7 +334,7 @@ def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveRe
     edges = {}
     for i in range(n):
         for j in range(i + 1, n):
-            table = inst.pair_table(i, j)
+            table = inst.binary.get((i, j))
             for a in surviving[i]:
                 for b in surviving[j]:
                     if table is None or table[a][b] == ZERO:

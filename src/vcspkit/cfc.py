@@ -58,13 +58,17 @@ def check_family(members_list, universe):
     return NEITHER, _crossing_pair(members_list, universe)
 
 
+def _incompletely_overlap(a, b, universe):
+    """Whether sets a and b cross: they overlap without nesting and without
+    covering the universe."""
+    return bool(a & b) and not a <= b and not b <= a and (a | b) != universe
+
+
 def _crossing_pair(members_list, universe):
-    """The first pair (i, j), i < j, of sets that overlap without nesting
-    and without covering the universe."""
+    """The first pair (i, j), i < j, of sets that cross."""
     for i, a in enumerate(members_list):
         for j in range(i + 1, len(members_list)):
-            b = members_list[j]
-            if a & b and not (a <= b or b <= a) and a | b != universe:
+            if _incompletely_overlap(a, members_list[j], universe):
                 return i, j
 
 
@@ -308,15 +312,17 @@ def build_network(forest: LaminarForest) -> FlowNetwork:
 def solve_cfc(inst: CountInstance) -> SolveResult:
     """Exact optimum of a cross-free convex instance via min convex-cost flow."""
     _require_convex(inst)
-    return _solve_forest(inst, build_laminar_forest(inst))
+    return _solve_forest(inst, build_laminar_forest(inst))[0]
 
 
-def _solve_forest(inst: CountInstance, forest: LaminarForest) -> SolveResult:
-    """The optimum of ``forest.instance``, whose functions are convex, by
-    convex flow; the answer is re-evaluated against ``inst``, the instance
-    the forest was built from."""
+def _solve_forest(inst: CountInstance, forest: LaminarForest):
+    """``(result, network)``: the optimum of ``forest.instance``, whose
+    functions are convex, by convex flow on ``network``, re-evaluated against
+    ``inst``, the instance the forest was built from.  ``network`` is None
+    when a set has no finite count, since no network is built then."""
     lam = forest.instance
     empty = [k for k, aset in enumerate(lam.sets) if aset.g.support is None]
+    net = None
     if empty:
         res = SolveResult((0,) * inst.n, INF, "cfc-flow", {"empty_support_set": empty[0]})
     else:
@@ -335,7 +341,7 @@ def _solve_forest(inst: CountInstance, forest: LaminarForest) -> SolveResult:
                  "sets_after_rewrite": len(lam.sets)},
             )
     _verify(inst, res)
-    return res
+    return res, net
 
 
 def _decode(net: FlowNetwork, flow: Flow, inst: CountInstance):

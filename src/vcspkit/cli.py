@@ -19,12 +19,12 @@ from .binary_solvers import dispatch
 from .cfc import (
     CROSS_FREE,
     LAMINAR,
+    _require_convex,
+    _solve_forest,
     build_laminar_forest,
-    build_network,
     check_family,
     first_nonconvex_set,
     forest_to_dot,
-    solve_cfc,
 )
 from .errors import (
     DEFAULT_BUDGET,
@@ -112,19 +112,18 @@ def cmd_solve(args):
 
 def cmd_solve_cfc(args):
     inst = _load(args.file, CountInstance)
-    result = solve_cfc(inst)
-    if args.dot_network or args.dot_forest:
-        # drawn only from an instance the solver has accepted
-        forest = build_laminar_forest(inst)
-        if args.dot_forest:
-            with open(args.dot_forest, "w", encoding="utf-8") as handle:
-                handle.write(forest_to_dot(forest))
-        if args.dot_network and "empty_support_set" in result.certificate:
-            print("note: no network drawn: a set has no finite count", file=sys.stderr)
-        elif args.dot_network:
-            net = build_network(forest)
-            with open(args.dot_network, "w", encoding="utf-8") as handle:
-                handle.write(network_to_dot(net))
+    _require_convex(inst)
+    forest = build_laminar_forest(inst)
+    result, net = _solve_forest(inst, forest)
+    # drawn only from an instance the solver has accepted
+    if args.dot_forest:
+        with open(args.dot_forest, "w", encoding="utf-8") as handle:
+            handle.write(forest_to_dot(forest))
+    if args.dot_network and net is None:
+        print("note: no network drawn: a set has no finite count", file=sys.stderr)
+    elif args.dot_network:
+        with open(args.dot_network, "w", encoding="utf-8") as handle:
+            handle.write(network_to_dot(net))
     _emit(result.to_doc())
     return 0
 

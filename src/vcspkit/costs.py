@@ -79,16 +79,6 @@ class Cost:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Cost):
-            other = other.value
-        divisor = Fraction(other)
-        if divisor <= 0:
-            raise ValueError("cost divisor must be positive")
-        if self._v is None:
-            return INF
-        return Cost(self._v / divisor)
-
     def _key(self):
         # INF sorts above every finite value
         return (1,) if self._v is None else (0, self._v)
@@ -123,15 +113,6 @@ class Cost:
 ZERO = Cost(0)
 ONE = Cost(1)
 INF = Cost(None)
-
-
-def cost(value) -> Cost:
-    """Coerce an int, Fraction, Cost or cost string to a Cost."""
-    if isinstance(value, Cost):
-        return value
-    if isinstance(value, str):
-        return parse_cost(value)
-    return Cost(value)
 
 
 def cost_sum(items) -> Cost:

@@ -325,13 +325,12 @@ def _check_flow(net: FlowNetwork, amounts):
         raise InstanceError("flow value differs from the required value")
 
 
-def network_to_dot(net: FlowNetwork, flow: Optional[Flow] = None, node_labels=None) -> str:
+def network_to_dot(net: FlowNetwork, flow: Optional[Flow] = None) -> str:
     """Graphviz rendering of the network, optionally annotated with a flow."""
     lines = ["digraph flownet {", "  rankdir=LR;"]
     for x in range(net.num_nodes):
-        label = node_labels[x] if node_labels else str(x)
         shape = "doublecircle" if x in (net.source, net.sink) else "circle"
-        lines.append(f'  n{x} [label="{label}", shape={shape}];')
+        lines.append(f'  n{x} [label="{x}", shape={shape}];')
     for idx, arc in enumerate(net.arcs):
         margins = ",".join(str(m) for m in marginals(arc.cost))
         label = f"[{arc.lo},{arc.hi}]"

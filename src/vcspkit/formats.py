@@ -4,20 +4,20 @@ Three document kinds, distinguished by their ``format`` field:
 ``vcsp-binary/1``, ``vcsp-cfc/1`` and ``vcsp-solution/1``.  Cost strings are
 ASCII decimal integers, ``p/q`` fractions, or ``inf``.  ``serialize_instance``
 is the canonical writer; parsing its output reproduces the same bytes.
+Solution documents are only written, by ``SolveResult.to_doc``.
 """
 
 from __future__ import annotations
 
 import json
 
-from .costs import Cost, ZERO as ZERO_COST, format_cost, parse_cost
+from .costs import ZERO as ZERO_COST, format_cost, parse_cost
 from .errors import FormatError, InstanceError
 from .instances import (
     AssignmentSet,
     BinaryInstance,
     CountFunction,
     CountInstance,
-    Solution,
 )
 
 BINARY_FORMAT = "vcsp-binary/1"
@@ -173,16 +173,6 @@ def parse_instance(text):
     raise FormatError(f"unknown or missing format field {fmt!r}")
 
 
-def parse_solution(text) -> tuple:
-    doc = _load_json(text)
-    _expect(isinstance(doc, dict), "top-level document must be an object")
-    _expect(doc.get("format") == SOLUTION_FORMAT, "expected a solution document")
-    assignment = doc.get("assignment")
-    _expect(isinstance(assignment, list) and all(_is_index(v) for v in assignment),
-            "'assignment' must be a list of value indices")
-    return tuple(assignment), _parse_cost_at(doc.get("cost", "0"), "cost")
-
-
 def binary_to_doc(inst: BinaryInstance) -> dict:
     doc = {
         "format": BINARY_FORMAT,
@@ -217,10 +207,6 @@ def count_to_doc(inst: CountInstance) -> dict:
             for aset in inst.sets
         ],
     }
-
-
-def solution_to_doc(x: Solution, total: Cost) -> dict:
-    return {"format": SOLUTION_FORMAT, "assignment": list(x), "cost": format_cost(total)}
 
 
 def dumps(doc) -> str:

@@ -121,23 +121,6 @@ class BinaryInstance:
         den, (unary, *binary) = scale_tables((self.unary, *self.binary.values()))
         return IntegerCosts(den, unary, MappingProxyType(dict(zip(self.binary, binary))))
 
-    def pair_table(self, i: int, j: int):
-        """Table for the unordered pair, oriented as (i, j); None if absent."""
-        if i == j:
-            raise InstanceError("no binary table on a single variable")
-        if i < j:
-            return self.binary.get((i, j))
-        table = self.binary.get((j, i))
-        if table is None:
-            return None
-        return tuple(zip(*table))
-
-    def pair_cost(self, i: int, a: int, j: int, b: int) -> Cost:
-        if i > j:
-            i, j, a, b = j, i, b, a
-        table = self.binary.get((i, j))
-        return ZERO if table is None else table[a][b]
-
     def all_binary_costs(self):
         """Every entry of every present binary table (absent tables are zero)."""
         for table in self.binary.values():
@@ -305,10 +288,6 @@ class CountInstance:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    @property
-    def max_domain(self) -> int:
-        return max(len(d) for d in self.domains)
 
     def universe(self) -> frozenset:
         """All (variable, value) assignments of the instance."""

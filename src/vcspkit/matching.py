@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .costs import Cost, ZERO, cost_sum
+from .costs import Cost, cost_sum
 from .errors import InstanceError
 
 
@@ -51,33 +51,3 @@ def max_weight_matching(g: MatchingGraph):
     # pairing never arises; an empty matching has weight zero
     return matching, total
 
-
-def brute_force_max_weight_matching(g: MatchingGraph):
-    """Reference implementation: exhaustive search over all matchings.
-
-    Exponential; intended for cross-checking on graphs with at most a
-    dozen vertices.
-    """
-    if g.num_vertices > 16:
-        raise InstanceError("brute-force matching is limited to small graphs")
-    edges = sorted((min(u, v), max(u, v), w) for u, v, w in g.edges)
-    best = (ZERO, frozenset())
-
-    def extend(idx, used, weight, chosen):
-        nonlocal best
-        if weight > best[0]:
-            best = (weight, frozenset(chosen))
-        for k in range(idx, len(edges)):
-            u, v, w = edges[k]
-            if u in used or v in used:
-                continue
-            used.add(u)
-            used.add(v)
-            chosen.append((u, v))
-            extend(k + 1, used, weight + w, chosen)
-            chosen.pop()
-            used.discard(u)
-            used.discard(v)
-
-    extend(0, set(), ZERO, [])
-    return best[1], best[0]

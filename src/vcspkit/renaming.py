@@ -12,7 +12,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cfc import LaminarForest, _require_convex, _solve_forest, build_laminar_forest
+from .cfc import (
+    LaminarForest,
+    _incompletely_overlap,
+    _require_convex,
+    _solve_forest,
+    build_laminar_forest,
+)
 from .errors import ClassViolation, InstanceError
 from .instances import AssignmentSet, CountInstance, evaluate_count
 from .results import SolveResult
@@ -70,9 +76,6 @@ def solve_2sat(inst: TwoSatInstance):
     def node(lit):
         v = abs(lit) - 1
         return 2 * v if lit > 0 else 2 * v + 1
-
-    def negated(x):
-        return x ^ 1
 
     adj = [[] for _ in range(size)]
     for a, b in inst.clauses:
@@ -135,10 +138,6 @@ def solve_2sat(inst: TwoSatInstance):
         # topological order of implications, so it is the safe choice
         model.append(pos < neg)
     return tuple(model)
-
-
-def _incompletely_overlap(a, b, universe):
-    return bool(a & b) and not a <= b and not b <= a and (a | b) != universe
 
 
 def _clauses(members, universe):
@@ -228,7 +227,7 @@ def solve_renaming(inst: CountInstance, ren: Renaming) -> SolveResult:
     unchanged; it is re-evaluated against the renamed and the original
     instance.
     """
-    inner = _solve_forest(ren.renamed, ren.forest)
+    inner, _ = _solve_forest(ren.renamed, ren.forest)
     got = evaluate_count(inst, inner.assignment)
     if got != inner.cost:
         raise InstanceError(

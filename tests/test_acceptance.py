@@ -11,6 +11,14 @@ import time
 
 import networkx as nx
 
+from helpers import (
+    gen_random_crossfree,
+    gen_random_laminar,
+    gen_random_network,
+    gen_random_pair_sets,
+    gen_random_renamable,
+    oracle_flow,
+)
 from vcspkit.binary_solvers import (
     SOLVERS,
     solve_lr_class,
@@ -40,14 +48,8 @@ from vcspkit.testkit import (
     fixtures,
     gen_full_laminar_tree,
     gen_profile,
-    gen_random_crossfree,
-    gen_random_laminar,
-    gen_random_network,
-    gen_random_pair_sets,
-    gen_random_renamable,
     oracle_binary,
     oracle_count,
-    oracle_flow,
 )
 from vcspkit.triangles import ALPHABET, OTHER, Scheme, TriangleProfile, profile, verdict
 

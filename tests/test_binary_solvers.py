@@ -359,7 +359,7 @@ _CELL_OF = {
 
 def _full_row(inst, i, a, j):
     """Costs of (i, a) against every value of j; an absent table is zero."""
-    table = inst.pair_table(min(i, j), max(i, j))
+    table = inst.binary.get((min(i, j), max(i, j)))
     if table is None:
         return [ZERO] * len(inst.domains[j])
     return list(table[a]) if i < j else [row[a] for row in table]

@@ -6,6 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    count_finite_solutions,
+    enumerate_feasible_flows,
+    gen_random_crossfree,
+    gen_random_laminar,
+)
 from vcspkit.cfc import (
     CROSS_FREE,
     LAMINAR,
@@ -28,13 +34,9 @@ from vcspkit.instances import (
     evaluate_count,
 )
 from vcspkit.testkit import (
-    count_finite_solutions,
-    enumerate_feasible_flows,
     fixtures,
     gen_full_laminar_tree,
     gen_nested_gcc,
-    gen_random_crossfree,
-    gen_random_laminar,
     gen_soft_gcc,
     oracle_count,
 )

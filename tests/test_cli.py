@@ -87,6 +87,34 @@ def test_solve_cfc_writes_dot_files(tmp_path):
     assert network.read_text().startswith("digraph")
 
 
+def test_solve_cfc_dot_flags_build_forest_and_network_once(tmp_path, monkeypatch, capsys):
+    from vcspkit import cfc, cli, renaming
+
+    calls = {"build_laminar_forest": 0, "build_network": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # patched in every module that binds the name
+    for name in calls:
+        for module in (cfc, cli, renaming):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code = cli.main([
+        "solve-cfc", str(FIXTURES / "pair-grid.json"),
+        "--dot-forest", str(tmp_path / "forest.dot"),
+        "--dot-network", str(tmp_path / "net.dot"),
+    ])
+    out, _ = capsys.readouterr()
+    assert code == 0 and json.loads(out)["solver"] == "cfc-flow"
+    assert (tmp_path / "forest.dot").read_text().startswith("digraph")
+    assert (tmp_path / "net.dot").read_text().startswith("digraph")
+    assert calls == {"build_laminar_forest": 1, "build_network": 1}
+
+
 @pytest.mark.parametrize("fixture, g", [
     ("sat-blocks.json", ["inf", "inf", "inf", "inf"]),  # empty finite support
     ("pair-grid.json", ["0", "1", "0"]),  # not convex

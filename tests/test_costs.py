@@ -47,8 +47,6 @@ def test_subtraction_and_scaling():
         Cost(1) - INF
     assert Cost(Fraction(3, 2)) * 4 == Cost(6)
     assert INF * 3 == INF
-    assert Cost(6) / Cost(3) == Cost(2)
-    assert INF / Cost(3) == INF
 
 
 def _random_cost(rng):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from helpers import enumerate_feasible_flows, gen_random_network, oracle_flow
 from vcspkit.costs import Cost, INF, ZERO, cost_sum
 from vcspkit.errors import InstanceError
 from vcspkit.flow import (
@@ -16,7 +17,6 @@ from vcspkit.flow import (
     network_to_dot,
 )
 from vcspkit.instances import CountFunction
-from vcspkit.testkit import enumerate_feasible_flows, gen_random_network, oracle_flow
 
 C = Cost
 

@@ -3,14 +3,13 @@ import pathlib
 
 import pytest
 
+from helpers import parse_solution, solution_to_doc
 from vcspkit.costs import Cost, INF, ZERO
 from vcspkit.errors import FormatError
 from vcspkit.formats import (
     dumps,
     parse_instance,
-    parse_solution,
     serialize_instance,
-    solution_to_doc,
 )
 from vcspkit.instances import BinaryInstance, CountInstance
 from vcspkit.testkit import fixtures, gen_matching_encoding, gen_profile

@@ -210,7 +210,7 @@ def test_cardinality_penalty_counts_overuse():
 
 def test_evaluate_count_invariant_under_reordering_and_merging():
     rng = random.Random(5)
-    from vcspkit.testkit import gen_random_laminar
+    from helpers import gen_random_laminar
 
     for seed in range(15):
         inst = gen_random_laminar(3, 2, seed)

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import brute_force_max_weight_matching
 from vcspkit.costs import Cost
 from vcspkit.errors import InstanceError
 from vcspkit.matching import (
     MatchingGraph,
-    brute_force_max_weight_matching,
     max_weight_matching,
 )
 

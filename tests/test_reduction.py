@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import gen_random_pair_sets
 from vcspkit.cfc import reduce_domains_pairsets
 from vcspkit.costs import Cost, ZERO
 from vcspkit.errors import ClassViolation
@@ -12,7 +13,7 @@ from vcspkit.instances import (
     CountInstance,
     evaluate_count,
 )
-from vcspkit.testkit import gen_random_pair_sets, oracle_count
+from vcspkit.testkit import oracle_count
 
 C = Cost
 

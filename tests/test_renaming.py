@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcspkit.cfc import CROSS_FREE, LAMINAR, check_family
+from helpers import gen_random_laminar, gen_random_renamable
+from vcspkit.cfc import CROSS_FREE, LAMINAR, _incompletely_overlap, check_family
 from vcspkit.costs import Cost, INF, ZERO
 from vcspkit.errors import ClassViolation
 from vcspkit.instances import (
@@ -17,13 +18,12 @@ from vcspkit.instances import (
 from vcspkit.renaming import (
     TwoSatInstance,
     _clauses,
-    _incompletely_overlap,
     recognize_renamable,
     rename_set,
     solve_2sat,
     solve_renamable,
 )
-from vcspkit.testkit import fixtures, gen_random_laminar, gen_random_renamable, oracle_count
+from vcspkit.testkit import fixtures, oracle_count
 
 C = Cost
 BOOL = ("0", "1")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import gen_random_crossfree, gen_random_laminar
 from vcspkit.costs import Cost, INF, ZERO
 from vcspkit.errors import BudgetExceeded, GenerationError
 from vcspkit.formats import serialize_instance
@@ -14,8 +15,6 @@ from vcspkit.testkit import (
     gen_maxcut,
     gen_nested_gcc,
     gen_profile,
-    gen_random_crossfree,
-    gen_random_laminar,
     gen_soft_gcc,
     oracle_binary,
     oracle_count,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import pair_cost
 from vcspkit.costs import Cost, INF, ONE, ZERO
 from vcspkit.errors import ClassViolation
 from vcspkit.instances import BinaryInstance
@@ -142,9 +143,9 @@ def test_profile_witnesses_reclassify():
     prof = profile(inst, Scheme.CSP)
     for tt, (i, a, j, b, k, c) in prof.witnesses.items():
         triple = (
-            inst.pair_cost(i, a, j, b),
-            inst.pair_cost(i, a, k, c),
-            inst.pair_cost(j, b, k, c),
+            pair_cost(inst, i, a, j, b),
+            pair_cost(inst, i, a, k, c),
+            pair_cost(inst, j, b, k, c),
         )
         assert classify_triple(triple, Scheme.CSP) == tt
 
@@ -235,9 +236,9 @@ def _reference_triangles(inst):
                     for b in range(len(inst.domains[j])):
                         for c in range(len(inst.domains[k])):
                             triple = (
-                                inst.pair_cost(i, a, j, b),
-                                inst.pair_cost(i, a, k, c),
-                                inst.pair_cost(j, b, k, c),
+                                pair_cost(inst, i, a, j, b),
+                                pair_cost(inst, i, a, k, c),
+                                pair_cost(inst, j, b, k, c),
                             )
                             yield (i, a, j, b, k, c), triple
 
@@ -266,7 +267,7 @@ def _reference_profile(inst, scheme):
     if error is not None:
         return error
     costs = [
-        inst.pair_cost(i, a, j, b)
+        pair_cost(inst, i, a, j, b)
         for i in range(inst.n)
         for j in range(i + 1, inst.n)
         for a in range(len(inst.domains[i]))
@@ -390,7 +391,7 @@ def _reference_scan(inst):
     values = tuple(sorted(costs))
     rank = {x: r for r, x in enumerate(values)}
     table = {
-        (i, j): [[rank[inst.pair_cost(i, a, j, b)] for b in range(sizes[j])] for a in range(sizes[i])]
+        (i, j): [[rank[pair_cost(inst, i, a, j, b)] for b in range(sizes[j])] for a in range(sizes[i])]
         for i, j in itertools.combinations(range(n), 2)
     }
     first, triples = {}, {}
