@@ -15,17 +15,6 @@ import argparse
 import sys
 
 from . import __version__
-from .binary_solvers import dispatch
-from .cfc import (
-    CROSS_FREE,
-    LAMINAR,
-    _require_convex,
-    _solve_forest,
-    build_laminar_forest,
-    check_family,
-    first_nonconvex_set,
-    forest_to_dot,
-)
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -34,15 +23,19 @@ from .errors import (
     GenerationError,
     InstanceError,
 )
-from .flow import network_to_dot
 from .formats import (
     dumps,
     parse_instance,
     serialize_instance,
 )
 from .instances import BinaryInstance, CountInstance
-from .renaming import recognize_renamable, solve_renaming
-from .triangles import Scheme, check_jwp, profile_report
+
+# Each command imports the modules it runs, so a process loads (and, without
+# cached bytecode, compiles) only those.
+
+# the values of triangles.Scheme, spelled out so that building the parser
+# imports no triangles; a test pins the two together
+SCHEMES = ("csp", "maxcsp", "order", "min0", "maxm")
 
 NAMED_GRAPHS = {
     "k3": (3, [(0, 1), (0, 2), (1, 2)]),
@@ -78,6 +71,11 @@ def _load(path, want=None):
     return inst
 
 
+def _require_at_least(option, value, least):
+    if value < least:
+        raise FormatError(f"{option} must be at least {least}, got {value}")
+
+
 def _parse_graph(args):
     if args.named:
         return NAMED_GRAPHS[args.named]
@@ -85,6 +83,7 @@ def _parse_graph(args):
         raise FormatError("either --named or --edges is required")
     edges = []
     vertices = args.vertices or 0
+    _require_at_least("--vertices", vertices, 0)
     if args.edges.strip():
         for part in args.edges.split(","):
             try:
@@ -98,12 +97,17 @@ def _parse_graph(args):
 
 
 def cmd_classify(args):
+    from .triangles import Scheme, profile_report
+
     inst = _load(args.file, BinaryInstance)
     _emit(profile_report(inst, Scheme(args.scheme)))
     return 0
 
 
 def cmd_solve(args):
+    from .binary_solvers import dispatch
+
+    _require_at_least("--oracle-budget", args.oracle_budget, 0)
     inst = _load(args.file, BinaryInstance)
     result = dispatch(inst, oracle_budget=args.oracle_budget)
     _emit(result.to_doc())
@@ -111,6 +115,9 @@ def cmd_solve(args):
 
 
 def cmd_solve_cfc(args):
+    from .cfc import _require_convex, _solve_forest, build_laminar_forest, forest_to_dot
+    from .flow import network_to_dot
+
     inst = _load(args.file, CountInstance)
     _require_convex(inst)
     forest = build_laminar_forest(inst)
@@ -133,6 +140,8 @@ def cmd_check(args):
     prop = args.property
     doc = {"property": prop}
     if prop == "jwp":
+        from .triangles import check_jwp
+
         if not isinstance(inst, BinaryInstance):
             raise FormatError("the jwp check applies to binary instances")
         holds, witness = check_jwp(inst)
@@ -140,6 +149,8 @@ def cmd_check(args):
         if witness is not None:
             doc["witness"] = list(witness)
     elif prop == "convex":
+        from .cfc import first_nonconvex_set
+
         if not isinstance(inst, CountInstance):
             raise FormatError("the convex check applies to count instances")
         bad = first_nonconvex_set(inst)
@@ -147,6 +158,8 @@ def cmd_check(args):
             doc["witness"] = {"set": bad[0], "count": bad[1]}
         doc["holds"] = bad is None
     else:
+        from .cfc import CROSS_FREE, LAMINAR, check_family
+
         if not isinstance(inst, CountInstance):
             raise FormatError("family checks apply to count instances")
         kind, witness = check_family([a.members for a in inst.sets], inst.universe())
@@ -166,6 +179,8 @@ def cmd_check(args):
 
 
 def cmd_rename(args):
+    from .renaming import recognize_renamable, solve_renaming
+
     inst = _load(args.file, CountInstance)
     ren = recognize_renamable(inst)
     if ren is None:
@@ -181,10 +196,12 @@ def cmd_rename(args):
 
 
 def cmd_gen(args):
-    from . import testkit  # imported only by the two commands that use it
+    from . import testkit
+    from .triangles import Scheme
 
-    if args.kind in ("profile", "soft-gcc", "nested-gcc") and args.n < 1:
-        raise FormatError(f"--n must be at least 1, got {args.n}")
+    if args.kind in ("profile", "soft-gcc", "nested-gcc"):
+        _require_at_least("--n", args.n, 1)
+        _require_at_least("--d", args.d, 1)
     if args.kind == "profile":
         inst = testkit.gen_profile(
             args.n, args.d, frozenset(args.types.split(",")), Scheme(args.scheme), args.seed
@@ -237,6 +254,7 @@ def _parse_groups(spec):
 def cmd_oracle(args):
     from . import testkit
 
+    _require_at_least("--budget", args.budget, 0)
     inst = _load(args.file)
     if isinstance(inst, BinaryInstance):
         result = testkit.oracle_binary(inst, budget=args.budget)
@@ -267,8 +285,7 @@ def build_parser():
 
     p = sub.add_parser("classify", help="triangle profile and dichotomy verdict")
     p.add_argument("file")
-    p.add_argument("--scheme", required=True,
-                   choices=[s.value for s in Scheme])
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="dispatch a binary instance to its class solver")
@@ -300,7 +317,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--types", default="=", help="comma-separated target types")
-    p.add_argument("--scheme", default="order", choices=[s.value for s in Scheme])
+    p.add_argument("--scheme", default="order", choices=SCHEMES)
     p.add_argument("--named", choices=sorted(NAMED_GRAPHS))
     p.add_argument("--edges", help="comma-separated edges like 0-1,1-2")
     p.add_argument("--vertices", type=int)

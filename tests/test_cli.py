@@ -248,6 +248,74 @@ def test_cli_import_leaves_testkit_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+_BASE_MODULES = {"vcspkit", "vcspkit.cli", "vcspkit.costs", "vcspkit.errors",
+                 "vcspkit.formats", "vcspkit.instances", "vcspkit.results"}
+_BINARY_MODULES = {"vcspkit.binary_solvers", "vcspkit.matching", "vcspkit.triangles"}
+_COUNT_MODULES = {"vcspkit.cfc", "vcspkit.flow", "vcspkit.renaming"}
+
+_LIST_MODULES = """
+import json, sys, vcspkit.cli
+try:
+    code = vcspkit.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("vcspkit"))]))
+"""
+
+
+def _run_and_list_modules(*args):
+    """The exit code of one command and the vcspkit modules its process loaded."""
+    proc = subprocess.run([sys.executable, "-c", _LIST_MODULES, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+@pytest.mark.parametrize("args, runs, unloaded", [
+    (("classify", "BINARY", "--scheme", "maxm"), "vcspkit.triangles",
+     _COUNT_MODULES | {"vcspkit.binary_solvers", "vcspkit.matching", "vcspkit.testkit"}),
+    (("check", "BINARY", "--property", "jwp"), "vcspkit.triangles",
+     _COUNT_MODULES | {"vcspkit.binary_solvers", "vcspkit.matching", "vcspkit.testkit"}),
+    (("solve", "BINARY"), "vcspkit.binary_solvers", _COUNT_MODULES | {"vcspkit.testkit"}),
+    (("solve-cfc", str(FIXTURES / "pair-grid.json")), "vcspkit.cfc",
+     _BINARY_MODULES | {"vcspkit.testkit"}),
+    (("rename", str(FIXTURES / "maxsat-overlap.json")), "vcspkit.renaming",
+     _BINARY_MODULES | {"vcspkit.testkit"}),
+    (("check", str(FIXTURES / "pair-grid.json"), "--property", "laminar"), "vcspkit.cfc",
+     _BINARY_MODULES | {"vcspkit.testkit"}),
+    (("check", str(FIXTURES / "maxsat-overlap.json"), "--property", "crossfree"), "vcspkit.cfc",
+     _BINARY_MODULES | {"vcspkit.testkit"}),
+    (("check", str(FIXTURES / "pair-grid.json"), "--property", "convex"), "vcspkit.cfc",
+     _BINARY_MODULES | {"vcspkit.testkit"}),
+], ids=["classify", "check-jwp", "solve", "solve-cfc", "rename", "check-laminar",
+        "check-crossfree", "check-convex"])
+def test_command_loads_only_its_modules(args, runs, unloaded, in_class_binary):
+    code, modules = _run_and_list_modules(
+        *(in_class_binary if a == "BINARY" else a for a in args))
+    assert code == 0
+    assert runs in modules
+    assert not modules & unloaded, sorted(modules & unloaded)
+
+
+@pytest.mark.parametrize("args, code", [
+    (("--version",), 0),
+    (("--help",), 0),
+    (("classify", "--help"), 0),
+    (("classify", "x", "--scheme", "bad"), 2),
+    (("frobnicate",), 2),
+], ids=["version", "help", "classify-help", "bad-scheme", "unknown-command"])
+def test_parser_loads_only_the_base_package(args, code):
+    assert _run_and_list_modules(*args) == (code, _BASE_MODULES)
+
+
+def test_parser_schemes_are_the_scheme_values():
+    from vcspkit import cli
+    from vcspkit.triangles import Scheme
+
+    assert cli.SCHEMES == tuple(s.value for s in Scheme)
+
+
 def test_class_violation_exits_four():
     proc = run_cli("solve-cfc", str(FIXTURES / "maxsat-overlap.json"))
     assert proc.returncode == 4
@@ -301,6 +369,33 @@ def test_gen_malformed_flag_exits_three(args):
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"]["kind"] == "format"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def in_class_binary(tmp_path_factory):
+    """A binary instance that `solve` sends to a class solver, not the oracle."""
+    from vcspkit import serialize_instance
+    from vcspkit.testkit import gen_profile
+    from vcspkit.triangles import Scheme
+
+    path = tmp_path_factory.mktemp("binary") / "wm.json"
+    path.write_text(serialize_instance(gen_profile(5, 2, {">M", "M"}, Scheme.MAXM, 4)))
+    return str(path)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("gen", "soft-gcc", "--n", "3", "--d", "-1"), "--d must be at least 1, got -1"),
+    (("gen", "maxcut", "--edges", "0-1", "--vertices", "-3"),
+     "--vertices must be at least 0, got -3"),
+    (("oracle", str(FIXTURES / "pair-grid.json"), "--budget", "-1"),
+     "--budget must be at least 0, got -1"),
+    (("solve", "BINARY", "--oracle-budget", "-1"), "--oracle-budget must be at least 0, got -1"),
+], ids=["gen-d", "gen-vertices", "oracle-budget", "solve-oracle-budget"])
+def test_invalid_numeric_option_exits_three(args, message, in_class_binary):
+    proc = run_cli(*(in_class_binary if a == "BINARY" else a for a in args))
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {"error": {"kind": "format", "message": message}}
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_gen_soft_gcc_defaults_cycle_bounds_and_solve():
@@ -373,7 +468,6 @@ def test_rename_recognises_once(monkeypatch, capsys):
         return original(inst)
 
     # patched where the command binds it and where the library binds it
-    monkeypatch.setattr(cli, "recognize_renamable", counted)
     monkeypatch.setattr(renaming, "recognize_renamable", counted)
     for name, expected in _RENAME_STDOUT.items():
         calls.clear()
