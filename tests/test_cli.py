@@ -248,6 +248,18 @@ def test_cli_import_leaves_testkit_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.fixture(scope="module")
+def in_class_binary(tmp_path_factory):
+    """A binary instance that `solve` sends to a class solver, not the oracle."""
+    from vcspkit import serialize_instance
+    from vcspkit.testkit import gen_profile
+    from vcspkit.triangles import Scheme
+
+    path = tmp_path_factory.mktemp("binary") / "wm.json"
+    path.write_text(serialize_instance(gen_profile(5, 2, {">M", "M"}, Scheme.MAXM, 4)))
+    return str(path)
+
+
 _BASE_MODULES = {"vcspkit", "vcspkit.cli", "vcspkit.costs", "vcspkit.errors",
                  "vcspkit.formats", "vcspkit.instances", "vcspkit.results"}
 _BINARY_MODULES = {"vcspkit.binary_solvers", "vcspkit.matching", "vcspkit.triangles"}
@@ -369,18 +381,6 @@ def test_gen_malformed_flag_exits_three(args):
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"]["kind"] == "format"
     assert "Traceback" not in proc.stderr
-
-
-@pytest.fixture(scope="module")
-def in_class_binary(tmp_path_factory):
-    """A binary instance that `solve` sends to a class solver, not the oracle."""
-    from vcspkit import serialize_instance
-    from vcspkit.testkit import gen_profile
-    from vcspkit.triangles import Scheme
-
-    path = tmp_path_factory.mktemp("binary") / "wm.json"
-    path.write_text(serialize_instance(gen_profile(5, 2, {">M", "M"}, Scheme.MAXM, 4)))
-    return str(path)
 
 
 @pytest.mark.parametrize("args, message", [
