@@ -10,7 +10,10 @@ runs successive shortest augmenting paths with node potentials over unit
 steps with non-decreasing costs.  Units with negative marginal cost are
 saturated up front (their removal stays available through residual arcs),
 which keeps every residual cost non-negative from the start, even on cyclic
-networks.  The final cost is re-read from the original tables.
+networks.  Each phase's Dijkstra settles the nodes reached at the current
+distance from a plain stack and heaps only the farther ones; a phase whose
+sink lies at reduced distance 0 leaves the potentials as they are.  The
+final cost is re-read from the original tables.
 """
 
 from __future__ import annotations
@@ -87,6 +90,10 @@ class FlowNetwork:
                 raise InstanceError(f"node {node} outside range")
         if self.value < 0:
             raise InstanceError("required flow value must be non-negative")
+        if self.value > 0 and self.source == self.sink:
+            raise InstanceError(
+                f"source and sink are both node {self.source}; a positive value cannot flow"
+            )
         for arc in self.arcs:
             for node in (arc.tail, arc.head):
                 if not (0 <= node < self.num_nodes):
@@ -125,15 +132,21 @@ def min_convex_cost_flow(net: FlowNetwork):
 
     Successive shortest paths in primal-dual form: one Dijkstra per phase
     establishes node potentials, then depth-first search pushes blocks of
-    units along zero-reduced-cost paths until none remain.  Pushes never
-    cross a marginal-cost breakpoint, which keeps all residual reduced
-    costs non-negative.  Each cost function is scaled to the network
-    denominator and cut into constant-slope segments once per call, shared
-    by the arcs that carry it.  Residual arc a has two slots in one flat
-    list: ``rc[2a]`` is the integer cost of pushing one more unit and
-    ``rc[2a + 1]`` that of cancelling one (None when the arc is saturated,
-    respectively empty); only the arcs of an augmenting path change them.
-    Each node's adjacency holds ``(slot, other end)`` pairs.
+    units along zero-reduced-cost paths until none remain.  The Dijkstra
+    keeps the nodes reached at exactly the distance being settled on a stack
+    that it empties before popping the heap, so zero-cost ties never touch
+    the heap; it stops when the sink is settled.  The order in which ties
+    settle changes no potential: a node at true distance below the sink's
+    distance d_t gains that distance, every other node gains d_t.  When d_t
+    is 0 the potentials stay as they are and the phase only restarts the
+    search pointers.  Pushes never cross a marginal-cost breakpoint, which
+    keeps all residual reduced costs non-negative.  Each cost function is
+    scaled to the network denominator and cut into constant-slope segments
+    once per call, shared by the arcs that carry it.  Residual arc a has two
+    slots in one flat list: ``rc[2a]`` is the integer cost of pushing one
+    more unit and ``rc[2a + 1]`` that of cancelling one (None when the arc
+    is saturated, respectively empty); only the arcs of an augmenting path
+    change them.  Each node's adjacency holds ``(slot, other end)`` pairs.
     """
     n_arcs = len(net.arcs)
     denom = lcm(*(arc.den for arc in net.arcs))
@@ -209,14 +222,18 @@ def min_convex_cost_flow(net: FlowNetwork):
 
     while pushed < target:
         # Dijkstra over residual reduced costs; None marks an unreached node
+        # and ``ties`` holds the nodes reached at the distance d being settled
         dist = [None] * num_nodes
         dist[s_node] = 0
-        heap = [(0, s_node)]
+        d, ties, heap = 0, [s_node], []
         done = [False] * num_nodes
-        while heap:
-            d, x = heapq.heappop(heap)
-            if done[x]:
-                continue
+        while ties or heap:
+            if ties:
+                x = ties.pop()
+            else:
+                d, x = heapq.heappop(heap)
+                if done[x]:
+                    continue
             done[x] = True
             if x == t_node:
                 break
@@ -231,15 +248,19 @@ def min_convex_cost_flow(net: FlowNetwork):
                 dy = dist[y]
                 if dy is None or nd < dy:
                     dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
+                    if nd == d:
+                        ties.append(y)
+                    else:
+                        heapq.heappush(heap, (nd, y))
         d_t = dist[t_node]
         if d_t is None:
             return Infeasible(
                 _infeasibility_witness(net, tails, heads, caps, flows, s_node, n_arcs)
             )
-        for x in range(num_nodes):
-            dx = dist[x]
-            pot[x] += d_t if dx is None or dx > d_t else dx
+        if d_t:  # at d_t = 0 every potential would gain min(dist, 0) = 0
+            for x in range(num_nodes):
+                dx = dist[x]
+                pot[x] += d_t if dx is None or dx > d_t else dx
         # phase: depth-first blocks along zero-reduced-cost admissible arcs
         ptr = [0] * num_nodes
         while pushed < target:

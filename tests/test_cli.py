@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -7,7 +8,13 @@ import pytest
 
 from vcspkit import __version__
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+# child processes import the checkout's package, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args, stdin=None):
@@ -16,6 +23,7 @@ def run_cli(*args, stdin=None):
         capture_output=True,
         text=True,
         input=stdin,
+        env=CHILD_ENV,
     )
     return proc
 
@@ -231,6 +239,7 @@ def test_cli_import_leaves_networkx_unloaded():
          "import sys, vcspkit.cli; print('networkx' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
@@ -243,6 +252,7 @@ def test_cli_import_leaves_testkit_unloaded():
          "import sys, vcspkit.cli; print('vcspkit.testkit' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
@@ -278,7 +288,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("vcspkit")
 def _run_and_list_modules(*args):
     """The exit code of one command and the vcspkit modules its process loaded."""
     proc = subprocess.run([sys.executable, "-c", _LIST_MODULES, *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     return code, set(modules)

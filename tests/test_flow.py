@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import networkx as nx
 import pytest
 
 from helpers import enumerate_feasible_flows, gen_random_network, oracle_flow
+from vcspkit.cfc import build_laminar_forest, build_network
 from vcspkit.costs import Cost, INF, ZERO, cost_sum
 from vcspkit.errors import InstanceError
 from vcspkit.flow import (
@@ -17,6 +19,7 @@ from vcspkit.flow import (
     network_to_dot,
 )
 from vcspkit.instances import CountFunction
+from vcspkit.testkit import gen_full_laminar_tree
 
 C = Cost
 
@@ -82,6 +85,14 @@ def test_malformed_arcs_rejected():
         Arc(0, 1, 0, 2, CountFunction((ZERO, C(2), C(3))))
     with pytest.raises(InstanceError):  # finite outside the window
         Arc(0, 1, 1, 2, CountFunction((ZERO, ZERO, ZERO)))
+
+
+def test_source_equal_to_sink_rejected_for_positive_value():
+    arcs = (Arc(0, 1, 0, 1, CountFunction((ZERO, ZERO))),)
+    with pytest.raises(InstanceError, match="source and sink"):
+        FlowNetwork(2, 0, 0, 1, arcs)
+    out = min_convex_cost_flow(FlowNetwork(2, 0, 0, 0, arcs))
+    assert out == Flow((0,), ZERO)
 
 
 def test_infeasible_demand():
@@ -166,6 +177,53 @@ def test_fractional_costs_match_enumeration_oracle():
     assert min(seen["negative"], seen["lo > 0"], seen["fractional"]) >= 50
 
 
+def _tie_network(rng):
+    """Small random network around a zero-cost cycle whose arc slopes are all
+    0, or all 0 then 1: most reduced costs in the Dijkstra tie at zero."""
+    num_nodes = rng.randint(2, 6)
+    value = rng.randint(0, 3)
+    cycle = rng.sample(range(num_nodes), rng.randint(2, num_nodes))
+    arcs = [Arc(u, v, 0, 2, CountFunction((ZERO, ZERO, ZERO)))
+            for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    zero_slopes = rng.random() < 0.5
+    for _ in range(rng.randint(1, 6)):
+        tail, head = rng.sample(range(num_nodes), 2)
+        hi = rng.randint(1, 3)
+        lo = rng.randint(1, hi) if rng.random() < 0.3 else 0
+        flat = hi - lo if zero_slopes else rng.randint(0, hi - lo)
+        base = rng.randint(0, 2)
+        table = [INF] * lo + [C(base + max(0, k - flat)) for k in range(hi - lo + 1)]
+        arcs.append(Arc(tail, head, lo, hi, CountFunction(tuple(table))))
+    return FlowNetwork(num_nodes, 0, num_nodes - 1, value, tuple(arcs))
+
+
+def test_tie_heavy_networks_match_enumeration_oracle():
+    rng = random.Random(2024)
+    seen = {"value 0": 0, "value > 0": 0, "infeasible": 0}
+    for _ in range(300):
+        net = _tie_network(rng)
+        got = min_convex_cost_flow(net)
+        want = oracle_flow(net)
+        if want is None:
+            seen["infeasible"] += 1
+            assert isinstance(got, Infeasible)
+            continue
+        seen["value 0" if net.value == 0 else "value > 0"] += 1
+        assert isinstance(got, Flow)
+        assert got.total == want[1]
+        balance = [0] * net.num_nodes
+        for arc, f in zip(net.arcs, got.amounts):
+            assert arc.lo <= f <= arc.hi
+            balance[arc.tail] -= f
+            balance[arc.head] += f
+        assert balance[net.sink] == net.value == -balance[net.source]
+        assert all(b == 0 for x, b in enumerate(balance) if x not in (net.source, net.sink))
+        assert got.total == cost_sum(
+            arc.cost.table[f] for arc, f in zip(net.arcs, got.amounts)
+        )
+    assert min(seen.values()) >= 20
+
+
 def test_arc_keeps_integer_slopes():
     half, third = Fraction(1, 2), Fraction(1, 3)
     arc = Arc(0, 1, 1, 3, CountFunction((INF, C(half), C(third), C(1))))
@@ -220,6 +278,29 @@ def test_deterministic_flows():
             assert a.amounts == b.amounts and a.total == b.total
         else:
             assert isinstance(b, Infeasible)
+
+
+# SHA-256 of the flows below as computed before the Dijkstra settled
+# zero-distance ties off the heap.  A change that picks a different optimum
+# must update this constant on purpose.
+_PINNED_FLOWS = "46e2daf0aef07371a2cb36815c2ac82f7592b7fb959f4e0a5b716502e11ade6e"
+
+
+def test_flows_match_pinned_digest():
+    nets = [gen_random_network(seed) for seed in range(2000)]
+    nets += [
+        build_network(build_laminar_forest(gen_full_laminar_tree(n, d, s)))
+        for n, d, s in ((5, 2, 0), (12, 3, 1), (20, 4, 2), (40, 3, 3), (60, 4, 4))
+    ]
+    digest = hashlib.sha256()
+    for net in nets:
+        out = min_convex_cost_flow(net)
+        if isinstance(out, Flow):
+            sig = ("flow", out.amounts, str(out.total), None)
+        else:
+            sig = ("infeasible", None, None, out.witness_arc)
+        digest.update(repr(sig).encode() + b"\n")
+    assert digest.hexdigest() == _PINNED_FLOWS
 
 
 def test_flow_count_enumeration():
