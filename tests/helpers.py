@@ -4,7 +4,9 @@ The references are deliberately independent of the code they check:
 exhaustive flow search (``oracle_flow``, ``enumerate_feasible_flows``),
 exhaustive matching search, a solution-document reader and a pairwise cost
 lookup.  The generators draw seeded random count instances and flow
-networks; the same seed always yields the same instance.  The oracles and
+networks; the same seed always yields the same instance.
+``near_1e17_maxm_instance`` is a fixed instance that floating-point
+matching duals solve wrongly.  The oracles and
 generators that the command line uses live in ``vcspkit.testkit``.
 """
 
@@ -23,7 +25,7 @@ from vcspkit.formats import (
     _load_json,
     _parse_cost_at,
 )
-from vcspkit.instances import AssignmentSet, CountFunction, CountInstance
+from vcspkit.instances import AssignmentSet, BinaryInstance, CountFunction, CountInstance
 from vcspkit.matching import MatchingGraph
 from vcspkit.renaming import rename_set
 from vcspkit.testkit import _domains
@@ -91,6 +93,24 @@ def brute_force_max_weight_matching(g: MatchingGraph):
 
     extend(0, set(), ZERO, [])
     return best[1], best[0]
+
+
+def near_1e17_maxm_instance() -> BinaryInstance:
+    """Four Boolean variables in the MAXM cell {>M, M}, M = 10^17 + 8: every
+    pair table is M but for one entry on each pair of the cycle 0-1-3-2,
+    2 on (0, 1), 1 on (0, 2), 0 on (1, 3) and (2, 3).  The least cost is
+    400000000000000033; floating-point matching duals give ...34."""
+    m = 10**17 + 8
+    low = {(0, 1): (0, 0, 2), (0, 2): (1, 0, 1), (1, 3): (1, 0, 0), (2, 3): (1, 1, 0)}
+    binary = {}
+    for i in range(4):
+        for j in range(i + 1, 4):
+            table = [[Cost(m)] * 2 for _ in range(2)]
+            if (i, j) in low:
+                a, b, c = low[i, j]
+                table[a][b] = Cost(c)
+            binary[i, j] = table
+    return BinaryInstance.build([["0", "1"]] * 4, binary=binary)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import near_1e17_maxm_instance
 from vcspkit import binary_solvers, triangles
 from vcspkit.binary_solvers import (
     dispatch,
@@ -245,6 +246,14 @@ def test_dispatch_routes_to_weighted_matching():
     inst = gen_profile(5, 3, {">M", "M"}, Scheme.MAXM, seed=6)
     res = dispatch(inst)
     assert res.solver == "weighted-matching"
+
+
+def test_dispatch_weighted_matching_exact_near_1e17():
+    inst = near_1e17_maxm_instance()
+    res = dispatch(inst)
+    assert res.solver == "weighted-matching"
+    assert res.cost == C(400000000000000033) == oracle_binary(inst).cost
+    assert res.certificate["matching"] == [[0, 2], [1, 3]]
 
 
 def test_dispatch_falls_back_to_oracle_on_jwp_cells():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from helpers import near_1e17_maxm_instance
 from vcspkit import __version__
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -233,16 +235,55 @@ def test_rename_rejects_non_convex_count_function():
     assert err["witness"] == [1, 0]
 
 
-def test_cli_import_leaves_networkx_unloaded():
+_SOLVE_AND_LIST_NETWORKX = """
+import contextlib, io, json, sys, vcspkit.cli
+loaded = ["networkx" in sys.modules]
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        vcspkit.cli.main(["solve", path])
+    loaded.append([json.loads(out.getvalue())["solver"], "networkx" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_import_leaves_networkx_unloaded(matching_binary, in_class_binary):
+    # neither the import nor `solve` on either matching route loads networkx
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, vcspkit.cli; print('networkx' in sys.modules)"],
+        [sys.executable, "-c", _SOLVE_AND_LIST_NETWORKX, matching_binary, in_class_binary],
         capture_output=True,
         text=True,
         env=CHILD_ENV,
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == [
+        False, ["matching-cardinality", False], ["weighted-matching", False]]
+
+
+def test_no_source_file_imports_networkx():
+    sources = sorted((ROOT / "src" / "vcspkit").rglob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "networkx" for name in names), path
+
+
+def test_solve_near_1e17_maxm_is_exact(tmp_path):
+    from vcspkit import serialize_instance
+
+    path = tmp_path / "maxm.json"
+    path.write_text(serialize_instance(near_1e17_maxm_instance()))
+    proc = run_cli("solve", str(path))
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["solver"] == "weighted-matching"
+    assert doc["cost"] == "400000000000000033"
 
 
 def test_cli_import_leaves_testkit_unloaded():
@@ -270,6 +311,18 @@ def in_class_binary(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def matching_binary(tmp_path_factory):
+    """A binary instance that `solve` sends to the matching-cardinality route."""
+    from vcspkit import serialize_instance
+    from vcspkit.testkit import gen_profile
+    from vcspkit.triangles import Scheme
+
+    path = tmp_path_factory.mktemp("binary") / "mc.json"
+    path.write_text(serialize_instance(gen_profile(5, 2, {">", "1"}, Scheme.MAXCSP, 0)))
+    return str(path)
+
+
 _BASE_MODULES = {"vcspkit", "vcspkit.cli", "vcspkit.costs", "vcspkit.errors",
                  "vcspkit.formats", "vcspkit.instances", "vcspkit.results"}
 _BINARY_MODULES = {"vcspkit.binary_solvers", "vcspkit.matching", "vcspkit.triangles"}
@@ -281,12 +334,13 @@ try:
     code = vcspkit.cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("vcspkit"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("vcspkit", "networkx"))]))
 """
 
 
 def _run_and_list_modules(*args):
-    """The exit code of one command and the vcspkit modules its process loaded."""
+    """The exit code of one command and the vcspkit and networkx modules its
+    process loaded."""
     proc = subprocess.run([sys.executable, "-c", _LIST_MODULES, *args],
                           capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
@@ -300,6 +354,7 @@ def _run_and_list_modules(*args):
     (("check", "BINARY", "--property", "jwp"), "vcspkit.triangles",
      _COUNT_MODULES | {"vcspkit.binary_solvers", "vcspkit.matching", "vcspkit.testkit"}),
     (("solve", "BINARY"), "vcspkit.binary_solvers", _COUNT_MODULES | {"vcspkit.testkit"}),
+    (("solve", "MATCHING"), "vcspkit.matching", _COUNT_MODULES | {"vcspkit.testkit"}),
     (("solve-cfc", str(FIXTURES / "pair-grid.json")), "vcspkit.cfc",
      _BINARY_MODULES | {"vcspkit.testkit"}),
     (("rename", str(FIXTURES / "maxsat-overlap.json")), "vcspkit.renaming",
@@ -310,13 +365,14 @@ def _run_and_list_modules(*args):
      _BINARY_MODULES | {"vcspkit.testkit"}),
     (("check", str(FIXTURES / "pair-grid.json"), "--property", "convex"), "vcspkit.cfc",
      _BINARY_MODULES | {"vcspkit.testkit"}),
-], ids=["classify", "check-jwp", "solve", "solve-cfc", "rename", "check-laminar",
+], ids=["classify", "check-jwp", "solve", "solve-matching-cardinality", "solve-cfc", "rename", "check-laminar",
         "check-crossfree", "check-convex"])
-def test_command_loads_only_its_modules(args, runs, unloaded, in_class_binary):
-    code, modules = _run_and_list_modules(
-        *(in_class_binary if a == "BINARY" else a for a in args))
+def test_command_loads_only_its_modules(args, runs, unloaded, in_class_binary, matching_binary):
+    inputs = {"BINARY": in_class_binary, "MATCHING": matching_binary}
+    code, modules = _run_and_list_modules(*(inputs.get(a, a) for a in args))
     assert code == 0
     assert runs in modules
+    unloaded = unloaded | {"networkx"}
     assert not modules & unloaded, sorted(modules & unloaded)
 
 

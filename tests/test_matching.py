@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_max_weight_matching
-from vcspkit.costs import Cost
+from vcspkit import matching as matching_module
+from vcspkit.costs import Cost, scale_tables
 from vcspkit.errors import InstanceError
 from vcspkit.matching import (
     MatchingGraph,
     max_weight_matching,
 )
+
+NEAR_1E17 = 10**17
 
 
 def test_single_edge():
@@ -62,3 +67,113 @@ def test_cardinality_special_case():
     matching, total = max_weight_matching(g)
     assert len(matching) == 3
     assert total == Cost(3)
+
+
+def test_weights_near_1e17_are_exact():
+    # floating-point duals pick {(0, 1), (2, 3)}, one short of the optimum
+    g = MatchingGraph(4, ((0, 1, Cost(NEAR_1E17 + 6)), (0, 2, Cost(NEAR_1E17 + 7)),
+                          (1, 3, Cost(NEAR_1E17 + 8)), (2, 3, Cost(NEAR_1E17 + 8))))
+    matching, total = max_weight_matching(g)
+    assert matching == {(0, 2), (1, 3)}
+    assert total == Cost(2 * NEAR_1E17 + 15)
+
+
+@st.composite
+def _graphs(draw, max_nodes=10):
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.one_of(
+        st.fractions(min_value=0, max_value=30, max_denominator=7).map(Cost),
+        st.integers(0, 12).map(lambda k: Cost(NEAR_1E17 + k)),
+    )
+    return MatchingGraph(n, tuple((u, v, draw(weight)) for u, v in chosen))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_total_matches_brute_force(g):
+    matching, total = max_weight_matching(g)
+    ends = [v for e in matching for v in e]
+    assert len(ends) == len(set(ends))
+    weights = {(min(u, v), max(u, v)): w for u, v, w in g.edges}
+    assert sum((weights[e] for e in matching), Cost(0)) == total
+    assert total == brute_force_max_weight_matching(g)[1]
+
+
+def _networkx_matching(g):
+    """networkx's matching of g, fed the integer-scaled weights so that it
+    takes its exact integer path."""
+    _, ((ints,),) = scale_tables([[(w for _, _, w in g.edges)]])
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.num_vertices))
+    for (u, v, _), w in zip(g.edges, ints):
+        graph.add_edge(u, v, weight=w)
+    return {(min(u, v), max(u, v)) for u, v in nx.max_weight_matching(graph)}
+
+
+def test_same_matching_as_networkx():
+    # same matching, not only the same total: ties break as networkx breaks
+    # them, which keeps the `matching` certificate of solve documents
+    rng = random.Random(19)
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        density = rng.random()
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        rng.shuffle(pairs)
+        kind = rng.randrange(4)
+        edges = []
+        for u, v in pairs:
+            if kind == 0:  # many ties
+                w = Cost(rng.randint(0, 3))
+            elif kind == 1:
+                w = Cost(Fraction(rng.randint(0, 30), rng.randint(1, 6)))
+            elif kind == 2:
+                w = Cost(NEAR_1E17 + rng.randint(0, 10))
+            else:
+                w = Cost(1)
+            edges.append((u, v, w))
+        g = MatchingGraph(n, tuple(edges))
+        assert max_weight_matching(g)[0] == _networkx_matching(g)
+
+
+def _tampered_certify(tamper):
+    certify = matching_module._certify
+
+    def run(adj, mate, dualvar, blossomparent, blossomdual):
+        tamper(adj, mate, dualvar, blossomdual)
+        return certify(adj, mate, dualvar, blossomparent, blossomdual)
+
+    return run
+
+
+def _lower_matched_dual(adj, mate, dualvar, blossomdual):
+    dualvar[min(mate)] -= 2
+
+
+def _raise_single_dual(adj, mate, dualvar, blossomdual):
+    dualvar[min(v for v in range(len(adj)) if v not in mate)] += 2
+
+
+def _drop_matched_edge(adj, mate, dualvar, blossomdual):
+    v = min(mate)
+    del mate[mate.pop(v)]
+
+
+def _lower_blossom_dual(adj, mate, dualvar, blossomdual):
+    for b in blossomdual:
+        blossomdual[b] -= 1
+
+
+@pytest.mark.parametrize("tamper", [
+    _lower_matched_dual, _raise_single_dual, _drop_matched_edge, _lower_blossom_dual,
+])
+def test_certificate_rejects_tampered_duals(monkeypatch, tamper):
+    # the duals that prove a triangle's one edge maximum are a blossom's
+    g = MatchingGraph(3, ((0, 1, Cost(4)), (1, 2, Cost(4)), (0, 2, Cost(4))))
+    matching, total = max_weight_matching(g)
+    assert len(matching) == 1 and total == Cost(4)
+    monkeypatch.setattr(matching_module, "_certify", _tampered_certify(tamper))
+    with pytest.raises(InstanceError, match="optimality check"):
+        max_weight_matching(g)
