@@ -5,8 +5,10 @@ cells in ``triangles._SOLVER_CELLS``, and nothing the cell already implies
 (matching-cardinality: no assignment zero-pairs with two variables;
 weighted-matching: no assignment is below the maximum M in two tables, and
 no pair minimum exceeds M; min0-structure: mu is 0 when a table is absent).
-The solvers that add or compare costs (sac, lr, min0-structure,
-weighted-matching) read the instance's integer costs
+The two matching routes are one reduction, ``_matching_route``, under two
+preconditions: matching-cardinality is the cell {>, 1} with {0, 1} unaries
+and M = 1, weighted-matching the cell {>M, M} with its M.  The solvers that
+add or compare costs (all but trivial) read the instance's integer costs
 (``BinaryInstance.integer_costs``: every finite cost times one common
 denominator, None for inf) and make a ``Cost`` only of what they report.
 Every SolveResult's assignment is re-evaluated on the ``Cost`` tables by
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .costs import ONE, Cost, INF, ZERO
+from .costs import INF
 from .errors import DEFAULT_BUDGET, ClassViolation, InstanceError
 from .instances import BinaryInstance, evaluate_binary
 from .matching import MatchingGraph, max_weight_matching
@@ -304,73 +306,65 @@ def _solve_lr(inst, binary=None, one=None):
     return SolveResult(x, ints.cost(total), "lr", cert)
 
 
+def _matching_route(inst, m):
+    """The paper's reduction to maximum-weight matching, for M = ``m`` over
+    ``inst.integer_costs.den``: each variable's least unary is taken out
+    (their sum is the offset), and a pair whose cheapest (a, b) at the
+    reduced unaries costs alpha < M is an edge of weight M - alpha.  Returns
+    the re-evaluated assignment and cost, the sorted matching, its weight
+    and the offset, the last two as ints over the denominator.
+    """
+    ints = inst.integer_costs
+    n = inst.n
+    offset = 0
+    reduced = []  # (unary less the variable's minimum, value), finite ones
+    for table in ints.unary:
+        lo = min(u for u in table if u is not None)
+        offset += lo
+        reduced.append([(u - lo, a) for a, u in enumerate(table) if u is not None])
+    x = [min(r)[1] for r in reduced]
+    edges = []
+    argmins = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            table = ints.binary.get((i, j))
+            alpha, a, b = min(
+                (ua + ub + (0 if table is None else table[a][b]), a, b)
+                for ua, a in reduced[i]
+                for ub, b in reduced[j]
+            )
+            argmins[i, j] = (a, b)
+            if alpha < m:
+                edges.append((i, j, m - alpha))
+    matching, weight = max_weight_matching(MatchingGraph(n, tuple(edges)))
+    for (i, j) in matching:
+        x[i], x[j] = argmins[i, j]
+    x = tuple(x)
+    total = ints.cost(m * (n * (n - 1) // 2) + offset - weight)
+    _check_result(inst, x, total)
+    return x, total, [list(e) for e in sorted(matching)], weight, offset
+
+
 def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveResult:
     """Zero/one instances where cheap pairs form a partial matching.
 
     Every assignment zero-pairs with at most one other variable, so the
-    minimum cost is pairs-minus-maximum-matching on the variable graph.
-    That is not re-tested: zero pairs of (i, a) with j through b and with k
-    through c would make the triangle (i, a), (j, b), (k, c) hold two zeros,
-    a type outside the cell {>, 1}.
+    minimum cost is pairs-minus-maximum-matching on the variable graph, plus
+    one per all-one unary table: the matching reduction with M = 1.  That is
+    not re-tested: zero pairs of (i, a) with j through b and with k through
+    c would make the triangle (i, a), (j, b), (k, c) hold two zeros, a type
+    outside the cell {>, 1}.
     """
     _require_profile(inst, "matching-cardinality", scan)
-    for table in inst.unary:
-        for c in table:
-            if c != ZERO and c != ONE:
-                raise ClassViolation(
-                    f"matching-cardinality: unary cost {c} outside {{0, 1}}"
-                )
-    n = inst.n
-    # unary preprocessing: all-one unary tables add a constant; otherwise
-    # values of unary cost one can be dropped
-    constant = ZERO
-    surviving = []
-    for i in range(n):
-        if all(c == ONE for c in inst.unary[i]):
-            constant = constant + ONE
-            surviving.append(list(range(len(inst.domains[i]))))
-        else:
-            surviving.append([a for a in range(len(inst.domains[i])) if inst.unary[i][a] == ZERO])
-    edges = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            table = inst.binary.get((i, j))
-            for a in surviving[i]:
-                for b in surviving[j]:
-                    if table is None or table[a][b] == ZERO:
-                        edges.setdefault((i, j), (a, b))
-                        break
-                if (i, j) in edges:
-                    break
-    # unit weights: a maximum-weight matching is a maximum-cardinality one
-    matching, _ = max_weight_matching(
-        MatchingGraph(n, tuple((u, v, ONE) for u, v in sorted(edges)))
-    )
-    size = len(matching)
-    x = []
-    mate = {}
-    for (i, j) in matching:
-        mate[i], mate[j] = j, i
-    for i in range(n):
-        if i in mate:
-            j = mate[i]
-            a, b = edges[(min(i, j), max(i, j))]
-            x.append(a if i < j else b)
-        else:
-            x.append(surviving[i][0])
-    total = Cost(n * (n - 1) // 2 - size) + constant
-    res = SolveResult(
-        tuple(x),
-        total,
-        "matching-cardinality",
-        {
-            "matching": [list(e) for e in sorted(matching)],
-            "matching_size": size,
-            "all_one_unary_constant": str(constant),
-        },
-    )
-    _check_result(inst, res.assignment, total)
-    return res
+    ints = inst.integer_costs
+    for u in itertools.chain.from_iterable(ints.unary):
+        if u not in (0, ints.den):
+            raise ClassViolation(
+                f"matching-cardinality: unary cost {ints.cost(u)} outside {{0, 1}}")
+    x, total, matching, _, offset = _matching_route(inst, ints.den)
+    cert = {"matching": matching, "matching_size": len(matching),
+            "all_one_unary_constant": str(ints.cost(offset))}
+    return SolveResult(x, total, "matching-cardinality", cert)
 
 
 def solve_min0_class(inst: BinaryInstance, scan=None) -> SolveResult:
@@ -462,49 +456,13 @@ def solve_weighted_matching_class(inst: BinaryInstance, scan=None) -> SolveResul
     m_val = _require_profile(inst, "weighted-matching", scan).m_value
     ints = inst.integer_costs
     n = inst.n
-    m = int(m_val.value * ints.den)
-    offset = 0
-    reduced = []  # (unary less the variable's minimum, value), finite ones
     for i, table in enumerate(ints.unary):
-        finite = [u for u in table if u is not None]
-        if not finite:
+        if all(u is None for u in table):
             return SolveResult((0,) * n, INF, "weighted-matching", {"wipeout_variable": i})
-        lo = min(finite)
-        offset += lo
-        reduced.append([(u - lo, a) for a, u in enumerate(table) if u is not None])
-    x = [min(r)[1] for r in reduced]
-    edges = []
-    argmins = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            table = ints.binary.get((i, j))
-            alpha, a, b = min(
-                (ua + ub + (0 if table is None else table[a][b]), a, b)
-                for ua, a in reduced[i]
-                for ub, b in reduced[j]
-            )
-            argmins[i, j] = (a, b)
-            if alpha < m:
-                edges.append((i, j, ints.cost(m - alpha)))
-    matching, weight = max_weight_matching(MatchingGraph(n, tuple(edges)))
-    for (i, j) in matching:
-        x[i], x[j] = argmins[i, j]
-    pairs = n * (n - 1) // 2
-    total = ints.cost(m * pairs + offset) - weight
-    res = SolveResult(
-        tuple(x),
-        total,
-        "weighted-matching",
-        {
-            "m_value": str(m_val),
-            "matching": [list(e) for e in sorted(matching)],
-            "matching_weight": str(weight),
-            "unary_offset": str(ints.cost(offset)),
-            "pair_count": pairs,
-        },
-    )
-    _check_result(inst, res.assignment, total)
-    return res
+    x, total, matching, weight, offset = _matching_route(inst, int(m_val.value * ints.den))
+    cert = {"m_value": str(m_val), "matching": matching, "matching_weight": str(ints.cost(weight)),
+            "unary_offset": str(ints.cost(offset)), "pair_count": n * (n - 1) // 2}
+    return SolveResult(x, total, "weighted-matching", cert)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every command writes exactly one JSON document to stdout; human-readable
 diagnostics go to stderr.  Exit codes: 0 success (including infinite-cost
 results), 1 internal error, 2 usage error (a missing argument, an unknown
 command or option: an error document of kind ``usage``, with the usage on
-stderr), 3 input validation error, 4 class or precondition violation,
+stderr), 3 input validation error (an input that cannot be read or an
+output path that cannot be written included), 4 class or precondition violation,
 5 oracle budget exceeded.  ``--help`` and ``--version`` print text, not
 JSON, and exit 0.
 """
@@ -58,6 +59,14 @@ def _read_text(path):
             return handle.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}")
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc.strerror}")
 
 
 def _emit(doc):
@@ -124,13 +133,11 @@ def cmd_solve_cfc(args):
     result, net = _solve_forest(inst, forest)
     # drawn only from an instance the solver has accepted
     if args.dot_forest:
-        with open(args.dot_forest, "w", encoding="utf-8") as handle:
-            handle.write(forest_to_dot(forest))
+        _write_text(args.dot_forest, forest_to_dot(forest))
     if args.dot_network and net is None:
         print("note: no network drawn: a set has no finite count", file=sys.stderr)
     elif args.dot_network:
-        with open(args.dot_network, "w", encoding="utf-8") as handle:
-            handle.write(network_to_dot(net))
+        _write_text(args.dot_network, network_to_dot(net))
     _emit(result.to_doc())
     return 0
 
@@ -226,8 +233,7 @@ def cmd_gen(args):
         inst = table[args.name]
     text = serialize_instance(inst)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
     sys.stdout.write(text)
     return 0
 

@@ -1,13 +1,12 @@
-"""Maximum-weight matching on general graphs with exact rational weights.
+"""Maximum-weight matching on general graphs with exact integer weights.
 
 ``max_weight_matching`` is the primal-dual O(n^3) blossom algorithm of
 Edmonds in the form given by Galil ("Efficient algorithms for finding
 maximum matching in graphs", ACM Computing Surveys 18(1), 1986).  The edge
-weights are scaled to integers over one denominator and the vertex duals
-are kept doubled, so every dual, slack and step is an int, and halving the
-slack of an edge between two S-blossoms is exact: never floats.  Before it
-returns, the final duals are checked as a proof that the matching is
-maximum.
+weights are ints and the vertex duals are kept doubled, so every dual,
+slack and step is an int, and halving the slack of an edge between two
+S-blossoms is exact: never floats.  Before it returns, the final duals are
+checked as a proof that the matching is maximum.
 
 The search follows networkx's ``max_weight_matching`` step by step, without
 its ``maxcardinality`` branch and graph object; vertices, neighbours and
@@ -53,23 +52,21 @@ same way.  networkx carries this notice:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
-from .costs import Cost, ZERO, scale_tables
 from .errors import InstanceError
 
 
 @dataclass(frozen=True)
 class MatchingGraph:
-    """Undirected graph with finite non-negative rational edge weights."""
+    """Undirected graph with non-negative integer edge weights."""
 
     num_vertices: int
-    edges: Tuple[Tuple[int, int, Cost], ...]
+    edges: Tuple[Tuple[int, int, int], ...]
 
     def __post_init__(self):
         seen = set()
-        for u, v, w in self.edges:
+        for u, v, _ in self.edges:
             if u == v:
                 raise InstanceError(f"self-loop on vertex {u}")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
@@ -78,8 +75,6 @@ class MatchingGraph:
             if key in seen:
                 raise InstanceError(f"duplicate edge {key}")
             seen.add(key)
-            if w.is_infinite:
-                raise InstanceError("matching weights must be finite")
 
 
 class _Blossom:
@@ -117,15 +112,14 @@ def max_weight_matching(g: MatchingGraph):
     """A matching of maximum total weight (not necessarily perfect).
 
     Returns ``(matching, total)`` where matching is a frozenset of (u, v)
-    pairs with u < v.  Raises ``InstanceError`` if the final duals do not
+    pairs with u < v and total its int weight.  Raises ``InstanceError`` if the final duals do not
     prove the matching maximum.
     """
     if not g.edges:
-        return frozenset(), ZERO
+        return frozenset(), 0
     n = g.num_vertices
-    den, ((weights,),) = scale_tables([[(w for _, _, w in g.edges)]])
     adj = [{} for _ in range(n)]  # neighbours in networkx's insertion order
-    for (u, v, _), w in zip(g.edges, weights):
+    for u, v, w in g.edges:
         adj[u][v] = adj[v][u] = w
 
     # mate[v] is v's partner; label[b] of a top-level blossom (or vertex) is
@@ -141,7 +135,7 @@ def max_weight_matching(g: MatchingGraph):
     blossomparent = dict.fromkeys(range(n))
     blossombase = {v: v for v in range(n)}
     bestedge = {}
-    dualvar = [max(weights)] * n
+    dualvar = [max(w for _, _, w in g.edges)] * n
     blossomdual = {}
     allowedge = set()  # ordered pairs known to have zero slack
     queue = []  # S-vertices still to scan
@@ -433,7 +427,7 @@ def max_weight_matching(g: MatchingGraph):
 
     _certify(adj, mate, dualvar, blossomparent, blossomdual)
     matching = frozenset((v, w) for v, w in mate.items() if v < w)
-    return matching, Cost(Fraction(sum(adj[v][w] for v, w in matching), den))
+    return matching, sum(adj[v][w] for v, w in matching)
 
 
 def _certify(adj, mate, dualvar, blossomparent, blossomdual):

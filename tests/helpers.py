@@ -65,7 +65,8 @@ def count_finite_solutions(inst: CountInstance) -> int:
 
 
 def brute_force_max_weight_matching(g: MatchingGraph):
-    """Reference implementation: exhaustive search over all matchings.
+    """Reference implementation: exhaustive search over all matchings, with
+    ``(matching, total)`` as ``max_weight_matching`` returns them.
 
     Exponential; intended for cross-checking on graphs with at most a
     dozen vertices.
@@ -73,7 +74,7 @@ def brute_force_max_weight_matching(g: MatchingGraph):
     if g.num_vertices > 16:
         raise InstanceError("brute-force matching is limited to small graphs")
     edges = sorted((min(u, v), max(u, v), w) for u, v, w in g.edges)
-    best = (ZERO, frozenset())
+    best = (0, frozenset())
 
     def extend(idx, used, weight, chosen):
         nonlocal best
@@ -91,7 +92,7 @@ def brute_force_max_weight_matching(g: MatchingGraph):
             used.discard(u)
             used.discard(v)
 
-    extend(0, set(), ZERO, [])
+    extend(0, set(), 0, [])
     return best[1], best[0]
 
 

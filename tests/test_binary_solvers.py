@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from vcspkit.binary_solvers import (
 )
 from vcspkit.costs import Cost, INF, ZERO
 from vcspkit.errors import ClassViolation, GenerationError
+from vcspkit.formats import dumps
 from vcspkit.instances import BinaryInstance, evaluate_binary
 from vcspkit.testkit import gen_matching_encoding, gen_profile, oracle_binary
 from vcspkit.triangles import Scheme
@@ -187,6 +189,76 @@ def test_weighted_matching_identity_holds():
         offset = _parse(cert["unary_offset"])
         pairs = cert["pair_count"]
         assert weight + (res.cost - offset) == m_val * pairs
+
+
+def test_weighted_matching_wipeout_certificate():
+    # variable 0 has no finite value: no assignment has a finite cost
+    inst = BinaryInstance.build([["a", "b"]] * 2, unary={0: [INF, INF]},
+                                binary={(0, 1): [[C(1), ZERO], [C(1), C(1)]]})
+    doc = dispatch(inst).to_doc()
+    assert doc["cost"] == "inf"
+    assert doc["solver"] == "weighted-matching"
+    assert doc["certificate"] == {"wipeout_variable": 0}
+
+
+def test_matching_cardinality_all_one_unary_constant():
+    # path 0-1-2: one pair is cheap at most; variables 0 and 2 pay 1 whatever they take
+    base = gen_matching_encoding(3, [(0, 1), (1, 2)])
+    unary = {i: [C(1)] * len(base.domains[i]) for i in (0, 2)}
+    inst = BinaryInstance.build(base.domains, unary=unary, binary=dict(base.binary))
+    res = solve_matching_cardinality_class(inst)
+    assert res.certificate["all_one_unary_constant"] == "2"
+    assert res.certificate["matching_size"] == 1
+    assert res.cost == C(4) == oracle_binary(inst).cost
+
+
+def _zero_one_unaries(inst, seed):
+    """``inst`` with random {0, 1} unary tables, about a third of them all one."""
+    rng = random.Random(seed)
+    unary = {
+        i: [C(1)] * len(dom) if rng.random() < 1 / 3 else [rng.choice((ZERO, C(1))) for _ in dom]
+        for i, dom in enumerate(inst.domains)
+    }
+    return BinaryInstance.build(inst.domains, unary=unary, binary=dict(inst.binary))
+
+
+def test_matching_routes_agree_on_zero_one_instances():
+    # matching-cardinality is the weighted reduction with M = 1
+    checked = constants = 0
+    for seed in range(90):
+        base = gen_profile(2 + seed % 7, 1 + seed % 3, {">", "1"}, Scheme.MAXCSP, seed)
+        for inst in (base, _zero_one_unaries(base, seed)):
+            try:
+                card = solve_matching_cardinality_class(inst)
+            except ClassViolation:
+                continue
+            wm = solve_weighted_matching_class(inst)
+            assert (wm.assignment, wm.cost) == (card.assignment, card.cost), f"seed {seed}"
+            assert wm.certificate["unary_offset"] == card.certificate["all_one_unary_constant"]
+            checked += 1
+            constants += card.certificate["all_one_unary_constant"] != "0"
+    assert checked == 180 and constants >= 40
+
+
+# SHA-256 of the `dispatch` documents of the matching cells' `gen_profile`
+# corpus and of the direct matching-cardinality documents on its {>, 1} half,
+# computed before the two matching routes shared one reduction.  A change
+# that picks another optimum must update this constant on purpose.
+_PINNED_MATCHING_DOCS = "8f88acc65b37c8ed8467a2da6a459175eff35a330461d58ac0a8fe68b54757c5"
+
+
+def test_matching_routes_match_pinned_digest():
+    digest = hashlib.sha256()
+    for scheme, types in ((Scheme.MAXM, {">M", "M"}), (Scheme.MAXCSP, {">", "1"})):
+        for n in (2, 3, 6, 10, 16):
+            for d in (1, 2, 3):
+                for seed in range(30):
+                    inst = gen_profile(n, d, types, scheme, seed)
+                    digest.update(dumps(dispatch(inst).to_doc()).encode())
+                    if scheme is Scheme.MAXCSP:
+                        doc = solve_matching_cardinality_class(inst).to_doc()
+                        digest.update(dumps(doc).encode())
+    assert digest.hexdigest() == _PINNED_MATCHING_DOCS
 
 
 def _parse(text):

@@ -97,6 +97,22 @@ def test_solve_cfc_writes_dot_files(tmp_path):
     assert network.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("args", [
+    ("solve-cfc", str(FIXTURES / "pair-grid.json"), "--dot-forest"),
+    ("solve-cfc", str(FIXTURES / "pair-grid.json"), "--dot-network"),
+    ("gen", "fixture", "--name", "sat-blocks", "-o"),
+], ids=["dot-forest", "dot-network", "gen-output"])
+def test_unwritable_output_path_exits_three(tmp_path, args):
+    path = tmp_path / "missing" / "out.txt"
+    proc = run_cli(*args, str(path))
+    assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    assert doc["error"]["kind"] == "format"
+    assert doc["error"]["message"].startswith(f"cannot write {path}")
+    assert "Traceback" not in proc.stderr
+    assert not path.exists()
+
+
 def test_solve_cfc_dot_flags_build_forest_and_network_once(tmp_path, monkeypatch, capsys):
     from vcspkit import cfc, cli, renaming
 

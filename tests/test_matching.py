@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_max_weight_matching
 from vcspkit import matching as matching_module
-from vcspkit.costs import Cost, scale_tables
 from vcspkit.errors import InstanceError
 from vcspkit.matching import (
     MatchingGraph,
@@ -18,24 +16,24 @@ NEAR_1E17 = 10**17
 
 
 def test_single_edge():
-    g = MatchingGraph(2, ((0, 1, Cost(5)),))
+    g = MatchingGraph(2, ((0, 1, 5),))
     matching, total = max_weight_matching(g)
     assert matching == {(0, 1)}
-    assert total == Cost(5)
+    assert total == 5
 
 
 def test_triangle_takes_heaviest_edge():
-    g = MatchingGraph(3, ((0, 1, Cost(3)), (0, 2, Cost(3)), (1, 2, Cost(5))))
+    g = MatchingGraph(3, ((0, 1, 3), (0, 2, 3), (1, 2, 5)))
     matching, total = max_weight_matching(g)
     assert matching == {(1, 2)}
-    assert total == Cost(5)
+    assert total == 5
 
 
 def test_graph_validation():
     with pytest.raises(InstanceError):
-        MatchingGraph(2, ((0, 0, Cost(1)),))
+        MatchingGraph(2, ((0, 0, 1),))
     with pytest.raises(InstanceError):
-        MatchingGraph(2, ((0, 1, Cost(1)), (1, 0, Cost(2))))
+        MatchingGraph(2, ((0, 1, 1), (1, 0, 2)))
 
 
 def _random_graph(rng, max_nodes=10):
@@ -44,7 +42,8 @@ def _random_graph(rng, max_nodes=10):
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < 0.5:
-                edges.append((u, v, Cost(Fraction(rng.randint(0, 30), rng.randint(1, 5)))))
+                # k / q for q in 1..5, over their common denominator 60
+                edges.append((u, v, 60 * rng.randint(0, 30) // rng.randint(1, 5)))
     return MatchingGraph(n, tuple(edges))
 
 
@@ -63,19 +62,19 @@ def test_matches_brute_force_on_random_graphs():
 def test_cardinality_special_case():
     # 6-cycle: perfect matching of size 3
     pairs = [(i, (i + 1) % 6) for i in range(6)]
-    g = MatchingGraph(6, tuple((u, v, Cost(1)) for u, v in pairs))
+    g = MatchingGraph(6, tuple((u, v, 1) for u, v in pairs))
     matching, total = max_weight_matching(g)
     assert len(matching) == 3
-    assert total == Cost(3)
+    assert total == 3
 
 
 def test_weights_near_1e17_are_exact():
     # floating-point duals pick {(0, 1), (2, 3)}, one short of the optimum
-    g = MatchingGraph(4, ((0, 1, Cost(NEAR_1E17 + 6)), (0, 2, Cost(NEAR_1E17 + 7)),
-                          (1, 3, Cost(NEAR_1E17 + 8)), (2, 3, Cost(NEAR_1E17 + 8))))
+    g = MatchingGraph(4, ((0, 1, NEAR_1E17 + 6), (0, 2, NEAR_1E17 + 7),
+                          (1, 3, NEAR_1E17 + 8), (2, 3, NEAR_1E17 + 8)))
     matching, total = max_weight_matching(g)
     assert matching == {(0, 2), (1, 3)}
-    assert total == Cost(2 * NEAR_1E17 + 15)
+    assert total == 2 * NEAR_1E17 + 15
 
 
 @st.composite
@@ -83,9 +82,11 @@ def _graphs(draw, max_nodes=10):
     n = draw(st.integers(1, max_nodes))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # fractions with denominators up to 7, and integers near 1e17, all
+    # times 420, the common denominator of the fractions
     weight = st.one_of(
-        st.fractions(min_value=0, max_value=30, max_denominator=7).map(Cost),
-        st.integers(0, 12).map(lambda k: Cost(NEAR_1E17 + k)),
+        st.fractions(min_value=0, max_value=30, max_denominator=7).map(lambda f: int(f * 420)),
+        st.integers(0, 12).map(lambda k: (NEAR_1E17 + k) * 420),
     )
     return MatchingGraph(n, tuple((u, v, draw(weight)) for u, v in chosen))
 
@@ -97,17 +98,16 @@ def test_total_matches_brute_force(g):
     ends = [v for e in matching for v in e]
     assert len(ends) == len(set(ends))
     weights = {(min(u, v), max(u, v)): w for u, v, w in g.edges}
-    assert sum((weights[e] for e in matching), Cost(0)) == total
+    assert sum(weights[e] for e in matching) == total
     assert total == brute_force_max_weight_matching(g)[1]
 
 
 def _networkx_matching(g):
-    """networkx's matching of g, fed the integer-scaled weights so that it
-    takes its exact integer path."""
-    _, ((ints,),) = scale_tables([[(w for _, _, w in g.edges)]])
+    """networkx's matching of g; its int weights keep networkx on its exact
+    integer path."""
     graph = nx.Graph()
     graph.add_nodes_from(range(g.num_vertices))
-    for (u, v, _), w in zip(g.edges, ints):
+    for u, v, w in g.edges:
         graph.add_edge(u, v, weight=w)
     return {(min(u, v), max(u, v)) for u, v in nx.max_weight_matching(graph)}
 
@@ -126,13 +126,13 @@ def test_same_matching_as_networkx():
         edges = []
         for u, v in pairs:
             if kind == 0:  # many ties
-                w = Cost(rng.randint(0, 3))
-            elif kind == 1:
-                w = Cost(Fraction(rng.randint(0, 30), rng.randint(1, 6)))
+                w = rng.randint(0, 3)
+            elif kind == 1:  # k / q for q in 1..6, over their common denominator 60
+                w = 60 * rng.randint(0, 30) // rng.randint(1, 6)
             elif kind == 2:
-                w = Cost(NEAR_1E17 + rng.randint(0, 10))
+                w = NEAR_1E17 + rng.randint(0, 10)
             else:
-                w = Cost(1)
+                w = 1
             edges.append((u, v, w))
         g = MatchingGraph(n, tuple(edges))
         assert max_weight_matching(g)[0] == _networkx_matching(g)
@@ -171,9 +171,9 @@ def _lower_blossom_dual(adj, mate, dualvar, blossomdual):
 ])
 def test_certificate_rejects_tampered_duals(monkeypatch, tamper):
     # the duals that prove a triangle's one edge maximum are a blossom's
-    g = MatchingGraph(3, ((0, 1, Cost(4)), (1, 2, Cost(4)), (0, 2, Cost(4))))
+    g = MatchingGraph(3, ((0, 1, 4), (1, 2, 4), (0, 2, 4)))
     matching, total = max_weight_matching(g)
-    assert len(matching) == 1 and total == Cost(4)
+    assert len(matching) == 1 and total == 4
     monkeypatch.setattr(matching_module, "_certify", _tampered_certify(tamper))
     with pytest.raises(InstanceError, match="optimality check"):
         max_weight_matching(g)
