@@ -224,20 +224,16 @@ def _zero_one_unaries(inst, seed):
 
 def test_matching_routes_agree_on_zero_one_instances():
     # matching-cardinality is the weighted reduction with M = 1
-    checked = constants = 0
+    constants = 0
     for seed in range(90):
         base = gen_profile(2 + seed % 7, 1 + seed % 3, {">", "1"}, Scheme.MAXCSP, seed)
         for inst in (base, _zero_one_unaries(base, seed)):
-            try:
-                card = solve_matching_cardinality_class(inst)
-            except ClassViolation:
-                continue
+            card = solve_matching_cardinality_class(inst)
             wm = solve_weighted_matching_class(inst)
             assert (wm.assignment, wm.cost) == (card.assignment, card.cost), f"seed {seed}"
             assert wm.certificate["unary_offset"] == card.certificate["all_one_unary_constant"]
-            checked += 1
             constants += card.certificate["all_one_unary_constant"] != "0"
-    assert checked == 180 and constants >= 40
+    assert constants >= 40
 
 
 # SHA-256 of the `dispatch` documents of the matching cells' `gen_profile`
