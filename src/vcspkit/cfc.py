@@ -4,7 +4,11 @@ Pipeline: check that the functions are convex; build the containment
 forest of the family's laminar form (``build_laminar_forest`` rewrites a
 cross-free family to a laminar one on the way); translate to a flow network
 whose minimum-cost integral flows of value n correspond one-to-one to the
-finite-cost solutions; solve; decode.
+finite-cost solutions; solve; decode.  Every step after the parse reads the
+instance's integer view (``CountInstance.integer_counts``): the convexity
+check its slopes, the forest and the network its tables, which become the
+arcs' tables as they are, over the view's denominator.  The rewrite carries
+the view over to the rewritten instance instead of scaling its costs again.
 
 One complement rule both decides the family's kind and does the rewrite:
 fix one assignment u0 and complement every set that contains u0.  The
@@ -16,17 +20,19 @@ and two sets that both miss u0 cannot cover the universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .costs import Cost, INF, ZERO, scale_tables
+from .costs import INF, ZERO
 from .errors import ClassViolation, InstanceError
 from .flow import Arc, Flow, FlowNetwork, Infeasible, min_convex_cost_flow
 from .instances import (
     AssignmentSet,
     CountFunction,
     CountInstance,
+    IntegerCount,
     evaluate_count,
+    integer_count,
+    reflect,
 )
 from .results import SolveResult
 
@@ -105,19 +111,15 @@ def _is_laminar(members_list, universe):
     return True
 
 
-def check_convexity(g: CountFunction):
-    """True iff the finite support is contiguous with non-decreasing slopes.
-
-    Contiguity holds by construction of CountFunction; the returned index is
-    the first m with g(m+2) - g(m+1) < g(m+1) - g(m).  The slopes are
-    compared as integers over the table's common denominator
-    (``CountFunction.integer_slopes``).
-    """
-    support = g.support
-    if support is None:
+def check_convexity(g: IntegerCount):
+    """``(True, None)`` iff the finite part of g has non-decreasing slopes,
+    else ``(False, m)`` with m the first count where
+    g(m+2) - g(m+1) < g(m+1) - g(m).  The finite part is contiguous by
+    construction; the slopes are compared as the ints of g."""
+    if g.support is None:
         return True, None
-    _, slopes = g.integer_slopes()
-    for m, (left, right) in enumerate(zip(slopes, slopes[1:]), support[0]):
+    slopes = g.slopes
+    for m, (left, right) in enumerate(zip(slopes, slopes[1:]), g.support[0]):
         if right < left:
             return False, m
     return True, None
@@ -125,9 +127,10 @@ def check_convexity(g: CountFunction):
 
 def first_nonconvex_set(inst: CountInstance):
     """``(k, m)``: the first set k whose function is not convex, at count m
-    (``check_convexity``); None when all are convex."""
-    for k, aset in enumerate(inst.sets):
-        ok, at = check_convexity(aset.g)
+    (``check_convexity`` on the instance's integer view); None when all are
+    convex."""
+    for k, g in enumerate(inst.integer_counts.counts):
+        ok, at = check_convexity(g)
         if not ok:
             return k, at
     return None
@@ -164,13 +167,15 @@ class LaminarForest:
     ``instance`` is that laminar form: the input itself when its family is
     laminar, else the input's rewrite by ``crossfree_to_laminar``.
     ``sets[0]`` is the root, ``instance``'s universe set or the zero
-    function on the universe; ``father[k]`` indexes the minimal set
+    function on the universe; ``counts[k]`` is the function of set k in
+    ``instance.integer_counts``; ``father[k]`` indexes the minimal set
     properly containing set k; ``smallest`` maps every assignment to the
     minimal set containing it.
     """
 
     instance: CountInstance
     sets: Tuple[AssignmentSet, ...]
+    counts: Tuple[IntegerCount, ...]
     father: Tuple[int, ...]
     smallest: Mapping[tuple, int]
 
@@ -189,18 +194,23 @@ def build_laminar_forest(inst: CountInstance) -> LaminarForest:
     except ClassViolation:
         pass
     u0 = min(universe)
-    constant = inst.constant
-    sets = []
-    for aset in inst.sets:
+    view = inst.integer_counts
+    constant, scaled = inst.constant, view.constant
+    sets, tables = [], []
+    for aset, g in zip(inst.sets, view.counts):
         if aset.members == universe:
             constant = constant + aset.g.table[inst.n]
+            top = g.table[inst.n]
+            scaled = None if scaled is None or top is None else scaled + top
         elif u0 in aset.members:
             members = universe - aset.members
-            g = aset.g.reflected(inst.n, len({v for v, _ in members}))
-            sets.append(AssignmentSet(members, g))
+            s = len({v for v, _ in members})
+            sets.append(AssignmentSet(members, aset.g.reflected(inst.n, s)))
+            tables.append(reflect(g.table, inst.n, s, None))
         else:
             sets.append(aset)
-    lam = CountInstance.build(inst.domains, sets, names=inst.names, constant=constant)
+            tables.append(g.table)
+    lam = inst.derive(sets, tables, constant, scaled)
     try:
         return _nested(lam, universe)
     except ClassViolation:
@@ -217,45 +227,48 @@ def _nested(lam: CountInstance, universe) -> LaminarForest:
     not laminar.  An absent universe set is added with the zero function."""
     root = None
     rest = []
-    for aset in lam.sets:
+    for aset, g in zip(lam.sets, lam.integer_counts.counts):
         if aset.members == universe:
-            root = aset
+            root = aset, g
         else:
-            rest.append(aset)
+            rest.append((aset, g))
     if root is None:
-        root = AssignmentSet(universe, CountFunction.zero(lam.n))
-    order, father, smallest = _nest([aset.members for aset in rest], universe)
-    sets = (root,) + tuple(rest[k] for k in order)
-    return LaminarForest(lam, sets, tuple(father), smallest)
+        root = AssignmentSet(universe, CountFunction.zero(lam.n)), integer_count((0,) * (lam.n + 1))
+    order, father, smallest = _nest([aset.members for aset, _ in rest], universe)
+    pairs = [root] + [rest[k] for k in order]
+    return LaminarForest(
+        lam, tuple([a for a, _ in pairs]), tuple([g for _, g in pairs]), tuple(father), smallest
+    )
 
 
-_UNIT = CountFunction((ZERO, ZERO))
-_FORCED = CountFunction((INF, ZERO))
+_UNIT = integer_count((0, 0))
+_FORCED = integer_count((None, 0))
 
 
-def _folded_costs(inst: CountInstance, folded):
-    """Per variable with folded sets, the cost function of each value's
+def _folded_costs(forest: LaminarForest, folded):
+    """Per variable with folded sets, the cost table of each value's
     assignment arc: (0, c) with c the sum over the variable's folded sets
     of g(1) for a member and g(0) otherwise, or (0,) when c is inf.  The
-    sums are taken in integers over one denominator, and equal sums share
-    one function."""
-    den, (tables,) = scale_tables([[aset.g.table for aset in folded]])
+    sums are taken over the view's ints, and equal sums share one table."""
+    domains = forest.instance.domains
     sums = {}
-    for aset, (g0, g1) in zip(folded, tables):
-        i = next(iter(aset.members))[0]
-        terms = [g0] * len(inst.domains[i])
-        for _, a in aset.members:
+    for k in folded:
+        g0, g1 = forest.counts[k].table
+        members = forest.sets[k].members
+        i = next(iter(members))[0]
+        terms = [g0] * len(domains[i])
+        for _, a in members:
             terms[a] = g1
         acc = sums.get(i, [0] * len(terms))
         sums[i] = [None if c is None or t is None else c + t for c, t in zip(acc, terms)]
-    shared = {0: _UNIT, None: CountFunction((ZERO,))}
+    shared = {0: _UNIT, None: integer_count((0,))}
 
-    def function(c):
+    def table(c):
         if c not in shared:
-            shared[c] = CountFunction((ZERO, Cost(Fraction(c, den))))
+            shared[c] = integer_count((0, c))
         return shared[c]
 
-    return {i: [function(c) for c in acc] for i, acc in sums.items()}
+    return {i: [table(c) for c in acc] for i, acc in sums.items()}
 
 
 def build_network(forest: LaminarForest) -> FlowNetwork:
@@ -272,41 +285,39 @@ def build_network(forest: LaminarForest) -> FlowNetwork:
     Nodes: source 0, variable i at 1 + i, the root (the universe) at 1 + n
     as the sink, then the kept sets in forest order.  Arcs in order: source
     -> each variable, window [1, 1]; variable i -> the node of the minimal
-    kept set holding (i, a), one per assignment in sorted order, so arc
+    kept set holding (i, a), one per assignment in (i, a) order, so arc
     n + k picks assignment k, window [0, 1] with its folded cost, or [0, 0]
     when that cost is inf; each kept set -> its father's node, carrying the
-    set's count over the finite window of its function.
+    set's count over the finite window of its function, its table in the
+    instance's integer view.  The network's denominator is the view's.
     """
     inst = forest.instance
     n = inst.n
-    sets, father = forest.sets, forest.father
+    counts, father, smallest = forest.counts, forest.father, forest.smallest
     # node[k]: the node of forest set k, or of its nearest kept ancestor when
     # folded (a father precedes its children in forest order)
-    node = [n + 1] + [0] * (len(sets) - 1)
+    node = [n + 1] + [0] * (len(counts) - 1)
     folded = []
     kept = []
-    for k in range(1, len(sets)):
-        g = sets[k].g
+    for k in range(1, len(counts)):
+        g = counts[k]
         if g.support is None:
             raise InstanceError("set with empty finite support reached the network builder")
-        if g.size == 1:  # g covers counts 0..s, s the variables spanned
+        if len(g.table) == 2:  # g covers counts 0..s, s the variables spanned
             node[k] = node[father[k]]
             folded.append(k)
         else:
             node[k] = n + 2 + len(kept)
             kept.append(k)
-    costs = _folded_costs(inst, [sets[k] for k in folded])
-    arcs = [Arc(0, 1 + i, 1, 1, _FORCED) for i in range(n)]
-    for (i, a) in sorted(inst.universe()):
-        fn = costs[i][a] if i in costs else _UNIT
-        arcs.append(Arc(1 + i, node[forest.smallest[(i, a)]], 0, fn.size, fn))
+    costs = _folded_costs(forest, folded)
+    arcs = [Arc(0, 1 + i, _FORCED) for i in range(n)]
+    for i, dom in enumerate(inst.domains):
+        tables = costs.get(i)
+        for a in range(len(dom)):
+            arcs.append(Arc(1 + i, node[smallest[(i, a)]], tables[a] if tables else _UNIT))
     for k in kept:
-        g = sets[k].g
-        lo, hi = g.support
-        if hi < g.size:
-            g = CountFunction(g.table[:hi + 1])
-        arcs.append(Arc(node[k], node[father[k]], lo, hi, g))
-    return FlowNetwork(n + 2 + len(kept), 0, n + 1, n, tuple(arcs))
+        arcs.append(Arc(node[k], node[father[k]], counts[k]))
+    return FlowNetwork(n + 2 + len(kept), 0, n + 1, n, tuple(arcs), inst.integer_counts.den)
 
 
 def solve_cfc(inst: CountInstance) -> SolveResult:
@@ -346,12 +357,14 @@ def _solve_forest(inst: CountInstance, forest: LaminarForest):
 
 def _decode(net: FlowNetwork, flow: Flow, inst: CountInstance):
     """The solution of a flow: arc n + k carries a unit exactly when its
-    assignment, the k-th in sorted order, is taken."""
+    assignment, the k-th in (i, a) order, is taken."""
     n = inst.n
     x = [None] * n
-    for k, (i, a) in enumerate(sorted(inst.universe())):
-        if flow.amounts[n + k] == 1:
-            x[i] = a
+    picks = iter(flow.amounts[n:])
+    for i, dom in enumerate(inst.domains):
+        for a in range(len(dom)):
+            if next(picks) == 1:
+                x[i] = a
     if None in x:
         raise InstanceError(f"flow does not pick a value for variable {x.index(None)}")
     return tuple(x)

@@ -167,10 +167,15 @@ def parse_cost(text: str) -> Cost:
     match = _COST_GRAMMAR.fullmatch(stripped)
     if match is None:
         raise FormatError(f"malformed cost string {text!r}; expected inf, n or p/q, non-negative")
-    num, den = match.groups()
-    if den is not None and int(den) == 0:
+    try:
+        num, den = (int(part or 1) for part in match.groups())
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise FormatError(
+            f"cost string of {len(stripped)} characters has more digits than can be read"
+        ) from None
+    if den == 0:
         raise FormatError(f"cost denominator must be positive: {text!r}")
-    return Cost(Fraction(int(num), int(den or 1)))
+    return Cost(Fraction(num, den))
 
 
 def format_cost(c: Cost) -> str:

@@ -1,88 +1,66 @@
 """Minimum-cost integral flow with convex piecewise-linear arc costs.
 
-Arcs carry a demand/capacity window [lo, hi] and a cost table over flow
-amounts, finite exactly on [lo, hi] and convex there.  Each arc keeps the
-slopes of its table as integers over the table's common denominator (the
-cost function computes them once; the arc checks them when it is built);
-the solver rescales each function's slopes to one denominator for the
-whole network, once per function, and works on integers only.  It
-runs successive shortest augmenting paths with node potentials over unit
-steps with non-decreasing costs.  Units with negative marginal cost are
-saturated up front (their removal stays available through residual arcs),
-which keeps every residual cost non-negative from the start, even on cyclic
-networks.  Each phase's Dijkstra settles the nodes reached at the current
-distance from a plain stack and heaps only the farther ones; a phase whose
-sink lies at reduced distance 0 leaves the potentials as they are.  The
-final cost is re-read from the original tables.
+Each arc carries a cost table over flow amounts as ints over the network's
+one denominator ``den`` (an ``IntegerCount``); its demand/capacity window
+[lo, hi] is the table's finite support, and the table must be convex there.
+The network checks the support and the convexity of each distinct table
+once, and the solver reads the tables' integer slopes as they are, with no
+rescaling.  It runs successive shortest augmenting paths with node
+potentials over unit steps with non-decreasing costs.  Units with negative
+marginal cost are saturated up front (their removal stays available through
+residual arcs), which keeps every residual cost non-negative from the
+start, even on cyclic networks.  Each phase's Dijkstra settles the nodes
+reached at the current distance from a plain stack and heaps only the
+farther ones; a phase whose sink lies at reduced distance 0 leaves the
+potentials as they are.  The final cost is re-read from the arcs' tables
+and made one ``Cost``.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Tuple
 
-from .costs import Cost, cost_sum
+from .costs import Cost
 from .errors import InstanceError
-from .instances import CountFunction
+from .instances import IntegerCount
 
 
 @dataclass(frozen=True)
 class Arc:
-    """Directed arc with flow window [lo, hi] and a convex cost table.
-
-    ``slopes[k] / den`` is the cost of unit ``lo + k + 1``, taken from
-    ``cost.integer_slopes()`` and checked non-decreasing at construction.
-    """
+    """Directed arc whose flow f costs ``cost.table[f] / den``, ``den`` the
+    network's.  The window [lo, hi] is the table's finite support, and
+    ``cost.slopes[k] / den`` is the cost of unit ``lo + k + 1``."""
 
     tail: int
     head: int
-    lo: int
-    hi: int
-    cost: CountFunction
-    den: int = field(init=False, repr=False, compare=False)
-    slopes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    cost: IntegerCount
 
-    def __post_init__(self):
-        if not (0 <= self.lo <= self.hi):
-            raise InstanceError(f"arc window [{self.lo}, {self.hi}] is invalid")
-        if self.cost.size != self.hi:
-            raise InstanceError(
-                f"arc cost table covers 0..{self.cost.size}, expected 0..{self.hi}"
-            )
-        if self.cost.support != (self.lo, self.hi):
-            raise InstanceError(
-                f"arc cost must be finite exactly on [{self.lo}, {self.hi}], "
-                f"got support {self.cost.support}"
-            )
-        den, slopes = _convex_slopes(self.cost)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "slopes", slopes)
+    @property
+    def lo(self) -> int:
+        return self.cost.support[0]
 
-
-def _convex_slopes(cost: CountFunction):
-    den, slopes = cost.integer_slopes()
-    if any(b < a for a, b in zip(slopes, slopes[1:])):
-        raise InstanceError("arc cost is not convex on its window")
-    return den, slopes
-
-
-def marginals(cost: CountFunction) -> Tuple[Fraction, ...]:
-    """First differences of the finite part; raises unless non-decreasing."""
-    den, slopes = _convex_slopes(cost)
-    return tuple(Fraction(m, den) for m in slopes)
+    @property
+    def hi(self) -> int:
+        return self.cost.support[1]
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
+    """Nodes 0..num_nodes-1 and arcs whose tables are ints over ``den``; a
+    flow must carry ``value`` from ``source`` to ``sink``.  Each distinct
+    arc table is checked once: it must have a finite entry, and its slopes
+    must not decrease."""
+
     num_nodes: int
     source: int
     sink: int
     value: int
     arcs: Tuple[Arc, ...]
+    den: int
 
     def __post_init__(self):
         for node in (self.source, self.sink):
@@ -94,10 +72,21 @@ class FlowNetwork:
             raise InstanceError(
                 f"source and sink are both node {self.source}; a positive value cannot flow"
             )
+        if self.den < 1:
+            raise InstanceError(f"network denominator must be positive, got {self.den}")
+        checked = set()
         for arc in self.arcs:
             for node in (arc.tail, arc.head):
                 if not (0 <= node < self.num_nodes):
                     raise InstanceError(f"arc endpoint {node} outside range")
+            if id(arc.cost) in checked:
+                continue
+            checked.add(id(arc.cost))
+            if arc.cost.support is None:
+                raise InstanceError("arc cost has no finite entry")
+            slopes = arc.cost.slopes
+            if any(b < a for a, b in zip(slopes, slopes[1:])):
+                raise InstanceError("arc cost is not convex on its window")
 
 
 @dataclass(frozen=True)
@@ -140,16 +129,15 @@ def min_convex_cost_flow(net: FlowNetwork):
     distance d_t gains that distance, every other node gains d_t.  When d_t
     is 0 the potentials stay as they are and the phase only restarts the
     search pointers.  Pushes never cross a marginal-cost breakpoint, which
-    keeps all residual reduced costs non-negative.  Each cost function is
-    scaled to the network denominator and cut into constant-slope segments
-    once per call, shared by the arcs that carry it.  Residual arc a has two
-    slots in one flat list: ``rc[2a]`` is the integer cost of pushing one
-    more unit and ``rc[2a + 1]`` that of cancelling one (None when the arc
-    is saturated, respectively empty); only the arcs of an augmenting path
-    change them.  Each node's adjacency holds ``(slot, other end)`` pairs.
+    keeps all residual reduced costs non-negative.  Each cost table is cut
+    into constant-slope segments once per call, shared by the arcs that
+    carry it.  Residual arc a has two slots in one flat list: ``rc[2a]`` is
+    the integer cost of pushing one more unit and ``rc[2a + 1]`` that of
+    cancelling one (None when the arc is saturated, respectively empty);
+    only the arcs of an augmenting path change them.  Each node's adjacency
+    holds ``(slot, other end)`` pairs.
     """
     n_arcs = len(net.arcs)
-    denom = lcm(*(arc.den for arc in net.arcs))
 
     num_nodes = net.num_nodes + 2
     s_node, t_node = net.num_nodes, net.num_nodes + 1
@@ -174,13 +162,12 @@ def min_convex_cost_flow(net: FlowNetwork):
         caps.append(seg_ends[-1] if seg_ends else 0)
         flows.append(e0)
 
-    segments = {}  # id of a cost function -> (values, ends, negative units)
+    segments = {}  # id of a cost table -> (values, ends, negative units)
     for arc in net.arcs:
         seg = segments.get(id(arc.cost))
         if seg is None:
-            scale = denom // arc.den
-            scaled = [m * scale for m in arc.slopes]
-            seg = segments[id(arc.cost)] = (*_compress(scaled), sum(1 for m in scaled if m < 0))
+            slopes = arc.cost.slopes
+            seg = segments[id(arc.cost)] = (*_compress(slopes), sum(1 for m in slopes if m < 0))
         seg_vals, seg_ends, presat = seg
         # saturate negative-marginal units so residual costs start non-negative
         if presat:
@@ -313,9 +300,9 @@ def min_convex_cost_flow(net: FlowNetwork):
             pushed += delta
 
     amounts = tuple(net.arcs[idx].lo + flows[idx] for idx in range(n_arcs))
-    total = cost_sum(net.arcs[idx].cost.table[amounts[idx]] for idx in range(n_arcs))
     _check_flow(net, amounts)
-    return Flow(amounts, total)
+    total = sum(arc.cost.table[f] for arc, f in zip(net.arcs, amounts))
+    return Flow(amounts, Cost(Fraction(total, net.den)))
 
 
 def _infeasibility_witness(net, tails, heads, caps, flows, s_node, n_arcs):
@@ -353,7 +340,7 @@ def network_to_dot(net: FlowNetwork, flow: Optional[Flow] = None) -> str:
         shape = "doublecircle" if x in (net.source, net.sink) else "circle"
         lines.append(f'  n{x} [label="{x}", shape={shape}];')
     for idx, arc in enumerate(net.arcs):
-        margins = ",".join(str(m) for m in marginals(arc.cost))
+        margins = ",".join(str(Fraction(m, net.den)) for m in arc.cost.slopes)
         label = f"[{arc.lo},{arc.hi}]"
         if margins:
             label += f" w'=({margins})"

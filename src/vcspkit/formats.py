@@ -80,8 +80,23 @@ def _parse_cost_at(s, where):
         raise FormatError(str(exc), where)
 
 
+def _cost_reader():
+    """``_parse_cost_at`` that parses each distinct cost string once, for
+    the cost strings of one document."""
+    seen = {}
+
+    def read(s, where):
+        c = seen.get(s) if isinstance(s, str) else None
+        if c is None:
+            c = seen[s] = _parse_cost_at(s, where)
+        return c
+
+    return read
+
+
 def parse_binary_instance(doc) -> BinaryInstance:
     names, domains = _parse_variables(doc)
+    parse_cost_at = _cost_reader()
     n = len(names)
     unary = {}
     for k, entry in enumerate(_list_field(doc, "unary")):
@@ -97,7 +112,7 @@ def parse_binary_instance(doc) -> BinaryInstance:
             f"unary table length {len(costs)} != domain size {len(domains[var])}",
             where,
         )
-        unary[var] = tuple(_parse_cost_at(c, f"{where}.costs[{i}]") for i, c in enumerate(costs))
+        unary[var] = tuple(parse_cost_at(c, f"{where}.costs[{i}]") for i, c in enumerate(costs))
     binary = {}
     for k, entry in enumerate(_list_field(doc, "binary")):
         where = f"binary[{k}]"
@@ -113,7 +128,7 @@ def parse_binary_instance(doc) -> BinaryInstance:
         for a, row in enumerate(rows):
             _expect(isinstance(row, list) and len(row) == len(domains[j]),
                     f"row {a} must have {len(domains[j])} entries", where)
-            table.append([_parse_cost_at(c, f"{where}.costs[{a}][{b}]") for b, c in enumerate(row)])
+            table.append([parse_cost_at(c, f"{where}.costs[{a}][{b}]") for b, c in enumerate(row)])
         binary[(i, j)] = table
     try:
         return BinaryInstance.build(domains, names=names, unary=unary, binary=binary)
@@ -124,7 +139,8 @@ def parse_binary_instance(doc) -> BinaryInstance:
 def parse_count_instance(doc) -> CountInstance:
     names, domains = _parse_variables(doc)
     n = len(names)
-    constant = _parse_cost_at(doc.get("constant", "0"), "constant")
+    parse_cost_at = _cost_reader()
+    constant = parse_cost_at(doc.get("constant", "0"), "constant")
     sets = []
     for k, entry in enumerate(_list_field(doc, "sets")):
         where = f"sets[{k}]"
@@ -150,7 +166,7 @@ def parse_count_instance(doc) -> CountInstance:
         s = len({i for i, _ in members})
         _expect(len(g_raw) == s + 1,
                 f"g has length {len(g_raw)}, expected s+1 = {s + 1}", where)
-        table = [_parse_cost_at(c, f"{where}.g[{m}]") for m, c in enumerate(g_raw)]
+        table = [parse_cost_at(c, f"{where}.g[{m}]") for m, c in enumerate(g_raw)]
         try:
             sets.append(AssignmentSet(frozenset(members), CountFunction(tuple(table))))
         except InstanceError as exc:

@@ -1,7 +1,11 @@
 """Instance data model: binary-table instances and count-cost instances.
 
 All types are immutable after construction and safe to share across threads.
-A solution is a plain tuple of value indices, one per variable.
+A solution is a plain tuple of value indices, one per variable.  Each kind
+of instance keeps, built on first use, one view of its costs as integers
+over one denominator (``BinaryInstance.integer_costs``,
+``CountInstance.integer_counts``), which the solvers read; the evaluators
+read the ``Cost`` tables, so re-evaluation is independent of the views.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -36,6 +41,64 @@ class IntegerCosts:
     def cost(self, v: Optional[int]) -> Cost:
         """The cost a scaled value stands for."""
         return INF if v is None else Cost(Fraction(v, self.den))
+
+
+@dataclass(frozen=True)
+class IntegerCount:
+    """A count-cost table as ints over a denominator kept by its owner.
+
+    ``table[m]`` is the cost of count m times that denominator, None where
+    it is ``inf``; ``support`` is (l, u), the ends of the finite part, or
+    None if it is empty; ``slopes`` are the first differences on [l, u].
+    Build it with ``integer_count``.
+    """
+
+    table: Tuple[Optional[int], ...]
+    support: Optional[Tuple[int, int]]
+    slopes: Tuple[int, ...]
+
+
+def _finite_support(finite):
+    """(l, u), the ends of ``finite``, the indices of a table's finite
+    entries, or None if there are none; raises unless they are contiguous."""
+    if finite and finite[-1] - finite[0] + 1 != len(finite):
+        raise InstanceError(
+            f"finite support of a count function must be a contiguous interval, got {finite}"
+        )
+    return (finite[0], finite[-1]) if finite else None
+
+
+def integer_count(table) -> IntegerCount:
+    """The IntegerCount of a table of ints and Nones."""
+    table = tuple(table)
+    support = _finite_support([m for m, v in enumerate(table) if v is not None])
+    lo, hi = support or (0, -1)
+    slopes = tuple([b - a for a, b in zip(table[lo:hi], table[lo + 1:hi + 1])])
+    return IntegerCount(table, support, slopes)
+
+
+def _integer_counts(tables):
+    """One IntegerCount per table; equal tables share one."""
+    made = {}
+    for t in tables:
+        if t not in made:
+            made[t] = integer_count(t)
+    return tuple([made[t] for t in tables])
+
+
+@dataclass(frozen=True)
+class IntegerCounts:
+    """The costs of a count instance as integers over one denominator.
+
+    ``den`` is the least common multiple of the denominators of every
+    finite count cost and of the constant; ``counts[k]`` is the function of
+    set k scaled by it, and ``constant`` the scaled constant (None when it
+    is ``inf``).
+    """
+
+    den: int
+    counts: Tuple[IntegerCount, ...]
+    constant: Optional[int]
 
 
 def _freeze_table(rows, n_rows, n_cols, what):
@@ -140,12 +203,8 @@ def _check_solution(inst, x: Solution):
 def evaluate_binary(inst: BinaryInstance, x: Solution) -> Cost:
     """Exact aggregate of all unary and pairwise costs under x."""
     _check_solution(inst, x)
-    total = ZERO
-    for i, a in enumerate(x):
-        total = total + inst.unary[i][a]
-    for (i, j), table in inst.binary.items():
-        total = total + table[x[i]][x[j]]
-    return total
+    return cost_sum([inst.unary[i][a] for i, a in enumerate(x)]
+                    + [table[x[i]][x[j]] for (i, j), table in inst.binary.items()])
 
 
 @dataclass(frozen=True)
@@ -166,11 +225,7 @@ class CountFunction:
         if not self.table:
             raise InstanceError("count function needs at least one entry")
         finite = [m for m, c in enumerate(self.table) if not c.is_infinite]
-        if finite and finite[-1] - finite[0] + 1 != len(finite):
-            raise InstanceError(
-                f"finite support of a count function must be a contiguous interval, got {finite}"
-            )
-        object.__setattr__(self, "_support", (finite[0], finite[-1]) if finite else None)
+        object.__setattr__(self, "_support", _finite_support(finite))
 
     @property
     def size(self) -> int:
@@ -182,18 +237,6 @@ class CountFunction:
         """(l, u) endpoints of the finite interval, or None if empty."""
         return self._support
 
-    def integer_slopes(self) -> Tuple[int, Tuple[int, ...]]:
-        """``(den, slopes)``: the first differences of the finite part, each
-        ``slopes[k] / den`` with ``den`` the values' common denominator;
-        ``(1, ())`` on an empty support.  Computed on first use and kept."""
-        return self._integer_slopes
-
-    @cached_property
-    def _integer_slopes(self):
-        lo, hi = self._support or (0, -1)
-        den, ((scaled,),) = scale_tables([[self.table[lo:hi + 1]]])
-        return den, tuple([b - a for a, b in zip(scaled, scaled[1:])])
-
     def __call__(self, m: int) -> Cost:
         if not (0 <= m < len(self.table)):
             raise InstanceError(f"count {m} outside [0, {self.size}]")
@@ -202,13 +245,17 @@ class CountFunction:
     def reflected(self, t: int, s: int) -> "CountFunction":
         """y -> g(t - y) over counts 0..s, inf where t - y is no count of g:
         the function of a set hit y times when g's set is hit t - y times."""
-        return CountFunction(tuple(
-            self.table[t - y] if 0 <= t - y <= self.size else INF for y in range(s + 1)
-        ))
+        return CountFunction(reflect(self.table, t, s, INF))
 
     @classmethod
     def zero(cls, s: int) -> "CountFunction":
         return cls(tuple(ZERO for _ in range(s + 1)))
+
+
+def reflect(table, t, s, inf):
+    """The table y -> table[t - y] over y in 0..s, ``inf`` where t - y is no
+    index of ``table``; ``CountFunction.reflected`` on any table."""
+    return tuple([table[t - y] if 0 <= t - y < len(table) else inf for y in range(s + 1)])
 
 
 @dataclass(frozen=True)
@@ -236,9 +283,22 @@ class AssignmentSet:
         """s: number of distinct variables among the members."""
         return len({v for v, _ in self.members})
 
-    def count_in(self, x: Solution) -> int:
-        """Hits of a checked solution x, in time linear in the members."""
-        return sum(1 for i, a in self.members if x[i] == a)
+
+def _merge(pairs):
+    """Pairs (set, integer table or None) with equal members merged, in
+    first-seen order, into one pair whose function and integer table are the
+    sums of theirs."""
+    merged = {}
+    for aset, ints in pairs:
+        old = merged.get(aset.members)
+        if old is not None:
+            table = tuple([a + b for a, b in zip(old[0].g.table, aset.g.table)])
+            aset = AssignmentSet(aset.members, CountFunction(table))
+            if ints is not None:
+                ints = tuple([None if a is None or b is None else a + b
+                              for a, b in zip(old[1], ints)])
+        merged[aset.members] = (aset, ints)
+    return list(merged.values())
 
 
 @dataclass(frozen=True)
@@ -272,22 +332,44 @@ class CountInstance:
         domains_t = tuple(tuple(d) for d in domains)
         if names is None:
             names = tuple(f"v{i}" for i in range(len(domains_t)))
-        merged = {}
-        order = []
-        for aset in sets:
-            key = frozenset(aset.members)
-            if key in merged:
-                old = merged[key]
-                table = tuple(a + b for a, b in zip(old.g.table, aset.g.table))
-                merged[key] = AssignmentSet(key, CountFunction(table))
-            else:
-                merged[key] = AssignmentSet(key, aset.g)
-                order.append(key)
-        return cls(tuple(names), domains_t, Cost(constant), tuple(merged[k] for k in order))
+        merged = _merge((aset, None) for aset in sets)
+        return cls(tuple(names), domains_t, Cost(constant), tuple([a for a, _ in merged]))
+
+    def derive(self, sets, tables, constant: Cost, scaled_constant) -> "CountInstance":
+        """The instance over these variables with ``sets``, merged as by
+        ``build``, and ``constant``, with its integer view carried over:
+        ``tables[k]`` and ``scaled_constant`` are the table of ``sets[k]``
+        and the constant as ints over this instance's ``integer_counts.den``.
+        The view is reduced to its least denominator, so it equals the one
+        ``integer_counts`` would compute."""
+        merged = _merge(zip(sets, tables))
+        inst = CountInstance(self.names, self.domains, constant, tuple([a for a, _ in merged]))
+        tables = [t for _, t in merged]
+        den = self.integer_counts.den
+        if den > 1:
+            k = gcd(den, scaled_constant or 0, *(v for t in tables for v in t if v is not None))
+            if k > 1:
+                den //= k
+                tables = [tuple([v if v is None else v // k for v in t]) for t in tables]
+                if scaled_constant is not None:
+                    scaled_constant //= k
+        # what the cached_property would store on first use
+        vars(inst)["integer_counts"] = IntegerCounts(den, _integer_counts(tables), scaled_constant)
+        return inst
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def integer_counts(self) -> IntegerCounts:
+        """The costs scaled to integers, built on first use and kept.  The
+        convexity check, the network and the flow read these;
+        ``evaluate_count`` reads the ``Cost`` tables."""
+        den, (tables, ((constant,),)) = scale_tables(
+            ([aset.g.table for aset in self.sets], ((self.constant,),))
+        )
+        return IntegerCounts(den, _integer_counts(tables), constant)
 
     def universe(self) -> frozenset:
         """All (variable, value) assignments of the instance."""
@@ -299,4 +381,7 @@ class CountInstance:
 def evaluate_count(inst: CountInstance, x: Solution) -> Cost:
     """constant + sum over sets of g_i applied to the count hit by x."""
     _check_solution(inst, x)
-    return cost_sum([inst.constant] + [aset.g(aset.count_in(x)) for aset in inst.sets])
+    chosen = set(enumerate(x))
+    return cost_sum(
+        [inst.constant] + [aset.g.table[len(aset.members & chosen)] for aset in inst.sets]
+    )

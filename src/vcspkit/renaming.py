@@ -3,7 +3,9 @@
 A constraint g(|x cap A|) on a set of literals A can be replaced by the
 equivalent constraint on the negated literals with the count function read
 backwards.  Whether some subset of constraints can be renamed to make the
-family cross-free reduces to 2-SAT over one flag per constraint.
+family cross-free reduces to 2-SAT over one flag per constraint.  The
+renamed instance carries the input's integer view, its tables read
+backwards the same way, instead of scaling its costs again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .cfc import (
     build_laminar_forest,
 )
 from .errors import ClassViolation, InstanceError
-from .instances import AssignmentSet, CountInstance, evaluate_count
+from .instances import AssignmentSet, CountInstance, evaluate_count, reflect
 from .results import SolveResult
 
 
@@ -195,12 +197,16 @@ def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:
     model = solve_2sat(TwoSatInstance(len(inst.sets), tuple(clauses)))
     if model is None:
         return None
-    renamed_sets = [
-        _rename(aset) if flag else aset for aset, flag in zip(inst.sets, model)
-    ]
-    renamed = CountInstance.build(
-        inst.domains, renamed_sets, names=inst.names, constant=inst.constant
-    )
+    view = inst.integer_counts
+    sets, tables = [], []
+    for aset, g, flag in zip(inst.sets, view.counts, model):
+        if flag:
+            sets.append(_rename(aset))
+            tables.append(reflect(g.table, len(aset.members), aset.var_count, None))
+        else:
+            sets.append(aset)
+            tables.append(g.table)
+    renamed = inst.derive(sets, tables, inst.constant, view.constant)
     try:
         forest = build_laminar_forest(renamed)
     except ClassViolation:

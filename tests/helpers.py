@@ -1,7 +1,8 @@
 """Test-only references and random generators.
 
 The references are deliberately independent of the code they check:
-exhaustive flow search (``oracle_flow``, ``enumerate_feasible_flows``),
+exhaustive flow search (``oracle_flow``, ``enumerate_feasible_flows``)
+over networks built by ``network``,
 exhaustive matching search, a solution-document reader and a pairwise cost
 lookup.  The generators draw seeded random count instances and flow
 networks; the same seed always yields the same instance.
@@ -14,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
-from vcspkit.costs import Cost, INF, ZERO, format_cost
+from vcspkit.costs import Cost, INF, ZERO, format_cost, scale_tables
 from vcspkit.errors import InstanceError
 from vcspkit.flow import Arc, FlowNetwork
 from vcspkit.formats import (
@@ -25,7 +27,13 @@ from vcspkit.formats import (
     _load_json,
     _parse_cost_at,
 )
-from vcspkit.instances import AssignmentSet, BinaryInstance, CountFunction, CountInstance
+from vcspkit.instances import (
+    AssignmentSet,
+    BinaryInstance,
+    CountFunction,
+    CountInstance,
+    integer_count,
+)
 from vcspkit.matching import MatchingGraph
 from vcspkit.renaming import rename_set
 from vcspkit.testkit import _domains
@@ -58,7 +66,8 @@ def count_finite_solutions(inst: CountInstance) -> int:
     """Number of assignments with finite objective (constant ignored)."""
     total = 0
     for x in itertools.product(*(range(len(d)) for d in inst.domains)):
-        finite = all(not aset.g(aset.count_in(x)).is_infinite for aset in inst.sets)
+        chosen = set(enumerate(x))
+        finite = all(not aset.g(len(aset.members & chosen)).is_infinite for aset in inst.sets)
         if finite:
             total += 1
     return total
@@ -115,7 +124,17 @@ def near_1e17_maxm_instance() -> BinaryInstance:
 
 
 # ---------------------------------------------------------------------------
-# brute-force references for flows
+# flow networks and brute-force references for them
+
+
+def network(num_nodes, source, sink, value, arcs) -> FlowNetwork:
+    """The FlowNetwork of arcs ``(tail, head, table)``, each table a tuple of
+    Costs over flow amounts 0..len - 1, all scaled to one denominator."""
+    arcs = list(arcs)
+    den, (tables,) = scale_tables([[table for _, _, table in arcs]])
+    return FlowNetwork(num_nodes, source, sink, value, tuple(
+        Arc(tail, head, integer_count(table)) for (tail, head, _), table in zip(arcs, tables)
+    ), den)
 
 
 def _balance_search(net: FlowNetwork):
@@ -185,9 +204,9 @@ def oracle_flow(net: FlowNetwork):
     arcs = net.arcs
     m = len(arcs)
     balance, feasible_prefix = _balance_search(net)
-    cheapest = [ZERO] * (m + 1)
+    cheapest = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
-        low = min(c for c in arcs[k].cost.table if not c.is_infinite)
+        low = min(c for c in arcs[k].cost.table if c is not None)
         cheapest[k] = cheapest[k + 1] + low
 
     best = None
@@ -212,8 +231,10 @@ def oracle_flow(net: FlowNetwork):
             balance[arc.head] -= f
 
     if feasible_prefix(0):
-        descend(0, ZERO)
-    return best
+        descend(0, 0)
+    if best is None:
+        return None
+    return best[0], Cost(Fraction(best[1], net.den))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +389,7 @@ def gen_random_network(seed) -> FlowNetwork:
         table = [INF] * (hi + 1)
         for k, v in enumerate(values):
             table[lo + k] = Cost(v - floor + base)
-        return Arc(tail, head, lo, hi, CountFunction(tuple(table)))
+        return tail, head, tuple(table)
 
     arcs = []
     if rng.random() < 0.5 and num_nodes >= 2:
@@ -383,4 +404,4 @@ def gen_random_network(seed) -> FlowNetwork:
         while head == tail:
             head = rng.randrange(num_nodes)
         arcs.append(random_arc(tail, head, lo_bias=False))
-    return FlowNetwork(num_nodes, source, sink, value, tuple(arcs))
+    return network(num_nodes, source, sink, value, arcs)

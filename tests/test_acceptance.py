@@ -8,6 +8,7 @@ exhaustive oracle or asserted as an exact structural identity.
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import networkx as nx
 
@@ -17,6 +18,7 @@ from helpers import (
     gen_random_network,
     gen_random_pair_sets,
     gen_random_renamable,
+    network,
     oracle_flow,
 )
 from vcspkit.binary_solvers import (
@@ -36,10 +38,9 @@ from vcspkit.cfc import (
     solve_cfc,
 )
 from vcspkit.costs import Cost, ZERO, parse_cost
-from vcspkit.flow import Arc, Flow, FlowNetwork, Infeasible, min_convex_cost_flow
+from vcspkit.flow import Flow, Infeasible, min_convex_cost_flow
 from vcspkit.instances import (
     BinaryInstance,
-    CountFunction,
     evaluate_binary,
     evaluate_count,
 )
@@ -311,9 +312,9 @@ def test_criterion_10_flow_engine():
             cap = rng.randint(1, 4)
             per_unit = rng.randint(0, 6)
             table = tuple(Cost(per_unit * k) for k in range(cap + 1))
-            arcs.append(Arc(u, v, 0, cap, CountFunction(table)))
+            arcs.append((u, v, table))
         value = rng.randint(0, 3)
-        net = FlowNetwork(n, 0, n - 1, value, tuple(arcs))
+        net = network(n, 0, n - 1, value, arcs)
         ours = min_convex_cost_flow(net)
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))
@@ -321,7 +322,7 @@ def test_criterion_10_flow_engine():
         ref.nodes[n - 1]["demand"] = value
         for arc in net.arcs:
             ref.add_edge(arc.tail, arc.head, capacity=arc.hi,
-                         weight=int(arc.cost.table[1].value) if arc.hi else 0)
+                         weight=int(Fraction(arc.cost.table[1], net.den)) if arc.hi else 0)
         try:
             ref_cost = nx.min_cost_flow_cost(ref)
         except nx.NetworkXUnfeasible:

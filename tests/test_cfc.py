@@ -24,7 +24,7 @@ from vcspkit.cfc import (
     forest_to_dot,
     solve_cfc,
 )
-from vcspkit.costs import Cost, INF, ZERO
+from vcspkit.costs import Cost, INF, ZERO, scale_tables
 from vcspkit.errors import ClassViolation
 from vcspkit.flow import Infeasible, min_convex_cost_flow
 from vcspkit.instances import (
@@ -32,6 +32,7 @@ from vcspkit.instances import (
     CountFunction,
     CountInstance,
     evaluate_count,
+    integer_count,
 )
 from vcspkit.testkit import (
     fixtures,
@@ -137,14 +138,21 @@ def test_check_family_matches_pairwise_reference():
     assert min(seen.values()) >= 200, seen
 
 
+def _convexity(table):
+    """``check_convexity`` on a table of Costs scaled to its own least
+    denominator."""
+    _, ((ints,),) = scale_tables([[table]])
+    return check_convexity(integer_count(ints))
+
+
 def test_convexity_check():
-    ok, _ = check_convexity(CountFunction((ZERO, C(1), C(3), C(6))))
+    ok, _ = _convexity((ZERO, C(1), C(3), C(6)))
     assert ok
-    ok, at = check_convexity(CountFunction((ZERO, C(2), C(3), C(6))))
+    ok, at = _convexity((ZERO, C(2), C(3), C(6)))
     assert not ok and at == 0
     # out-of-bounds penalty shape: slopes -1,-1,0,1,1
     table = (C(2), C(1), ZERO, ZERO, C(1), C(2))
-    ok, _ = check_convexity(CountFunction(table))
+    ok, _ = _convexity(table)
     assert ok
 
 
@@ -186,7 +194,7 @@ def test_convexity_check_matches_fraction_reference():
         for _ in range(300):
             table = _random_count_table(rng, den)
             want = _fraction_convexity(table)
-            assert check_convexity(CountFunction(table)) == want, table
+            assert _convexity(table) == want, table
             seen[want[0]] += 1
     assert min(seen.values()) >= 100, seen
     half, third = C(Fraction(1, 2)), C(Fraction(1, 3))
@@ -198,7 +206,7 @@ def test_convexity_check_matches_fraction_reference():
         (C(Fraction(5, 6)), third, ZERO, half, INF),
         (C(Fraction(1, 6)), ZERO, C(Fraction(1, 6))),
     ]:
-        assert check_convexity(CountFunction(table)) == _fraction_convexity(table), table
+        assert _convexity(table) == _fraction_convexity(table), table
 
 
 def test_crossfree_to_laminar_keeps_laminar_instances():
@@ -359,8 +367,9 @@ def test_folded_forced_and_forbidden_sets_match_oracle():
     # assignment arcs n + k in sorted order: windows and folded costs
     windows = [(arc.lo, arc.hi) for arc in net.arcs[3:12]]
     assert windows == [(0, 0), (0, 1), (0, 0), (0, 0), (0, 1), (0, 0), (0, 1), (0, 1), (0, 1)]
-    assert [arc.cost.table[-1] for arc in net.arcs[10:12]] == [third, C(1)]
-    assert net.arcs[9].cost.table == (ZERO, C(Fraction(5, 6)))
+    costs = [tuple(C(Fraction(v, net.den)) for v in arc.cost.table) for arc in net.arcs[9:12]]
+    assert [table[-1] for table in costs[1:]] == [third, C(1)]
+    assert costs[0] == (ZERO, C(Fraction(5, 6)))
     assert net.num_nodes == 1 + 3 + 1 + 1 and len(net.arcs) == 3 + 9 + 1
 
 

@@ -234,6 +234,22 @@ def test_non_list_top_level_field_exits_three(args, doc):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, doc, where", [
+    ("solve-cfc", {"format": "vcsp-cfc/1", "sets": [{"assignments": [[0, 0]], "g": ["0", "7" * 5000]}]},
+     "sets[0].g[1]"),
+    ("solve", {"format": "vcsp-binary/1", "unary": [{"var": 0, "costs": ["7" * 5000, "1"]}]},
+     "unary[0].costs[0]"),
+], ids=["count", "binary"])
+def test_cost_with_more_digits_than_int_reads_exits_three(command, doc, where):
+    # 5,000 digits: over the 4,300 that int() converts by default
+    proc = run_cli(command, "-", stdin=json.dumps({**doc, "variables": _VARIABLES}))
+    assert proc.returncode == 3
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "format"
+    assert error["message"].endswith(f"(at {where})")
+    assert "Traceback" not in proc.stderr
+
+
 def test_rename_rejects_non_convex_count_function():
     doc = {
         "format": "vcsp-cfc/1",

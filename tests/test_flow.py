@@ -5,32 +5,27 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from helpers import enumerate_feasible_flows, gen_random_network, oracle_flow
+from helpers import enumerate_feasible_flows, gen_random_network, network, oracle_flow
 from vcspkit.cfc import build_laminar_forest, build_network
 from vcspkit.costs import Cost, INF, ZERO, cost_sum
 from vcspkit.errors import InstanceError
 from vcspkit.flow import (
-    Arc,
     Flow,
-    FlowNetwork,
     Infeasible,
-    marginals,
     min_convex_cost_flow,
     network_to_dot,
 )
-from vcspkit.instances import CountFunction
 from vcspkit.testkit import gen_full_laminar_tree
 
 C = Cost
 
 
 def linear_arc(tail, head, cap, per_unit):
-    table = tuple(C(per_unit * k) for k in range(cap + 1))
-    return Arc(tail, head, 0, cap, CountFunction(table))
+    return tail, head, tuple(C(per_unit * k) for k in range(cap + 1))
 
 
 def test_forced_single_arc():
-    net = FlowNetwork(2, 0, 1, 1, (Arc(0, 1, 1, 1, CountFunction((INF, C(7)))),))
+    net = network(2, 0, 1, 1, [(0, 1, (INF, C(7)))])
     flow = min_convex_cost_flow(net)
     assert isinstance(flow, Flow)
     assert flow.amounts == (1,)
@@ -38,22 +33,30 @@ def test_forced_single_arc():
 
 
 def test_two_parallel_linear_arcs():
-    net = FlowNetwork(2, 0, 1, 3, (linear_arc(0, 1, 2, 2), linear_arc(0, 1, 2, 3)))
+    net = network(2, 0, 1, 3, [linear_arc(0, 1, 2, 2), linear_arc(0, 1, 2, 3)])
     flow = min_convex_cost_flow(net)
     assert flow.amounts == (2, 1)
     assert flow.total == C(7)
 
 
+def _marginals(net, arc):
+    return tuple(Fraction(m, net.den) for m in arc.cost.slopes)
+
+
 def test_expand_first_differences():
-    arc = Arc(0, 1, 0, 3, CountFunction((ZERO, C(1), C(3), C(6))))
-    assert arc.cost.table[arc.lo] == ZERO
-    assert marginals(arc.cost) == (Fraction(1), Fraction(2), Fraction(3))
+    net = network(2, 0, 1, 0, [(0, 1, (ZERO, C(1), C(3), C(6)))])
+    arc = net.arcs[0]
+    assert (arc.lo, arc.hi) == (0, 3)
+    assert arc.cost.table[arc.lo] == 0
+    assert _marginals(net, arc) == (Fraction(1), Fraction(2), Fraction(3))
 
 
 def test_expand_forced_unit():
-    arc = Arc(0, 1, 1, 2, CountFunction((INF, C(2), C(2))))
-    assert arc.cost.table[arc.lo] == C(2)
-    assert marginals(arc.cost) == (Fraction(0),)
+    net = network(2, 0, 1, 0, [(0, 1, (INF, C(2), C(2)))])
+    arc = net.arcs[0]
+    assert (arc.lo, arc.hi) == (1, 2)
+    assert C(Fraction(arc.cost.table[arc.lo], net.den)) == C(2)
+    assert _marginals(net, arc) == (Fraction(0),)
 
 
 def test_expand_resums_to_table():
@@ -71,35 +74,40 @@ def test_expand_resums_to_table():
         table = [INF] * (hi + 1)
         for k, v in enumerate(vals):
             table[lo + k] = C(v - floor)
-        arc = Arc(0, 1, lo, hi, CountFunction(tuple(table)))
-        acc = arc.cost.table[arc.lo]
-        for k, m in enumerate(marginals(arc.cost), start=lo + 1):
+        net = network(2, 0, 1, 0, [(0, 1, tuple(table))])
+        arc = net.arcs[0]
+        assert (arc.lo, arc.hi) == (lo, hi)
+        acc = C(Fraction(arc.cost.table[arc.lo], net.den))
+        assert acc == table[lo]
+        for k, m in enumerate(_marginals(net, arc), start=lo + 1):
             acc = C(acc.value + m)
-            assert acc == arc.cost.table[k]
+            assert acc == table[k]
 
 
 def test_malformed_arcs_rejected():
-    with pytest.raises(InstanceError):
-        Arc(0, 1, 2, 1, CountFunction((ZERO, ZERO)))
-    with pytest.raises(InstanceError):  # not convex on the window
-        Arc(0, 1, 0, 2, CountFunction((ZERO, C(2), C(3))))
-    with pytest.raises(InstanceError):  # finite outside the window
-        Arc(0, 1, 1, 2, CountFunction((ZERO, ZERO, ZERO)))
+    with pytest.raises(InstanceError, match="no finite entry"):
+        network(2, 0, 1, 0, [(0, 1, (INF, INF))])
+    with pytest.raises(InstanceError, match="not convex"):
+        network(2, 0, 1, 0, [(0, 1, (ZERO, C(2), C(3)))])
+    with pytest.raises(InstanceError, match="contiguous"):
+        network(2, 0, 1, 0, [(0, 1, (ZERO, INF, ZERO))])
+    with pytest.raises(InstanceError, match="outside range"):
+        network(2, 0, 1, 0, [(0, 2, (ZERO, ZERO))])
+    # the window is the finite support, however long the table
+    net = network(2, 0, 1, 0, [(0, 1, (INF, ZERO, ZERO, INF, INF))])
+    assert (net.arcs[0].lo, net.arcs[0].hi) == (1, 2)
 
 
 def test_source_equal_to_sink_rejected_for_positive_value():
-    arcs = (Arc(0, 1, 0, 1, CountFunction((ZERO, ZERO))),)
+    arcs = [(0, 1, (ZERO, ZERO))]
     with pytest.raises(InstanceError, match="source and sink"):
-        FlowNetwork(2, 0, 0, 1, arcs)
-    out = min_convex_cost_flow(FlowNetwork(2, 0, 0, 0, arcs))
+        network(2, 0, 0, 1, arcs)
+    out = min_convex_cost_flow(network(2, 0, 0, 0, arcs))
     assert out == Flow((0,), ZERO)
 
 
 def test_infeasible_demand():
-    net = FlowNetwork(
-        3, 0, 2, 0,
-        (Arc(1, 2, 2, 2, CountFunction((INF, INF, ZERO))),),
-    )
+    net = network(3, 0, 2, 0, [(1, 2, (INF, INF, ZERO))])
     out = min_convex_cost_flow(net)
     assert isinstance(out, Infeasible)
     assert out.witness_arc == 0
@@ -127,7 +135,8 @@ def _fractional_network(rng):
     """Small random network whose convex tables have denominators 2, 3 or 6.
 
     Slopes may be negative; windows sometimes start above 0; the arcs of one
-    network mix denominators, so the solver's common scale is their lcm.
+    network mix denominators, so the network's one denominator is their lcm.
+    Returns the network and its arcs' tables of Costs.
     """
     num_nodes = rng.randint(2, 6)
     value = rng.randint(0, 3)
@@ -148,16 +157,16 @@ def _fractional_network(rng):
         table = [INF] * (hi + 1)
         for k, v in enumerate(values):
             table[lo + k] = C(Fraction(v - floor, den) + base)
-        arcs.append(Arc(tail, head, lo, hi, CountFunction(tuple(table))))
-    return FlowNetwork(num_nodes, 0, num_nodes - 1, value, tuple(arcs))
+        arcs.append((tail, head, tuple(table)))
+    return network(num_nodes, 0, num_nodes - 1, value, arcs), [t for _, _, t in arcs]
 
 
 def test_fractional_costs_match_enumeration_oracle():
     rng = random.Random(2012)
     seen = {"feasible": 0, "infeasible": 0, "negative": 0, "lo > 0": 0, "fractional": 0}
     for _ in range(300):
-        net = _fractional_network(rng)
-        ms = [m for arc in net.arcs for m in marginals(arc.cost)]
+        net, tables = _fractional_network(rng)
+        ms = [m for arc in net.arcs for m in _marginals(net, arc)]
         seen["negative"] += any(m < 0 for m in ms)
         seen["lo > 0"] += any(arc.lo > 0 for arc in net.arcs)
         seen["fractional"] += any(m.denominator > 1 for m in ms)
@@ -171,7 +180,7 @@ def test_fractional_costs_match_enumeration_oracle():
             assert isinstance(got, Flow)
             assert got.total == want[1]
             assert got.total == cost_sum(
-                arc.cost.table[f] for arc, f in zip(net.arcs, got.amounts)
+                table[f] for table, f in zip(tables, got.amounts)
             )
     assert seen["feasible"] >= 100 and seen["infeasible"] >= 20
     assert min(seen["negative"], seen["lo > 0"], seen["fractional"]) >= 50
@@ -179,12 +188,12 @@ def test_fractional_costs_match_enumeration_oracle():
 
 def _tie_network(rng):
     """Small random network around a zero-cost cycle whose arc slopes are all
-    0, or all 0 then 1: most reduced costs in the Dijkstra tie at zero."""
+    0, or all 0 then 1: most reduced costs in the Dijkstra tie at zero.
+    Returns the network and its arcs' tables of Costs."""
     num_nodes = rng.randint(2, 6)
     value = rng.randint(0, 3)
     cycle = rng.sample(range(num_nodes), rng.randint(2, num_nodes))
-    arcs = [Arc(u, v, 0, 2, CountFunction((ZERO, ZERO, ZERO)))
-            for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    arcs = [(u, v, (ZERO, ZERO, ZERO)) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
     zero_slopes = rng.random() < 0.5
     for _ in range(rng.randint(1, 6)):
         tail, head = rng.sample(range(num_nodes), 2)
@@ -193,15 +202,15 @@ def _tie_network(rng):
         flat = hi - lo if zero_slopes else rng.randint(0, hi - lo)
         base = rng.randint(0, 2)
         table = [INF] * lo + [C(base + max(0, k - flat)) for k in range(hi - lo + 1)]
-        arcs.append(Arc(tail, head, lo, hi, CountFunction(tuple(table))))
-    return FlowNetwork(num_nodes, 0, num_nodes - 1, value, tuple(arcs))
+        arcs.append((tail, head, tuple(table)))
+    return network(num_nodes, 0, num_nodes - 1, value, arcs), [t for _, _, t in arcs]
 
 
 def test_tie_heavy_networks_match_enumeration_oracle():
     rng = random.Random(2024)
     seen = {"value 0": 0, "value > 0": 0, "infeasible": 0}
     for _ in range(300):
-        net = _tie_network(rng)
+        net, tables = _tie_network(rng)
         got = min_convex_cost_flow(net)
         want = oracle_flow(net)
         if want is None:
@@ -219,16 +228,17 @@ def test_tie_heavy_networks_match_enumeration_oracle():
         assert balance[net.sink] == net.value == -balance[net.source]
         assert all(b == 0 for x, b in enumerate(balance) if x not in (net.source, net.sink))
         assert got.total == cost_sum(
-            arc.cost.table[f] for arc, f in zip(net.arcs, got.amounts)
+            table[f] for table, f in zip(tables, got.amounts)
         )
     assert min(seen.values()) >= 20
 
 
 def test_arc_keeps_integer_slopes():
     half, third = Fraction(1, 2), Fraction(1, 3)
-    arc = Arc(0, 1, 1, 3, CountFunction((INF, C(half), C(third), C(1))))
-    assert (arc.den, arc.slopes) == (6, (-1, 4))
-    assert marginals(arc.cost) == (Fraction(-1, 6), Fraction(2, 3))
+    net = network(2, 0, 1, 0, [(0, 1, (INF, C(half), C(third), C(1)))])
+    arc = net.arcs[0]
+    assert (net.den, arc.cost.table, arc.cost.slopes) == (6, (None, 3, 2, 6), (-1, 4))
+    assert _marginals(net, arc) == (Fraction(-1, 6), Fraction(2, 3))
 
 
 def test_matches_classic_linear_reference():
@@ -248,7 +258,7 @@ def test_matches_classic_linear_reference():
             seen.add((u, v))
             arcs.append(linear_arc(u, v, rng.randint(1, 4), rng.randint(0, 6)))
         value = rng.randint(0, 3)
-        net = FlowNetwork(n, 0, n - 1, value, tuple(arcs))
+        net = network(n, 0, n - 1, value, arcs)
         ours = min_convex_cost_flow(net)
 
         ref = nx.DiGraph()
@@ -256,7 +266,7 @@ def test_matches_classic_linear_reference():
         ref.nodes[0]["demand"] = -value
         ref.nodes[n - 1]["demand"] = value
         for arc in net.arcs:
-            per_unit = int(arc.cost.table[1].value) if arc.hi >= 1 else 0
+            per_unit = int(Fraction(arc.cost.table[1], net.den)) if arc.hi >= 1 else 0
             ref.add_edge(arc.tail, arc.head, capacity=arc.hi, weight=per_unit)
         try:
             ref_cost = nx.min_cost_flow_cost(ref)
@@ -304,14 +314,14 @@ def test_flows_match_pinned_digest():
 
 
 def test_flow_count_enumeration():
-    net = FlowNetwork(2, 0, 1, 2, (linear_arc(0, 1, 2, 1), linear_arc(0, 1, 1, 5)))
+    net = network(2, 0, 1, 2, [linear_arc(0, 1, 2, 1), linear_arc(0, 1, 1, 5)])
     flows = list(enumerate_feasible_flows(net))
     # (2,0) and (1,1) are the only splits of value 2
     assert sorted(flows) == [(1, 1), (2, 0)]
 
 
 def test_dot_export_mentions_windows_and_flow():
-    net = FlowNetwork(2, 0, 1, 1, (Arc(0, 1, 1, 1, CountFunction((INF, C(7)))),))
+    net = network(2, 0, 1, 1, [(0, 1, (INF, C(7)))])
     flow = min_convex_cost_flow(net)
     dot = network_to_dot(net, flow)
     assert "digraph" in dot

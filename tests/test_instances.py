@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vcspkit.costs import Cost, INF, ZERO
-from vcspkit.errors import InstanceError
+from helpers import gen_random_crossfree, gen_random_renamable
+from vcspkit.cfc import build_laminar_forest, first_nonconvex_set
+from vcspkit.costs import Cost, INF, ZERO, scale_tables
+from vcspkit.errors import ClassViolation, InstanceError
 from vcspkit.instances import (
     AssignmentSet,
     BinaryInstance,
@@ -14,6 +17,7 @@ from vcspkit.instances import (
     evaluate_binary,
     evaluate_count,
 )
+from vcspkit.renaming import recognize_renamable
 from vcspkit.testkit import gen_profile
 from vcspkit.triangles import _SOLVER_CELLS
 
@@ -240,3 +244,87 @@ def _all_solutions(inst):
     import itertools
 
     return itertools.product(*(range(len(d)) for d in inst.domains))
+
+
+_COSTS = st.sampled_from(
+    [ZERO, Cost(1), Cost(Fraction(1, 2)), Cost(Fraction(7, 3)), Cost(Fraction(5, 6)), INF]
+)
+
+
+@st.composite
+def _binary_instances_with_solutions(draw):
+    """Small binary instances with fractional and infinite costs, some unary
+    and binary tables absent, and one solution."""
+    n = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(1, 3)) for _ in range(n)]
+    unary = {i: [draw(_COSTS) for _ in range(sizes[i])] for i in range(n) if draw(st.booleans())}
+    binary = {
+        (i, j): [[draw(_COSTS) for _ in range(sizes[j])] for _ in range(sizes[i])]
+        for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    }
+    inst = BinaryInstance.build([[str(v) for v in range(k)] for k in sizes], unary=unary, binary=binary)
+    return inst, tuple(draw(st.integers(0, k - 1)) for k in sizes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_binary_instances_with_solutions())
+def test_evaluate_binary_equals_a_plain_fraction_sum(case):
+    inst, x = case
+    terms = [inst.unary[i][a] for i, a in enumerate(x)]
+    for i in range(inst.n):
+        for j in range(i + 1, inst.n):
+            table = inst.binary.get((i, j))
+            terms.append(ZERO if table is None else table[x[i]][x[j]])
+    want = INF if any(t.is_infinite for t in terms) else Cost(sum((t.value for t in terms), Fraction(0)))
+    assert evaluate_binary(inst, x) == want
+
+
+_SCALES = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(7, 4)])
+_CONSTANTS = st.sampled_from([ZERO, Cost(3), Cost(Fraction(1, 6)), Cost(Fraction(9, 4)), INF])
+
+
+@st.composite
+def _fractional_count_instances(draw):
+    """A random cross-free instance, or a renamable Boolean one, with each
+    function scaled by a drawn fraction (``inf`` entries stay ``inf``) and a
+    drawn constant."""
+    n = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**30))
+    if draw(st.booleans()):
+        base = gen_random_renamable(n, seed)
+    else:
+        base = gen_random_crossfree(n, draw(st.integers(1, 3)), seed)
+    sets = []
+    for aset in base.sets:
+        q = draw(_SCALES)
+        sets.append(AssignmentSet(aset.members, CountFunction(tuple(c * q for c in aset.g.table))))
+    return CountInstance.build(base.domains, sets, constant=draw(_CONSTANTS))
+
+
+def _from_scratch(inst):
+    """The integer view of a fresh copy of ``inst``, computed on first use."""
+    return CountInstance(inst.names, inst.domains, inst.constant, inst.sets).integer_counts
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(_fractional_count_instances())
+def test_integer_counts_scale_the_tables_and_are_carried_exactly(inst):
+    view = inst.integer_counts
+    assert inst.integer_counts is view
+    den, (tables, ((constant,),)) = scale_tables(([a.g.table for a in inst.sets], ((inst.constant,),)))
+    assert (view.den, [g.table for g in view.counts], view.constant) == (den, list(tables), constant)
+    for aset, g in zip(inst.sets, view.counts):
+        assert g.support == aset.g.support
+        finite = [c.value for c in aset.g.table if not c.is_infinite]
+        assert [Fraction(m, den) for m in g.slopes] == [b - a for a, b in zip(finite, finite[1:])]
+    # the views carried through the rewrite and the renaming
+    try:
+        lam = build_laminar_forest(inst).instance
+    except ClassViolation:
+        lam = None
+    if lam is not None:
+        assert lam.integer_counts == _from_scratch(lam)
+    if first_nonconvex_set(inst) is None and all(len(d) == 2 for d in inst.domains):
+        ren = recognize_renamable(inst)
+        if ren is not None:
+            assert ren.renamed.integer_counts == _from_scratch(ren.renamed)
