@@ -7,8 +7,9 @@ whose minimum-cost integral flows of value n correspond one-to-one to the
 finite-cost solutions; solve; decode.  Every step after the parse reads the
 instance's integer view (``CountInstance.integer_counts``): the convexity
 check its slopes, the forest and the network its tables, which become the
-arcs' tables as they are, over the view's denominator.  The rewrite carries
-the view over to the rewritten instance instead of scaling its costs again.
+arcs' tables as they are, over the view's denominator.  The rewrite works
+on the ``Cost`` tables; the rewritten instance builds its own view on
+first use.
 
 One complement rule both decides the family's kind and does the rewrite:
 fix one assignment u0 and complement every set that contains u0.  The
@@ -32,7 +33,6 @@ from .instances import (
     IntegerCount,
     evaluate_count,
     integer_count,
-    reflect,
 )
 from .results import SolveResult
 
@@ -194,23 +194,18 @@ def build_laminar_forest(inst: CountInstance) -> LaminarForest:
     except ClassViolation:
         pass
     u0 = min(universe)
-    view = inst.integer_counts
-    constant, scaled = inst.constant, view.constant
-    sets, tables = [], []
-    for aset, g in zip(inst.sets, view.counts):
+    constant = inst.constant
+    sets = []
+    for aset in inst.sets:
         if aset.members == universe:
             constant = constant + aset.g.table[inst.n]
-            top = g.table[inst.n]
-            scaled = None if scaled is None or top is None else scaled + top
         elif u0 in aset.members:
             members = universe - aset.members
-            s = len({v for v, _ in members})
-            sets.append(AssignmentSet(members, aset.g.reflected(inst.n, s)))
-            tables.append(reflect(g.table, inst.n, s, None))
+            g = aset.g.reflected(inst.n, len({v for v, _ in members}))
+            sets.append(AssignmentSet(members, g))
         else:
             sets.append(aset)
-            tables.append(g.table)
-    lam = inst.derive(sets, tables, constant, scaled)
+    lam = CountInstance.build(inst.domains, sets, names=inst.names, constant=constant)
     try:
         return _nested(lam, universe)
     except ClassViolation:
@@ -300,10 +295,7 @@ def build_network(forest: LaminarForest) -> FlowNetwork:
     folded = []
     kept = []
     for k in range(1, len(counts)):
-        g = counts[k]
-        if g.support is None:
-            raise InstanceError("set with empty finite support reached the network builder")
-        if len(g.table) == 2:  # g covers counts 0..s, s the variables spanned
+        if len(counts[k].table) == 2:  # g covers counts 0..s, s the variables spanned
             node[k] = node[father[k]]
             folded.append(k)
         else:
@@ -332,7 +324,7 @@ def _solve_forest(inst: CountInstance, forest: LaminarForest):
     ``inst``, the instance the forest was built from.  ``network`` is None
     when a set has no finite count, since no network is built then."""
     lam = forest.instance
-    empty = [k for k, aset in enumerate(lam.sets) if aset.g.support is None]
+    empty = [k for k, g in enumerate(lam.integer_counts.counts) if g.support is None]
     net = None
     if empty:
         res = SolveResult((0,) * inst.n, INF, "cfc-flow", {"empty_support_set": empty[0]})

@@ -102,6 +102,8 @@ def _parse_graph(args):
                 raise FormatError(f"malformed edge {part!r}; expected like 0-1")
             edges.append((u, v))
             vertices = max(vertices, u + 1, v + 1)
+    if vertices == 0:
+        raise FormatError("the graph has no vertices; give --edges or --vertices")
     return vertices, edges
 
 

@@ -179,10 +179,13 @@ def parse_cost(text: str) -> Cost:
 
 
 def format_cost(c: Cost) -> str:
-    """Canonical cost string: ``inf``, ``7`` or ``5/6`` (lowest terms)."""
+    """Canonical cost string: ``inf``, ``7`` or ``5/6`` (lowest terms).
+    Raises FormatError when a part has more digits than ``str`` writes,
+    as ``parse_cost`` does when it has more than ``int`` reads."""
     if c.is_infinite:
         return "inf"
     v = c.value
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    try:
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise FormatError("cost has more digits than can be written") from None

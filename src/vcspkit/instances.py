@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -245,17 +244,13 @@ class CountFunction:
     def reflected(self, t: int, s: int) -> "CountFunction":
         """y -> g(t - y) over counts 0..s, inf where t - y is no count of g:
         the function of a set hit y times when g's set is hit t - y times."""
-        return CountFunction(reflect(self.table, t, s, INF))
+        return CountFunction(tuple([
+            self.table[t - y] if 0 <= t - y < len(self.table) else INF for y in range(s + 1)
+        ]))
 
     @classmethod
     def zero(cls, s: int) -> "CountFunction":
         return cls(tuple(ZERO for _ in range(s + 1)))
-
-
-def reflect(table, t, s, inf):
-    """The table y -> table[t - y] over y in 0..s, ``inf`` where t - y is no
-    index of ``table``; ``CountFunction.reflected`` on any table."""
-    return tuple([table[t - y] if 0 <= t - y < len(table) else inf for y in range(s + 1)])
 
 
 @dataclass(frozen=True)
@@ -284,21 +279,17 @@ class AssignmentSet:
         return len({v for v, _ in self.members})
 
 
-def _merge(pairs):
-    """Pairs (set, integer table or None) with equal members merged, in
-    first-seen order, into one pair whose function and integer table are the
-    sums of theirs."""
+def _merge(sets):
+    """The sets with equal members merged, in first-seen order, into one set
+    whose function is the sum of theirs."""
     merged = {}
-    for aset, ints in pairs:
+    for aset in sets:
         old = merged.get(aset.members)
         if old is not None:
-            table = tuple([a + b for a, b in zip(old[0].g.table, aset.g.table)])
+            table = tuple([a + b for a, b in zip(old.g.table, aset.g.table)])
             aset = AssignmentSet(aset.members, CountFunction(table))
-            if ints is not None:
-                ints = tuple([None if a is None or b is None else a + b
-                              for a, b in zip(old[1], ints)])
-        merged[aset.members] = (aset, ints)
-    return list(merged.values())
+        merged[aset.members] = aset
+    return tuple(merged.values())
 
 
 @dataclass(frozen=True)
@@ -332,30 +323,7 @@ class CountInstance:
         domains_t = tuple(tuple(d) for d in domains)
         if names is None:
             names = tuple(f"v{i}" for i in range(len(domains_t)))
-        merged = _merge((aset, None) for aset in sets)
-        return cls(tuple(names), domains_t, Cost(constant), tuple([a for a, _ in merged]))
-
-    def derive(self, sets, tables, constant: Cost, scaled_constant) -> "CountInstance":
-        """The instance over these variables with ``sets``, merged as by
-        ``build``, and ``constant``, with its integer view carried over:
-        ``tables[k]`` and ``scaled_constant`` are the table of ``sets[k]``
-        and the constant as ints over this instance's ``integer_counts.den``.
-        The view is reduced to its least denominator, so it equals the one
-        ``integer_counts`` would compute."""
-        merged = _merge(zip(sets, tables))
-        inst = CountInstance(self.names, self.domains, constant, tuple([a for a, _ in merged]))
-        tables = [t for _, t in merged]
-        den = self.integer_counts.den
-        if den > 1:
-            k = gcd(den, scaled_constant or 0, *(v for t in tables for v in t if v is not None))
-            if k > 1:
-                den //= k
-                tables = [tuple([v if v is None else v // k for v in t]) for t in tables]
-                if scaled_constant is not None:
-                    scaled_constant //= k
-        # what the cached_property would store on first use
-        vars(inst)["integer_counts"] = IntegerCounts(den, _integer_counts(tables), scaled_constant)
-        return inst
+        return cls(tuple(names), domains_t, Cost(constant), _merge(sets))
 
     @property
     def n(self) -> int:

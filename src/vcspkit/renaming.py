@@ -4,8 +4,8 @@ A constraint g(|x cap A|) on a set of literals A can be replaced by the
 equivalent constraint on the negated literals with the count function read
 backwards.  Whether some subset of constraints can be renamed to make the
 family cross-free reduces to 2-SAT over one flag per constraint.  The
-renamed instance carries the input's integer view, its tables read
-backwards the same way, instead of scaling its costs again.
+renaming works on the ``Cost`` tables; the renamed instance builds its own
+integer view on first use.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .cfc import (
     build_laminar_forest,
 )
 from .errors import ClassViolation, InstanceError
-from .instances import AssignmentSet, CountInstance, evaluate_count, reflect
+from .instances import AssignmentSet, CountInstance, evaluate_count
 from .results import SolveResult
 
 
@@ -197,16 +197,8 @@ def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:
     model = solve_2sat(TwoSatInstance(len(inst.sets), tuple(clauses)))
     if model is None:
         return None
-    view = inst.integer_counts
-    sets, tables = [], []
-    for aset, g, flag in zip(inst.sets, view.counts, model):
-        if flag:
-            sets.append(_rename(aset))
-            tables.append(reflect(g.table, len(aset.members), aset.var_count, None))
-        else:
-            sets.append(aset)
-            tables.append(g.table)
-    renamed = inst.derive(sets, tables, inst.constant, view.constant)
+    sets = [_rename(aset) if flag else aset for aset, flag in zip(inst.sets, model)]
+    renamed = CountInstance.build(inst.domains, sets, names=inst.names, constant=inst.constant)
     try:
         forest = build_laminar_forest(renamed)
     except ClassViolation:

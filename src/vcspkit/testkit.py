@@ -5,11 +5,11 @@ This module holds what the commands and the benchmark reach: ``oracle``
 and ``dispatch``'s fallback use the oracles, ``gen`` the generators and
 fixtures.  The oracles are deliberately independent re-implementations:
 they enumerate every assignment and share no search code with the solvers
-they are used to check.  ``oracle_binary`` adds the instance's integer
-costs, which the solvers read too; the tests check those entry by entry
-against the ``Cost`` tables, and every solver's answer is re-evaluated on
-them.  The references and random generators that only the tests use are
-in ``tests/helpers.py``.
+they are used to check.  They add the instance's integer view
+(``integer_costs``, ``integer_counts``), which the solvers read too; the
+tests check the views entry by entry against the ``Cost`` tables, and
+every solver's answer is re-evaluated on those tables.  The references
+and random generators that only the tests use are in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ from .instances import (
 )
 from .results import SolveResult
 from .triangles import ALPHABET, Scheme, profile
-
-
-def _raw(c: Cost):
-    """None for inf, an int when integral, else a Fraction (fast summation)."""
-    if c.is_infinite:
-        return None
-    v = c.value
-    return v.numerator if v.denominator == 1 else v
 
 
 def oracle_binary(inst: BinaryInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -81,7 +73,11 @@ def oracle_binary(inst: BinaryInstance, budget: int = DEFAULT_BUDGET) -> SolveRe
 
 
 def oracle_count(inst: CountInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Exact optimum of a count instance by full enumeration."""
+    """Exact optimum of a count instance by full enumeration.
+
+    It enumerates on the instance's integer view
+    (``CountInstance.integer_counts``), so it adds ints.
+    """
     space = prod(len(d) for d in inst.domains)
     if space > budget:
         raise BudgetExceeded(f"{space} assignments exceed the budget of {budget}")
@@ -91,8 +87,8 @@ def oracle_count(inst: CountInstance, budget: int = DEFAULT_BUDGET) -> SolveResu
     for k, aset in enumerate(inst.sets):
         for (i, a) in aset.members:
             members[i][a].append(k)
-    tables = [[_raw(c) for c in aset.g.table] for aset in inst.sets]
-    constant = _raw(inst.constant)
+    view = inst.integer_counts
+    tables = [g.table for g in view.counts]
 
     best_x = None
     best = None
@@ -123,10 +119,11 @@ def oracle_count(inst: CountInstance, budget: int = DEFAULT_BUDGET) -> SolveResu
 
     chosen = []
     descend(0)
-    if constant is None or best is None:
+    if view.constant is None or best is None:
         first = tuple(0 for _ in range(n)) if best_x is None else best_x
         return SolveResult(first, INF, "oracle", {"enumerated": space})
-    return SolveResult(best_x, Cost(Fraction(best + constant)), "oracle", {"enumerated": space})
+    total = Cost(Fraction(best + view.constant, view.den))
+    return SolveResult(best_x, total, "oracle", {"enumerated": space})
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,25 @@ def test_solve_cfc_reports_infeasible_as_infinite_cost():
     assert evaluate_count(inst, res.assignment) == INF
 
 
+def test_empty_support_set_is_reported_by_its_index_in_the_laminar_form():
+    universe = frozenset((i, a) for i in range(2) for a in range(2))
+    cheap = AssignmentSet(frozenset([(0, 0)]), CountFunction((ZERO, C(1))))
+    nowhere = AssignmentSet(frozenset([(0, 1), (1, 0), (1, 1)]), CountFunction((INF,) * 3))
+    # laminar: solved as it is
+    laminar = CountInstance.build([["0", "1"]] * 2, [cheap, nowhere])
+    # cross-free only: the universe set goes into the constant and the set
+    # holding u0 = (0, 0) is complemented, so `nowhere` is set 1 of the rewrite
+    crossing = AssignmentSet(frozenset([(0, 0), (1, 0)]), CountFunction((ZERO, C(1), C(2))))
+    root = AssignmentSet(universe, CountFunction((INF, INF, C(2))))
+    crossfree = CountInstance.build([["0", "1"]] * 2, [root, crossing, nowhere])
+    for inst in (laminar, crossfree):
+        res = solve_cfc(inst)
+        assert res.cost == INF
+        assert res.certificate == {"empty_support_set": 1}
+        assert build_laminar_forest(inst).instance.sets[1] == nowhere
+    assert build_laminar_forest(crossfree).instance is not crossfree
+
+
 def test_universe_set_contributes_constant():
     universe = frozenset((i, a) for i in range(2) for a in range(2))
     root = AssignmentSet(universe, CountFunction((INF, INF, C(3))))

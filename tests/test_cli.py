@@ -250,6 +250,23 @@ def test_cost_with_more_digits_than_int_reads_exits_three(command, doc, where):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["solve-cfc", "oracle"])
+def test_cost_with_more_digits_than_str_writes_exits_three(command):
+    # every string parses (4,300 digits each), but the optimum has 4,301
+    doc = {
+        "format": "vcsp-cfc/1",
+        "variables": [{"name": "x", "domain": ["a"]}],
+        "constant": "9" * 4300,
+        "sets": [{"assignments": [[0, 0]], "g": ["inf", "9" * 4300]}],
+    }
+    proc = run_cli(command, "-", stdin=json.dumps(doc))
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {
+        "error": {"kind": "format", "message": "cost has more digits than can be written"}
+    }
+    assert "Traceback" not in proc.stderr
+
+
 def test_rename_rejects_non_convex_count_function():
     doc = {
         "format": "vcsp-cfc/1",
@@ -472,7 +489,8 @@ def test_oracle_solves_fixture():
 
 @pytest.mark.parametrize(
     "args",
-    [("soft-gcc", "--bounds", "x"), ("nested-gcc", "--groups", "0-a"), ("profile", "--n", "0")],
+    [("soft-gcc", "--bounds", "x"), ("nested-gcc", "--groups", "0-a"), ("profile", "--n", "0"),
+     ("maxcut", "--edges", ""), ("matching", "--edges", "")],
 )
 def test_gen_malformed_flag_exits_three(args):
     proc = run_cli("gen", *args)

@@ -89,6 +89,12 @@ def test_format_round_trips():
         assert parse_cost(format_cost(c)) == c
 
 
+@pytest.mark.parametrize("value", [10**4300, Fraction(1, 10**4300)], ids=["numerator", "denominator"])
+def test_format_rejects_more_digits_than_str_writes(value):
+    with pytest.raises(FormatError, match="more digits than can be written"):
+        format_cost(Cost(value))
+
+
 def test_cost_keeps_a_given_fraction():
     half = Fraction(1, 2)
     assert Cost(half).value is half
