@@ -16,7 +16,7 @@ from vcspkit.binary_solvers import (
     solve_weighted_matching_class,
 )
 from vcspkit.costs import Cost, INF, ZERO
-from vcspkit.errors import ClassViolation, GenerationError
+from vcspkit.errors import ClassViolation, GenerationError, VcspError
 from vcspkit.formats import dumps
 from vcspkit.instances import BinaryInstance, evaluate_binary
 from vcspkit.testkit import gen_matching_encoding, gen_profile, oracle_binary
@@ -255,6 +255,69 @@ def test_matching_routes_match_pinned_digest():
                         doc = solve_matching_cardinality_class(inst).to_doc()
                         digest.update(dumps(doc).encode())
     assert digest.hexdigest() == _PINNED_MATCHING_DOCS
+
+
+# SHA-256 of the binary documents below, computed before the routes took
+# dispatch's profile.  A change that alters any of them must update this
+# constant on purpose.
+_PINNED_BINARY_DOCS = "e93a8820eaec5cf9f7cf6029ffb0ee957cfcc5a3b906d4b44d20ed77ae10f299"
+
+_PUBLIC_SOLVERS = (
+    solve_sac_class,
+    solve_trivial_class,
+    solve_lr_class,
+    solve_matching_cardinality_class,
+    solve_min0_class,
+    solve_weighted_matching_class,
+)
+
+# binary costs of the random corpus: inf and denominators 2 and 7 included
+_COST_POOL = [ZERO, C(1), C(2), C(Fraction(1, 2)), C(Fraction(3, 7)), INF]
+
+
+def _binary_corpus():
+    """``gen_profile`` instances of every cell with a solver, for n up to 8
+    and d up to 3, a few small ones of the cells without, and random
+    instances with absent tables, ragged domains and mixed costs."""
+    for scheme, cells in triangles._SOLVER_CELLS.items():
+        for cell, solver in cells:
+            ns, seeds = ((1, 2, 3, 5, 8), range(4)) if solver else ((1, 2, 3), range(1))
+            for n in ns:
+                for d in (1, 2, 3):
+                    for seed in seeds:
+                        try:
+                            yield gen_profile(n, d, cell, scheme, seed)
+                        except GenerationError:
+                            pass
+    rng = random.Random(23)
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        domains = [[str(v) for v in range(rng.randint(1, 3))] for _ in range(n)]
+        pool = rng.sample(_COST_POOL, rng.randint(1, 4))
+        unary = {i: [rng.choice(_COST_POOL) for _ in dom]
+                 for i, dom in enumerate(domains) if rng.random() < 0.6}
+        binary = {(i, j): [[rng.choice(pool) for _ in domains[j]] for _ in domains[i]]
+                  for i in range(n) for j in range(i + 1, n) if rng.random() < 0.8}
+        yield BinaryInstance.build(domains, unary=unary, binary=binary)
+
+
+def _document(call):
+    """``call()``'s document, or the type, message and witness of its error."""
+    try:
+        return call()
+    except VcspError as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "witness", None)]
+
+
+def test_binary_documents_match_pinned_digest():
+    digest = hashlib.sha256()
+    for inst in _binary_corpus():
+        docs = [_document(lambda: dispatch(inst, oracle_budget=20_000).to_doc())]
+        docs += [_document(lambda: solve(inst).to_doc()) for solve in _PUBLIC_SOLVERS]
+        docs += [_document(lambda: triangles.profile_report(inst, scheme)) for scheme in Scheme]
+        for doc in docs:
+            digest.update(dumps(doc).encode())
+    assert digest.hexdigest() == _PINNED_BINARY_DOCS
 
 
 def _parse(text):

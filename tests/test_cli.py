@@ -449,6 +449,15 @@ def test_class_violation_exits_four():
     assert json.loads(proc.stdout)["error"]["kind"] == "class"
 
 
+def test_instance_error_exits_three():
+    # group 0 names variable 5 of a two-variable instance
+    proc = run_cli("gen", "nested-gcc", "--n", "2", "--d", "2", "--groups", "0-5")
+    message = "set 0 references assignment (5, 0) outside domains"
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {"error": {"kind": "instance", "message": message}}
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_budget_exceeded_exits_five():
     gen = run_cli("gen", "profile", "--scheme", "order", "--types", "<,=",
                   "--n", "6", "--d", "3", "--seed", "2")
