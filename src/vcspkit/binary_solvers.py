@@ -1,20 +1,23 @@
 """Polynomial solvers for the tractable triangle classes, plus a dispatcher.
 
-Each solver checks its class precondition, the profile check against its
-cells in ``triangles._SOLVER_CELLS``, and nothing the cell already implies
-(matching-cardinality: no assignment zero-pairs with two variables;
-weighted-matching: no assignment is below the maximum M in two tables, and
-no pair minimum exceeds M; min0-structure: mu is 0 when a table is absent).
-The two matching routes are one reduction, ``_matching_route``, under two
-preconditions: matching-cardinality is the cell {>, 1} with {0, 1} unaries
-and M = 1, weighted-matching the cell {>M, M} with its M.  The solvers that
-add or compare costs (all but trivial) read the instance's integer costs
-(``BinaryInstance.integer_costs``: every finite cost times one common
-denominator, None for inf) and make a ``Cost`` only of what they report.
-Every SolveResult's assignment is re-evaluated on the ``Cost`` tables by
-``evaluate_binary`` and must give the reported cost.  The dispatcher scans
-the triangles once, reads every applicable scheme's profile from that
-scan, and passes the scan on, so the routed solver's check reads it too.
+Each route in ``SOLVERS`` maps ``(inst, prof)`` to (assignment, cost,
+certificate), ``prof`` being the profile of the route's cell that holds the
+instance: ``dispatch`` hands over the one its verdict read, and a public
+``solve_*_class(inst)`` finds it by ``_require_profile``, the check against
+the route's cells in ``triangles._SOLVER_CELLS``.  No route re-tests what
+its cell implies (matching-cardinality: no assignment zero-pairs with two
+variables; weighted-matching: no assignment is below the maximum M in two
+tables, and no pair minimum exceeds M; min0-structure: mu is 0 when a table
+is absent).  The two matching routes are one reduction, ``_matching_route``,
+under two preconditions: matching-cardinality is the cell {>, 1} with
+{0, 1} unaries and M = 1, weighted-matching the cell {>M, M} with its M.
+The routes that add or compare costs (all but trivial) read the instance's
+integer costs (``BinaryInstance.integer_costs``: every finite cost times one
+common denominator, None for inf) and make a ``Cost`` only of what they
+report.  Every answer leaves through ``_result``, which re-evaluates its
+assignment on the ``Cost`` tables by ``evaluate_binary``.  The dispatcher
+scans the triangles once and reads every applicable scheme's profile from
+that scan.
 
 The crisp solver needs no consistency propagation: in its class no triangle
 has exactly one infinite cost, so values zero-compatible with a common
@@ -34,9 +37,6 @@ from .matching import MatchingGraph, max_weight_matching
 from .results import SolveResult
 from .triangles import (
     _SOLVER_CELLS,
-    _range_check,
-    _rank_tables,
-    _scan_ranks,
     Scheme,
     has_soft_unaries,
     in_range,
@@ -47,30 +47,21 @@ from .triangles import (
 )
 
 
-def _require_profile(inst, solver, scan=None):
+def _require_profile(inst, solver):
     """The profile of the first of the solver's cells, in table order, that
-    holds every observed type; otherwise raise the last violation.
-
-    ``scan`` is ``scan_triangles(inst)``, computed here when not given, and
-    only once some cell's scheme has every binary cost in its range.
-    """
-    if scan is None:
-        values, ranks = _rank_tables(inst)
-    else:
-        values = scan.values
+    holds every observed type; otherwise raise the last violation.  The
+    triangles are scanned once, if some cell's scheme admits every cost."""
+    scan = scan_triangles(inst)
     err = None
     for scheme, cells in _SOLVER_CELLS.items():
         for cell, sid in cells:
             if sid != solver:
                 continue
             try:
-                _range_check(inst, scheme, values)
+                prof = profile(inst, scheme, scan=scan)
             except ClassViolation as exc:
                 err = exc
                 continue
-            if scan is None:
-                scan = _scan_ranks(inst, values, ranks)
-            prof = profile(inst, scheme, scan=scan)
             stray = prof.observed - cell
             if not stray:
                 return prof
@@ -82,12 +73,16 @@ def _require_profile(inst, solver, scan=None):
     raise err
 
 
-def _check_result(inst, x, total):
+def _result(inst, solver, answer, verdicts=()):
+    """The route's answer (assignment, cost, certificate) as a SolveResult,
+    once the assignment re-evaluates to the cost on the ``Cost`` tables."""
+    x, total, cert = answer
     got = evaluate_binary(inst, x)
     if got != total:
         raise InstanceError(
             f"internal check failed: assignment evaluates to {got}, solver reported {total}"
         )
+    return SolveResult(x, total, solver, cert, verdicts)
 
 
 def _add(x, y):
@@ -110,10 +105,10 @@ def _brute_force(inst):
 
 
 # ---------------------------------------------------------------------------
-# class solvers
+# class routes: (inst, prof) -> (assignment, cost, certificate)
 
 
-def solve_sac_class(inst: BinaryInstance, scan=None) -> SolveResult:
+def _sac(inst, prof):
     """Crisp binaries whose triangles avoid the two-zeros-one-inf pattern,
     with arbitrary soft unaries.
 
@@ -124,7 +119,6 @@ def solve_sac_class(inst: BinaryInstance, scan=None) -> SolveResult:
     optimum is found by scanning anchor values over the full domains and
     taking minimum-cost compatible unaries elsewhere.
     """
-    _require_profile(inst, "sac", scan)
     ints = inst.integer_costs
     unary = ints.unary
     best = None
@@ -145,14 +139,12 @@ def solve_sac_class(inst: BinaryInstance, scan=None) -> SolveResult:
             if best is None or _key(total) < _key(best[0]):
                 best = (total, tuple(picks))
     if best is None:
-        return SolveResult((0,) * inst.n, INF, "sac", {"wipeout": True})
+        return (0,) * inst.n, INF, {"wipeout": True}
     total, x = best
-    res = SolveResult(x, ints.cost(total), "sac", {"anchor_value": x[0]})
-    _check_result(inst, res.assignment, res.cost)
-    return res
+    return x, ints.cost(total), {"anchor_value": x[0]}
 
 
-def solve_trivial_class(inst: BinaryInstance, scan=None) -> SolveResult:
+def _trivial(inst, prof):
     """Classes whose instances are tiny or have no finite solution.
 
     Crisp instances avoiding the all-zero triangle have cost inf for three
@@ -160,22 +152,17 @@ def solve_trivial_class(inst: BinaryInstance, scan=None) -> SolveResult:
     variables (a two-colour triangle argument), so exhaustive search is
     constant-time.
     """
-    crisp = _require_profile(inst, "trivial", scan).scheme is Scheme.CSP
+    crisp = prof.scheme is Scheme.CSP
     if crisp and inst.n >= 3:
         # no all-zero triangle can exist, so no solution has finite cost
-        x = (0,) * inst.n
-        res = SolveResult(x, INF, "trivial", {"reason": "no finite solution with n >= 3"})
-        _check_result(inst, x, INF)
-        return res
+        return (0,) * inst.n, INF, {"reason": "no finite solution with n >= 3"}
     limit = 2 if crisp else 5
     if inst.n > limit:
         raise ClassViolation(
             f"trivial: {inst.n} variables cannot stay within the class (limit {limit})"
         )
     x, total = _brute_force(inst)
-    res = SolveResult(x, total, "trivial", {"enumerated": prod(len(d) for d in inst.domains)})
-    _check_result(inst, x, total)
-    return res
+    return x, total, {"enumerated": prod(len(d) for d in inst.domains)}
 
 
 def _split_signatures(ints, binary, one, a1, a2, pivot):
@@ -206,7 +193,7 @@ def _split_signatures(ints, binary, one, a1, a2, pivot):
     return sides
 
 
-def solve_lr_class(inst: BinaryInstance, scan=None) -> SolveResult:
+def _lr(inst, prof):
     """Zero/one binaries whose triangles avoid the two-zeros-one-one pattern.
 
     For every assignment to the first two variables the remaining
@@ -215,20 +202,17 @@ def solve_lr_class(inst: BinaryInstance, scan=None) -> SolveResult:
     scanned over its whole feasible range (with zero/one unaries its minimum
     provably sits at an end, which is re-verified numerically).
     """
-    _require_profile(inst, "lr", scan)
     if inst.n <= 2:
         x, total = _brute_force(inst)
-        res = SolveResult(x, total, "lr", {"enumerated": True})
-    else:
-        res = _solve_lr(inst)
-    _check_result(inst, res.assignment, res.cost)
-    return res
+        return x, total, {"enumerated": True}
+    return _solve_lr(inst)
 
 
 def _solve_lr(inst, binary=None, one=None):
     """The pivot scan on n >= 3 variables, over tables of the integer
     costs whose entries are 0 and ``one``: by default the instance's own,
-    with ``one`` their denominator (cost 1)."""
+    with ``one`` their denominator (cost 1).  Returns the assignment, its
+    cost and the certificate."""
     ints = inst.integer_costs
     if binary is None:
         binary, one = ints.binary, ints.den
@@ -300,10 +284,10 @@ def _solve_lr(inst, binary=None, one=None):
                 x = (a1, a2) + tuple(picks[i] for i in range(2, n))
                 best = (totals[k_best], x, forced_l + k_best)
     if best is None:
-        return SolveResult((0,) * n, INF, "lr", {"wipeout": True})
+        return (0,) * n, INF, {"wipeout": True}
     total, x, k = best
     cert = {"pivot": [x[0], x[1]], "k": k, "endpoint_dominance_verified": zero_one_unaries}
-    return SolveResult(x, ints.cost(total), "lr", cert)
+    return x, ints.cost(total), cert
 
 
 def _matching_route(inst, m):
@@ -311,8 +295,8 @@ def _matching_route(inst, m):
     ``inst.integer_costs.den``: each variable's least unary is taken out
     (their sum is the offset), and a pair whose cheapest (a, b) at the
     reduced unaries costs alpha < M is an edge of weight M - alpha.  Returns
-    the re-evaluated assignment and cost, the sorted matching, its weight
-    and the offset, the last two as ints over the denominator.
+    the assignment and its cost, the sorted matching, its weight and the
+    offset, the last two as ints over the denominator.
     """
     ints = inst.integer_costs
     n = inst.n
@@ -341,11 +325,10 @@ def _matching_route(inst, m):
         x[i], x[j] = argmins[i, j]
     x = tuple(x)
     total = ints.cost(m * (n * (n - 1) // 2) + offset - weight)
-    _check_result(inst, x, total)
     return x, total, [list(e) for e in sorted(matching)], weight, offset
 
 
-def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveResult:
+def _matching_cardinality(inst, prof):
     """Zero/one instances where cheap pairs form a partial matching.
 
     Every assignment zero-pairs with at most one other variable, so the
@@ -355,7 +338,6 @@ def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveRe
     c would make the triangle (i, a), (j, b), (k, c) hold two zeros, a type
     outside the cell {>, 1}.
     """
-    _require_profile(inst, "matching-cardinality", scan)
     ints = inst.integer_costs
     for u in itertools.chain.from_iterable(ints.unary):
         if u not in (0, ints.den):
@@ -364,10 +346,10 @@ def solve_matching_cardinality_class(inst: BinaryInstance, scan=None) -> SolveRe
     x, total, matching, _, offset = _matching_route(inst, ints.den)
     cert = {"matching": matching, "matching_size": len(matching),
             "all_one_unary_constant": str(ints.cost(offset))}
-    return SolveResult(x, total, "matching-cardinality", cert)
+    return x, total, cert
 
 
-def solve_min0_class(inst: BinaryInstance, scan=None) -> SolveResult:
+def _min0(inst, prof):
     """Finite-valued instances whose normalised triangles are all-zero or
     two-equal-nonzero-plus-zero.
 
@@ -376,7 +358,6 @@ def solve_min0_class(inst: BinaryInstance, scan=None) -> SolveResult:
     zero/one two-sided class, with that value as the unit).  An absent table counts as cost
     0, which makes the minimum mu 0, so absent tables need no normalising.
     """
-    prof = _require_profile(inst, "min0-structure", scan)
     ints = inst.integer_costs
     n, unary = inst.n, ints.unary
     mu = int(prof.mu.value * ints.den)
@@ -413,20 +394,15 @@ def solve_min0_class(inst: BinaryInstance, scan=None) -> SolveResult:
             if best is None or _key(total) < _key(best[0]):
                 best = (total, tuple(picks[i] for i in range(n)), a)
         total, x, a = best
-        res = SolveResult(x, ints.cost(_add(total, offset)), "min0-structure",
-                          {"case": "anchor-variable", "anchor": [k, a]})
-        _check_result(inst, x, res.cost)
-        return res
+        return x, ints.cost(_add(total, offset)), {"case": "anchor-variable", "anchor": [k, a]}
     if len(values) == 1:
         # one non-zero value: the zero/one lr cell with that value as one
         alpha = values.pop()
-        inner = _solve_lr(inst, norm, alpha)
+        x, inner_cost, inner_cert = _solve_lr(inst, norm, alpha)
         cert = {"case": "single-value"}
-        if not inner.cost.is_infinite:
-            cert.update(alpha=str(ints.cost(alpha)), inner_k=inner.certificate["k"])
-        res = SolveResult(inner.assignment, inner.cost + ints.cost(offset), "min0-structure", cert)
-        _check_result(inst, res.assignment, res.cost)
-        return res
+        if not inner_cost.is_infinite:
+            cert.update(alpha=str(ints.cost(alpha)), inner_k=inner_cert["k"])
+        return x, inner_cost + ints.cost(offset), cert
     pair_a, *others = witnesses
     pair_b = next((cand for cand in others if not set(cand) & set(pair_a)
                    and witnesses[cand][2] != witnesses[pair_a][2]), None)
@@ -441,7 +417,7 @@ def solve_min0_class(inst: BinaryInstance, scan=None) -> SolveResult:
     )
 
 
-def solve_weighted_matching_class(inst: BinaryInstance, scan=None) -> SolveResult:
+def _weighted_matching(inst, prof):
     """Finite-valued instances whose triangles carry at least two maximum
     costs: reduced to maximum-weight matching.
 
@@ -453,29 +429,68 @@ def solve_weighted_matching_class(inst: BinaryInstance, scan=None) -> SolveResul
     The reported certificate satisfies
     ``matching_weight + (cost - unary_offset) == pairs * M`` exactly.
     """
-    m_val = _require_profile(inst, "weighted-matching", scan).m_value
+    m_val = prof.m_value
     ints = inst.integer_costs
     n = inst.n
     for i, table in enumerate(ints.unary):
         if all(u is None for u in table):
-            return SolveResult((0,) * n, INF, "weighted-matching", {"wipeout_variable": i})
+            return (0,) * n, INF, {"wipeout_variable": i}
     x, total, matching, weight, offset = _matching_route(inst, int(m_val.value * ints.den))
     cert = {"m_value": str(m_val), "matching": matching, "matching_weight": str(ints.cost(weight)),
             "unary_offset": str(ints.cost(offset)), "pair_count": n * (n - 1) // 2}
-    return SolveResult(x, total, "weighted-matching", cert)
+    return x, total, cert
+
+
+SOLVERS = {
+    "sac": _sac,
+    "trivial": _trivial,
+    "lr": _lr,
+    "matching-cardinality": _matching_cardinality,
+    "min0-structure": _min0,
+    "weighted-matching": _weighted_matching,
+}
+
+
+# ---------------------------------------------------------------------------
+# public class solvers: the route's profile check, the route, the re-evaluation
+
+
+def _solve(inst, solver):
+    return _result(inst, solver, SOLVERS[solver](inst, _require_profile(inst, solver)))
+
+
+def solve_sac_class(inst: BinaryInstance) -> SolveResult:
+    """Route ``sac`` (``_sac``) after its profile check."""
+    return _solve(inst, "sac")
+
+
+def solve_trivial_class(inst: BinaryInstance) -> SolveResult:
+    """Route ``trivial`` (``_trivial``) after its profile check."""
+    return _solve(inst, "trivial")
+
+
+def solve_lr_class(inst: BinaryInstance) -> SolveResult:
+    """Route ``lr`` (``_lr``) after its profile check."""
+    return _solve(inst, "lr")
+
+
+def solve_matching_cardinality_class(inst: BinaryInstance) -> SolveResult:
+    """Route ``matching-cardinality`` (``_matching_cardinality``) after its profile check."""
+    return _solve(inst, "matching-cardinality")
+
+
+def solve_min0_class(inst: BinaryInstance) -> SolveResult:
+    """Route ``min0-structure`` (``_min0``) after its profile check."""
+    return _solve(inst, "min0-structure")
+
+
+def solve_weighted_matching_class(inst: BinaryInstance) -> SolveResult:
+    """Route ``weighted-matching`` (``_weighted_matching``) after its profile check."""
+    return _solve(inst, "weighted-matching")
 
 
 # ---------------------------------------------------------------------------
 # dispatch
-
-SOLVERS = {
-    "sac": solve_sac_class,
-    "trivial": solve_trivial_class,
-    "lr": solve_lr_class,
-    "matching-cardinality": solve_matching_cardinality_class,
-    "min0-structure": solve_min0_class,
-    "weighted-matching": solve_weighted_matching_class,
-}
 
 _SCHEME_ORDER = (Scheme.CSP, Scheme.MAXCSP, Scheme.MAXM, Scheme.MIN0, Scheme.ORDER)
 
@@ -488,12 +503,11 @@ def _applicable(inst, scheme, values):
 
 
 def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResult:
-    """Classify under every applicable scheme and run the matching solver.
+    """Classify under every applicable scheme and run the matching route.
 
     The triangles are scanned once, and every applicable scheme's profile
-    is read from that scan.  The routed solver gets the scan too, so its own
-    profile check adds no second scan.  Every route still re-evaluates its
-    answer against the instance.
+    is read from that scan.  The route gets the profile of the verdict that
+    chose it, and its answer is re-evaluated against the instance.
 
     Profiles with no implemented solver (or NP-hard cells) fall back to the
     exhaustive oracle within the budget; otherwise an explicit unsolved
@@ -502,8 +516,7 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResu
     soft = has_soft_unaries(inst)
     scan = scan_triangles(inst)
     verdict_docs = []
-    route = None
-    small_domain_route = None
+    route = small_domain_route = None
     for scheme in _SCHEME_ORDER:
         if not _applicable(inst, scheme, scan.values):
             continue
@@ -511,17 +524,16 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResu
         v = verdict(prof, inst.max_domain, soft)
         verdict_docs.append({"scheme": scheme.value, "observed": prof.types_sorted(), **v.to_doc()})
         if v.kind == "tractable" and route is None:
-            route = v.solver
+            route = (v.solver, prof)
         if v.kind == "trivial-small-domain" and small_domain_route is None:
             solver = solver_for(scheme, prof.observed)
             if solver is not None:
-                small_domain_route = solver
+                small_domain_route = (solver, prof)
     verdicts = tuple(verdict_docs)
     chosen = route or small_domain_route
     if chosen is not None:
-        result = SOLVERS[chosen](inst, scan=scan)
-        return SolveResult(result.assignment, result.cost, result.solver,
-                           result.certificate, verdicts)
+        solver, prof = chosen
+        return _result(inst, solver, SOLVERS[solver](inst, prof), verdicts)
     space = prod(len(d) for d in inst.domains)
     if space <= oracle_budget:
         from .testkit import oracle_binary

@@ -321,8 +321,9 @@ def solve_cfc(inst: CountInstance) -> SolveResult:
 def _solve_forest(inst: CountInstance, forest: LaminarForest):
     """``(result, network)``: the optimum of ``forest.instance``, whose
     functions are convex, by convex flow on ``network``, re-evaluated against
-    ``inst``, the instance the forest was built from.  ``network`` is None
-    when a set has no finite count, since no network is built then."""
+    ``inst``, the instance the forest was built from or one it renames (same
+    variables, same objective).  ``network`` is None when a set has no
+    finite count, since no network is built then."""
     lam = forest.instance
     empty = [k for k, g in enumerate(lam.integer_counts.counts) if g.support is None]
     net = None

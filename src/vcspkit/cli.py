@@ -342,30 +342,29 @@ def build_parser():
     return parser
 
 
+# (exception types, error kind, exit code) of the input's faults; any other
+# exception is a fault of the program: kind internal, exit 1
+_ERRORS = (
+    (FormatError, "format", 3),
+    ((ClassViolation, GenerationError), "class", 4),
+    (BudgetExceeded, "budget", 5),
+    (InstanceError, "instance", 3),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        _emit({"error": {"kind": "format", "message": str(exc)}})
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ClassViolation, GenerationError) as exc:
-        doc = {"error": {"kind": "class", "message": str(exc)}}
-        if getattr(exc, "witness", None) is not None:
-            doc["error"]["witness"] = exc.witness
-        _emit(doc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except BudgetExceeded as exc:
-        _emit({"error": {"kind": "budget", "message": str(exc)}})
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except InstanceError as exc:
-        _emit({"error": {"kind": "instance", "message": str(exc)}})
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # a fault of the program, not of the input
+    except Exception as exc:
+        for types, kind, code in _ERRORS:
+            if isinstance(exc, types):
+                error = {"kind": kind, "message": str(exc)}
+                if getattr(exc, "witness", None) is not None:
+                    error["witness"] = exc.witness
+                _emit({"error": error})
+                print(f"error: {exc}", file=sys.stderr)
+                return code
         message = f"{type(exc).__name__}: {exc}"
         _emit({"error": {"kind": "internal", "message": message}})
         print(f"internal error: {message}", file=sys.stderr)

@@ -28,7 +28,7 @@ from .instances import (
     CountInstance,
 )
 from .results import SolveResult
-from .triangles import ALPHABET, Scheme, profile
+from .triangles import ALPHABET, OTHER, Scheme, profile
 
 
 def oracle_binary(inst: BinaryInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -175,18 +175,18 @@ def gen_profile(n, d, types, scheme, seed):
 
     Uses a direct construction for the classes the solvers exercise and
     falls back to rejection sampling; the output is always re-certified by
-    the classifier before being returned.
+    the classifier before being returned.  Under MIN0 and MAXM the residual
+    type ``other`` may be targeted too.
     """
     scheme = Scheme(scheme) if not isinstance(scheme, Scheme) else scheme
     target = frozenset(types)
-    extra = target - ALPHABET[scheme]
+    anchored = scheme in (Scheme.MIN0, Scheme.MAXM)
+    extra = target - ALPHABET[scheme] - ({OTHER} if anchored else set())
     if extra:
         raise GenerationError(f"types {sorted(extra)} are outside the {scheme.value} alphabet")
     rng = random.Random(seed)
     for _ in range(200):
         inst = _construct(rng, n, d, target, scheme)
-        if inst is None:
-            break
         got = profile(inst, scheme).observed
         if got <= target:
             return inst

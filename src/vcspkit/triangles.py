@@ -17,7 +17,9 @@ Every type is a function of a triple's sorted costs alone, and reads only
 their equalities and which of them are the instance-wide minimum or maximum
 binary cost.  So the triangles are scanned once (``scan_triangles``), on
 integer ranks into the sorted distinct binary costs, and each scheme types
-one triple per signature found (see ``TriangleScan``).  Ranks are exact
+one triple per signature found (see ``TriangleScan``), which visits them on
+the first read of ``first``: ``profile`` rejects a cost outside the scheme's
+range before any triangle is visited.  Ranks are exact
 because they keep order and equality, and each triple is typed on the
 ``Cost`` values its ranks stand for.  The tables are ranked on the
 instance's integer costs over one denominator
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from typing import Mapping, Optional, Tuple
 
@@ -176,45 +178,14 @@ def _range_check(inst: BinaryInstance, scheme: Scheme, values):
                     )
 
 
-def _rank_tables(inst: BinaryInstance):
-    """The distinct binary costs in increasing order, with ``ZERO`` added
-    when some variable pair has no table, and every pair i < j's table as
-    ranks into them (an absent table as the rank of ``ZERO``).
-
-    Entries are ranked on the instance's integer costs
-    (``BinaryInstance.integer_costs``), so only the distinct values are
-    made into ``Cost`` values.
-    """
-    ints = inst.integer_costs
-    n, sizes = inst.n, [len(d) for d in inst.domains]
-    present = set(chain.from_iterable(chain.from_iterable(ints.binary.values())))
-    if len(ints.binary) < n * (n - 1) // 2:
-        present.add(0)
-    order = sorted(v for v in present if v is not None)
-    if None in present:
-        order.append(None)
-    rank = {v: r for r, v in enumerate(order)}.__getitem__
-    ranks = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            table = ints.binary.get((i, j))
-            if table is None:
-                ranks[i, j] = ((rank(0),) * sizes[j],) * sizes[i]
-            else:
-                ranks[i, j] = tuple(tuple(map(rank, row)) for row in table)
-    return tuple(map(ints.cost, order)), ranks
-
-
-def _extremes(values):
-    return (values[0], values[-1]) if values else (ZERO, ZERO)
-
-
 @dataclass(frozen=True)
 class TriangleScan:
     """The kinds of cost triple over all triangles of an instance.
 
     ``values`` holds the distinct binary costs in increasing order, with
-    ``ZERO`` added when some variable pair has no table.  The signature of a
+    ``ZERO`` added when some variable pair has no table, and ``ranks`` every
+    pair i < j's table as ranks into them; ``first`` is computed from these
+    on its first read.  The signature of a
     sorted rank triple (x, y, z) is ``(x == 0, z == len(values) - 1, x == y,
     y == z)``: whether it holds the minimum, whether it holds the maximum,
     and its equalities.  A type reads no more than that once the range check
@@ -232,8 +203,16 @@ class TriangleScan:
     values it visits every triangle.  Both give the same ``first``.
     """
 
+    inst: BinaryInstance
     values: Tuple[Cost, ...]
-    first: Mapping[Tuple[bool, bool, bool, bool], Tuple[Tuple[int, ...], Tuple[int, int, int]]]
+    ranks: Mapping[Tuple[int, int], Tuple[Tuple[int, ...], ...]]
+
+    @cached_property
+    def first(self):
+        first = {}
+        for found in _found_in_order(self.inst, self.values, self.ranks):
+            first.update(found)
+        return first
 
 
 # Up to this many distinct binary costs the scan ANDs position masks, one
@@ -353,16 +332,31 @@ def _found_in_order(inst: BinaryInstance, values, ranks):
     return _loop_scan(inst.n, ranks, len(values) - 1)
 
 
-def _scan_ranks(inst: BinaryInstance, values, ranks) -> TriangleScan:
-    first = {}
-    for found in _found_in_order(inst, values, ranks):
-        first.update(found)
-    return TriangleScan(values, first)
-
-
 def scan_triangles(inst: BinaryInstance) -> TriangleScan:
-    """One pass over all triangles, on the ranks of their costs."""
-    return _scan_ranks(inst, *_rank_tables(inst))
+    """The ``TriangleScan`` of ``inst``, its triangles not yet visited.
+
+    Entries are ranked on the instance's integer costs
+    (``BinaryInstance.integer_costs``), so only the distinct values are
+    made into ``Cost`` values; an absent table has the rank of ``ZERO``.
+    """
+    ints = inst.integer_costs
+    n, sizes = inst.n, [len(d) for d in inst.domains]
+    present = set(chain.from_iterable(chain.from_iterable(ints.binary.values())))
+    if len(ints.binary) < n * (n - 1) // 2:
+        present.add(0)
+    order = sorted(v for v in present if v is not None)
+    if None in present:
+        order.append(None)
+    rank = {v: r for r, v in enumerate(order)}.__getitem__
+    ranks = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            table = ints.binary.get((i, j))
+            if table is None:
+                ranks[i, j] = ((rank(0),) * sizes[j],) * sizes[i]
+            else:
+                ranks[i, j] = tuple(tuple(map(rank, row)) for row in table)
+    return TriangleScan(inst, tuple(map(ints.cost, order)), ranks)
 
 
 def profile(
@@ -370,16 +364,14 @@ def profile(
 ) -> TriangleProfile:
     """Exact type set over all triangles, with one witness per observed type.
 
-    ``scan`` is ``scan_triangles(inst)``, computed here when not given.
+    ``scan`` is ``scan_triangles(inst)``, made here when not given.  A cost
+    outside the scheme's range is rejected before any triangle is visited.
     """
     if scan is None:
-        values, ranks = _rank_tables(inst)
-        _range_check(inst, scheme, values)
-        scan = _scan_ranks(inst, values, ranks)
-    else:
-        _range_check(inst, scheme, scan.values)
+        scan = scan_triangles(inst)
+    _range_check(inst, scheme, scan.values)
     values = scan.values
-    lo, hi = _extremes(values)
+    lo, hi = (values[0], values[-1]) if values else (ZERO, ZERO)
     mu = lo if scheme is Scheme.MIN0 else None
     m_value = hi if scheme is Scheme.MAXM else None
     earliest = {}
@@ -407,7 +399,8 @@ def check_jwp(inst: BinaryInstance):
     are exactly those whose two least ranks differ (the ORDER types ``>``
     and ``delta``), so the scan stops at the first batch that finds one.
     """
-    for found in _found_in_order(inst, *_rank_tables(inst)):
+    scan = scan_triangles(inst)
+    for found in _found_in_order(inst, scan.values, scan.ranks):
         bad = [pos for (_, _, low_equal, _), (pos, _) in found.items() if not low_equal]
         if bad:
             i, j, k, a, b, c = min(bad)

@@ -262,14 +262,14 @@ def test_matching_routes_match_pinned_digest():
 # constant on purpose.
 _PINNED_BINARY_DOCS = "e93a8820eaec5cf9f7cf6029ffb0ee957cfcc5a3b906d4b44d20ed77ae10f299"
 
-_PUBLIC_SOLVERS = (
-    solve_sac_class,
-    solve_trivial_class,
-    solve_lr_class,
-    solve_matching_cardinality_class,
-    solve_min0_class,
-    solve_weighted_matching_class,
-)
+_PUBLIC_SOLVERS = {
+    "sac": solve_sac_class,
+    "trivial": solve_trivial_class,
+    "lr": solve_lr_class,
+    "matching-cardinality": solve_matching_cardinality_class,
+    "min0-structure": solve_min0_class,
+    "weighted-matching": solve_weighted_matching_class,
+}
 
 # binary costs of the random corpus: inf and denominators 2 and 7 included
 _COST_POOL = [ZERO, C(1), C(2), C(Fraction(1, 2)), C(Fraction(3, 7)), INF]
@@ -313,7 +313,7 @@ def test_binary_documents_match_pinned_digest():
     digest = hashlib.sha256()
     for inst in _binary_corpus():
         docs = [_document(lambda: dispatch(inst, oracle_budget=20_000).to_doc())]
-        docs += [_document(lambda: solve(inst).to_doc()) for solve in _PUBLIC_SOLVERS]
+        docs += [_document(lambda: solve(inst).to_doc()) for solve in _PUBLIC_SOLVERS.values()]
         docs += [_document(lambda: triangles.profile_report(inst, scheme)) for scheme in Scheme]
         for doc in docs:
             digest.update(dumps(doc).encode())
@@ -467,14 +467,25 @@ def test_dispatch_scans_triangles_once(monkeypatch, scheme, types, solver):
 
 
 @_ROUTED_CELLS
-def test_solver_reads_given_scan(monkeypatch, scheme, types, solver):
+def test_dispatch_hands_its_profile_to_the_route(monkeypatch, scheme, types, solver):
+    # the route reads the profile its verdict came from: no profile check of
+    # its own, and the public solver's answer
     inst = gen_profile(5, 3, types, scheme, seed=3)
-    solve = binary_solvers.SOLVERS[solver]
-    scan = triangles.scan_triangles(inst)
-    want = solve(inst).to_doc()
+    want = _PUBLIC_SOLVERS[solver](inst).to_doc()
+    checks = []
+    real_check = binary_solvers._require_profile
+
+    def counting_check(*args):
+        checks.append(args[1])
+        return real_check(*args)
+
+    monkeypatch.setattr(binary_solvers, "_require_profile", counting_check)
     calls = _count_scans(monkeypatch)
-    assert solve(inst, scan=scan).to_doc() == want
-    assert calls == []
+    doc = dispatch(inst).to_doc()
+    assert doc.pop("verdicts")
+    assert doc == want
+    assert len(calls) == 1
+    assert checks == []
 
 
 def test_out_of_range_solver_call_raises_before_scanning(monkeypatch):

@@ -475,6 +475,16 @@ def test_gen_is_byte_deterministic():
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("scheme, types", [
+    ("min0", "0,<0,>0,delta0,other"), ("maxm", "M,<M,>M,deltaM,other"),
+])
+def test_gen_profile_accepts_the_other_type(scheme, types):
+    proc = run_cli("gen", "profile", "--scheme", scheme, "--types", types, "--n", "5")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["format"] == "vcsp-binary/1"
+    assert proc.stderr == ""
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0

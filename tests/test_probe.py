@@ -17,6 +17,8 @@ def test_probe_wraps_every_layer_and_its_counters_apply(monkeypatch):
     with probe.Probe() as p:
         # one call per wrapped layer, so that each work counter runs
         binary_solvers.dispatch(gen_profile(4, 2, {">", "1"}, Scheme.MAXCSP, 0))
+        # the route runs through SOLVERS, where the probe times it
+        assert "binary_solvers.solver.matching-cardinality" in {span[0] for span in p.spans}
         inst = table["maxsat-overlap"]
         cfc.check_family([a.members for a in inst.sets], inst.universe())
         cfc.crossfree_to_laminar(table["sat-blocks"])

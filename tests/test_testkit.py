@@ -19,7 +19,7 @@ from vcspkit.testkit import (
     oracle_binary,
     oracle_count,
 )
-from vcspkit.triangles import Scheme, profile
+from vcspkit.triangles import ALPHABET, OTHER, Scheme, profile
 
 C = Cost
 
@@ -114,6 +114,22 @@ def test_generation_is_seed_deterministic():
 
     assert build(5) == build(5)
     assert build(5) != build(6)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.MIN0, Scheme.MAXM])
+def test_anchored_generation_targets_the_other_type(scheme):
+    # no construction covers the whole alphabet, so rejection sampling meets
+    # it; its random tables hold triangles with no cost at the anchor
+    target = ALPHABET[scheme] | {OTHER}
+    observed = set()
+    for seed in range(4):
+        inst = gen_profile(5, 2, target, scheme, seed)
+        got = profile(inst, scheme).observed
+        assert got <= target
+        observed |= got
+        again = gen_profile(5, 2, target, scheme, seed)
+        assert serialize_instance(again) == serialize_instance(inst)
+    assert OTHER in observed
 
 
 def test_two_sided_zero_one_generation_fails_on_six_variables():
