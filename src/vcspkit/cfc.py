@@ -20,12 +20,12 @@ and two sets that both miss u0 cannot cover the universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 from .costs import INF, ZERO
 from .errors import ClassViolation, InstanceError
 from .flow import Arc, Flow, FlowNetwork, Infeasible, min_convex_cost_flow
+from .frozen import Frozen, setfield
 from .instances import (
     AssignmentSet,
     CountFunction,
@@ -160,8 +160,7 @@ def crossfree_to_laminar(inst: CountInstance) -> CountInstance:
     return build_laminar_forest(inst).instance
 
 
-@dataclass(frozen=True)
-class LaminarForest:
+class LaminarForest(Frozen):
     """Containment forest of the laminar form of a count instance.
 
     ``instance`` is that laminar form: the input itself when its family is
@@ -173,11 +172,21 @@ class LaminarForest:
     minimal set containing it.
     """
 
-    instance: CountInstance
-    sets: Tuple[AssignmentSet, ...]
-    counts: Tuple[IntegerCount, ...]
-    father: Tuple[int, ...]
-    smallest: Mapping[tuple, int]
+    __slots__ = _fields = ("instance", "sets", "counts", "father", "smallest")
+
+    def __init__(
+        self,
+        instance: CountInstance,
+        sets: Tuple[AssignmentSet, ...],
+        counts: Tuple[IntegerCount, ...],
+        father: Tuple[int, ...],
+        smallest: Mapping[tuple, int],
+    ):
+        setfield(self, "instance", instance)
+        setfield(self, "sets", sets)
+        setfield(self, "counts", counts)
+        setfield(self, "father", father)
+        setfield(self, "smallest", smallest)
 
 
 def build_laminar_forest(inst: CountInstance) -> LaminarForest:
@@ -375,17 +384,24 @@ def _verify(inst, res):
 # domain reduction for families of sets of size at most two
 
 
-@dataclass(frozen=True)
-class DomainReduction:
+class DomainReduction(Frozen):
     """Transformed instance plus the solution back-map.
 
     Oversized variables become chains of small-domain variables whose only
     finite assignments are staircases carrying one original value.
     """
 
-    reduced: CountInstance
-    groups: Tuple[Tuple[int, ...], ...]      # new variable indices per original
-    carried_value: Tuple[Mapping[int, int], ...]  # new var -> original value index
+    __slots__ = _fields = ("reduced", "groups", "carried_value")
+
+    def __init__(
+        self,
+        reduced: CountInstance,
+        groups: Tuple[Tuple[int, ...], ...],  # new variable indices per original
+        carried_value: Tuple[Mapping[int, int], ...],  # new var -> original value index
+    ):
+        setfield(self, "reduced", reduced)
+        setfield(self, "groups", groups)
+        setfield(self, "carried_value", carried_value)
 
     def back_map(self, x) -> Tuple[int, ...]:
         out = []

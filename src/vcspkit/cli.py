@@ -52,13 +52,15 @@ NAMED_GRAPHS = {
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise FormatError(f"cannot read {path}: not UTF-8 text")
 
 
 def _write_text(path, text):

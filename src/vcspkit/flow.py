@@ -20,24 +20,26 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from .costs import Cost
 from .errors import InstanceError
+from .frozen import Frozen, setfield
 from .instances import IntegerCount
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Frozen):
     """Directed arc whose flow f costs ``cost.table[f] / den``, ``den`` the
     network's.  The window [lo, hi] is the table's finite support, and
     ``cost.slopes[k] / den`` is the cost of unit ``lo + k + 1``."""
 
-    tail: int
-    head: int
-    cost: IntegerCount
+    __slots__ = _fields = ("tail", "head", "cost")
+
+    def __init__(self, tail: int, head: int, cost: IntegerCount):
+        setfield(self, "tail", tail)
+        setfield(self, "head", head)
+        setfield(self, "cost", cost)
 
     @property
     def lo(self) -> int:
@@ -48,36 +50,38 @@ class Arc:
         return self.cost.support[1]
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
+class FlowNetwork(Frozen):
     """Nodes 0..num_nodes-1 and arcs whose tables are ints over ``den``; a
     flow must carry ``value`` from ``source`` to ``sink``.  Each distinct
     arc table is checked once: it must have a finite entry, and its slopes
     must not decrease."""
 
-    num_nodes: int
-    source: int
-    sink: int
-    value: int
-    arcs: Tuple[Arc, ...]
-    den: int
+    __slots__ = _fields = ("num_nodes", "source", "sink", "value", "arcs", "den")
 
-    def __post_init__(self):
-        for node in (self.source, self.sink):
-            if not (0 <= node < self.num_nodes):
+    def __init__(
+        self, num_nodes: int, source: int, sink: int, value: int, arcs: Tuple[Arc, ...], den: int
+    ):
+        setfield(self, "num_nodes", num_nodes)
+        setfield(self, "source", source)
+        setfield(self, "sink", sink)
+        setfield(self, "value", value)
+        setfield(self, "arcs", arcs)
+        setfield(self, "den", den)
+        for node in (source, sink):
+            if not (0 <= node < num_nodes):
                 raise InstanceError(f"node {node} outside range")
-        if self.value < 0:
+        if value < 0:
             raise InstanceError("required flow value must be non-negative")
-        if self.value > 0 and self.source == self.sink:
+        if value > 0 and source == sink:
             raise InstanceError(
-                f"source and sink are both node {self.source}; a positive value cannot flow"
+                f"source and sink are both node {source}; a positive value cannot flow"
             )
-        if self.den < 1:
-            raise InstanceError(f"network denominator must be positive, got {self.den}")
+        if den < 1:
+            raise InstanceError(f"network denominator must be positive, got {den}")
         checked = set()
-        for arc in self.arcs:
+        for arc in arcs:
             for node in (arc.tail, arc.head):
-                if not (0 <= node < self.num_nodes):
+                if not (0 <= node < num_nodes):
                     raise InstanceError(f"arc endpoint {node} outside range")
             if id(arc.cost) in checked:
                 continue
@@ -89,18 +93,22 @@ class FlowNetwork:
                 raise InstanceError("arc cost is not convex on its window")
 
 
-@dataclass(frozen=True)
-class Flow:
-    amounts: Tuple[int, ...]
-    total: Cost
+class Flow(Frozen):
+    __slots__ = _fields = ("amounts", "total")
+
+    def __init__(self, amounts: Tuple[int, ...], total: Cost):
+        setfield(self, "amounts", amounts)
+        setfield(self, "total", total)
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Frozen):
     """No feasible flow; witness_arc is an arc whose demand cannot be routed
     (None when the required value itself is unreachable)."""
 
-    witness_arc: Optional[int] = None
+    __slots__ = _fields = ("witness_arc",)
+
+    def __init__(self, witness_arc: Optional[int] = None):
+        setfield(self, "witness_arc", witness_arc)
 
 
 def _compress(values):

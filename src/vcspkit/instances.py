@@ -10,7 +10,6 @@ read the ``Cost`` tables, so re-evaluation is independent of the views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -18,13 +17,13 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from .costs import Cost, INF, ZERO, cost_sum, scale_tables
 from .errors import InstanceError
+from .frozen import Frozen, setfield
 
 Solution = Tuple[int, ...]
 Assignment = Tuple[int, int]  # (variable index, value index)
 
 
-@dataclass(frozen=True)
-class IntegerCosts:
+class IntegerCosts(Frozen):
     """The costs of a binary instance as integers over one denominator.
 
     Each finite cost times ``den``, the least common multiple of the
@@ -33,17 +32,24 @@ class IntegerCosts:
     present tables only.
     """
 
-    den: int
-    unary: Tuple[Tuple[Optional[int], ...], ...]
-    binary: Mapping[Tuple[int, int], Tuple[Tuple[Optional[int], ...], ...]]
+    __slots__ = _fields = ("den", "unary", "binary")
+
+    def __init__(
+        self,
+        den: int,
+        unary: Tuple[Tuple[Optional[int], ...], ...],
+        binary: Mapping[Tuple[int, int], Tuple[Tuple[Optional[int], ...], ...]],
+    ):
+        setfield(self, "den", den)
+        setfield(self, "unary", unary)
+        setfield(self, "binary", binary)
 
     def cost(self, v: Optional[int]) -> Cost:
         """The cost a scaled value stands for."""
         return INF if v is None else Cost(Fraction(v, self.den))
 
 
-@dataclass(frozen=True)
-class IntegerCount:
+class IntegerCount(Frozen):
     """A count-cost table as ints over a denominator kept by its owner.
 
     ``table[m]`` is the cost of count m times that denominator, None where
@@ -52,9 +58,17 @@ class IntegerCount:
     Build it with ``integer_count``.
     """
 
-    table: Tuple[Optional[int], ...]
-    support: Optional[Tuple[int, int]]
-    slopes: Tuple[int, ...]
+    __slots__ = _fields = ("table", "support", "slopes")
+
+    def __init__(
+        self,
+        table: Tuple[Optional[int], ...],
+        support: Optional[Tuple[int, int]],
+        slopes: Tuple[int, ...],
+    ):
+        setfield(self, "table", table)
+        setfield(self, "support", support)
+        setfield(self, "slopes", slopes)
 
 
 def _finite_support(finite):
@@ -85,8 +99,7 @@ def _integer_counts(tables):
     return tuple([made[t] for t in tables])
 
 
-@dataclass(frozen=True)
-class IntegerCounts:
+class IntegerCounts(Frozen):
     """The costs of a count instance as integers over one denominator.
 
     ``den`` is the least common multiple of the denominators of every
@@ -95,9 +108,12 @@ class IntegerCounts:
     is ``inf``).
     """
 
-    den: int
-    counts: Tuple[IntegerCount, ...]
-    constant: Optional[int]
+    __slots__ = _fields = ("den", "counts", "constant")
+
+    def __init__(self, den: int, counts: Tuple[IntegerCount, ...], constant: Optional[int]):
+        setfield(self, "den", den)
+        setfield(self, "counts", counts)
+        setfield(self, "constant", constant)
 
 
 def _freeze_table(rows, n_rows, n_cols, what):
@@ -111,8 +127,7 @@ def _freeze_table(rows, n_rows, n_cols, what):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BinaryInstance:
+class BinaryInstance(Frozen):
     """Variables with finite domains, unary cost tables and pairwise tables.
 
     ``binary`` maps ordered pairs (i, j) with i < j to |D_i| x |D_j| tables;
@@ -120,29 +135,35 @@ class BinaryInstance:
     absent unary table at construction time (it is materialised as zeros).
     """
 
-    names: Tuple[str, ...]
-    domains: Tuple[Tuple[str, ...], ...]
-    unary: Tuple[Tuple[Cost, ...], ...]
-    binary: Mapping[Tuple[int, int], Tuple[Tuple[Cost, ...], ...]]
+    _fields = ("names", "domains", "unary", "binary")
 
-    def __post_init__(self):
-        object.__setattr__(self, "binary", MappingProxyType(dict(self.binary)))
-        n = len(self.names)
-        if len(self.domains) != n:
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        domains: Tuple[Tuple[str, ...], ...],
+        unary: Tuple[Tuple[Cost, ...], ...],
+        binary: Mapping[Tuple[int, int], Tuple[Tuple[Cost, ...], ...]],
+    ):
+        setfield(self, "names", names)
+        setfield(self, "domains", domains)
+        setfield(self, "unary", unary)
+        setfield(self, "binary", MappingProxyType(dict(binary)))
+        n = len(names)
+        if len(domains) != n:
             raise InstanceError("one domain per variable required")
-        for i, dom in enumerate(self.domains):
+        for i, dom in enumerate(domains):
             if not dom:
                 raise InstanceError(f"domain of variable {i} is empty")
-        if len(self.unary) != n:
+        if len(unary) != n:
             raise InstanceError("one unary table per variable required")
-        for i, table in enumerate(self.unary):
-            if len(table) != len(self.domains[i]):
+        for i, table in enumerate(unary):
+            if len(table) != len(domains[i]):
                 raise InstanceError(f"unary table of variable {i} has wrong length")
         for (i, j), table in self.binary.items():
             if not (0 <= i < j < n):
                 raise InstanceError(f"binary table on invalid pair ({i}, {j})")
-            if len(table) != len(self.domains[i]) or any(
-                len(row) != len(self.domains[j]) for row in table
+            if len(table) != len(domains[i]) or any(
+                len(row) != len(domains[j]) for row in table
             ):
                 raise InstanceError(f"binary table on ({i}, {j}) has wrong shape")
 
@@ -206,8 +227,7 @@ def evaluate_binary(inst: BinaryInstance, x: Solution) -> Cost:
                     + [table[x[i]][x[j]] for (i, j), table in inst.binary.items()])
 
 
-@dataclass(frozen=True)
-class CountFunction:
+class CountFunction(Frozen):
     """Cost as a function of a count in [0, s], finite on a contiguous interval.
 
     The finite support may be empty.  Convexity of the finite part is a
@@ -215,16 +235,16 @@ class CountFunction:
     requirement (non-convex tables are legitimate instances).
     """
 
-    table: Tuple[Cost, ...]
+    __slots__ = ("table", "_support")
+    _fields = ("table",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "table", tuple(c if type(c) is Cost else Cost(c) for c in self.table)
-        )
-        if not self.table:
+    def __init__(self, table: Tuple[Cost, ...]):
+        table = tuple(c if type(c) is Cost else Cost(c) for c in table)
+        setfield(self, "table", table)
+        if not table:
             raise InstanceError("count function needs at least one entry")
-        finite = [m for m, c in enumerate(self.table) if not c.is_infinite]
-        object.__setattr__(self, "_support", _finite_support(finite))
+        finite = [m for m, c in enumerate(table) if not c.is_infinite]
+        setfield(self, "_support", _finite_support(finite))
 
     @property
     def size(self) -> int:
@@ -253,24 +273,24 @@ class CountFunction:
         return cls(tuple(ZERO for _ in range(s + 1)))
 
 
-@dataclass(frozen=True)
-class AssignmentSet:
+class AssignmentSet(Frozen):
     """A set of (variable, value) assignments scored by a count function.
 
     ``g`` has length s + 1 where s is the number of distinct variables
     among the members (the largest count a solution can reach).
     """
 
-    members: frozenset
-    g: CountFunction
+    __slots__ = _fields = ("members", "g")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not self.members:
+    def __init__(self, members: frozenset, g: CountFunction):
+        members = frozenset(members)
+        setfield(self, "members", members)
+        setfield(self, "g", g)
+        if not members:
             raise InstanceError("assignment-set must be non-empty")
-        if self.g.size != self.var_count:
+        if g.size != self.var_count:
             raise InstanceError(
-                f"count function covers 0..{self.g.size}, expected 0..{self.var_count}"
+                f"count function covers 0..{g.size}, expected 0..{self.var_count}"
             )
 
     @property
@@ -292,26 +312,32 @@ def _merge(sets):
     return tuple(merged.values())
 
 
-@dataclass(frozen=True)
-class CountInstance:
+class CountInstance(Frozen):
     """Variables plus assignment-sets with count-cost functions and a constant."""
 
-    names: Tuple[str, ...]
-    domains: Tuple[Tuple[str, ...], ...]
-    constant: Cost
-    sets: Tuple[AssignmentSet, ...]
+    _fields = ("names", "domains", "constant", "sets")
 
-    def __post_init__(self):
-        n = len(self.names)
-        if len(self.domains) != n:
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        domains: Tuple[Tuple[str, ...], ...],
+        constant: Cost,
+        sets: Tuple[AssignmentSet, ...],
+    ):
+        setfield(self, "names", names)
+        setfield(self, "domains", domains)
+        setfield(self, "constant", constant)
+        setfield(self, "sets", sets)
+        n = len(names)
+        if len(domains) != n:
             raise InstanceError("one domain per variable required")
-        for i, dom in enumerate(self.domains):
+        for i, dom in enumerate(domains):
             if not dom:
                 raise InstanceError(f"domain of variable {i} is empty")
         seen = set()
-        for k, aset in enumerate(self.sets):
+        for k, aset in enumerate(sets):
             for (i, a) in aset.members:
-                if not (0 <= i < n) or not (0 <= a < len(self.domains[i])):
+                if not (0 <= i < n) or not (0 <= a < len(domains[i])):
                     raise InstanceError(f"set {k} references assignment ({i}, {a}) outside domains")
             if aset.members in seen:
                 raise InstanceError("duplicate assignment-sets must be merged at load time")

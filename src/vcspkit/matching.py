@@ -51,25 +51,25 @@ same way.  networkx carries this notice:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import InstanceError
+from .frozen import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class MatchingGraph:
+class MatchingGraph(Frozen):
     """Undirected graph with non-negative integer edge weights."""
 
-    num_vertices: int
-    edges: Tuple[Tuple[int, int, int], ...]
+    __slots__ = _fields = ("num_vertices", "edges")
 
-    def __post_init__(self):
+    def __init__(self, num_vertices: int, edges: Tuple[Tuple[int, int, int], ...]):
+        setfield(self, "num_vertices", num_vertices)
+        setfield(self, "edges", edges)
         seen = set()
-        for u, v, _ in self.edges:
+        for u, v, _ in edges:
             if u == v:
                 raise InstanceError(f"self-loop on vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise InstanceError(f"edge ({u}, {v}) outside vertex range")
             key = (min(u, v), max(u, v))
             if key in seen:

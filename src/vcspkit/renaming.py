@@ -11,7 +11,6 @@ integer view on first use.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .cfc import (
@@ -22,6 +21,7 @@ from .cfc import (
     build_laminar_forest,
 )
 from .errors import ClassViolation, InstanceError
+from .frozen import Frozen, setfield
 from .instances import AssignmentSet, CountInstance
 from .results import SolveResult
 
@@ -47,20 +47,20 @@ def _rename(aset: AssignmentSet) -> AssignmentSet:
     return AssignmentSet(members, aset.g.reflected(len(aset.members), aset.var_count))
 
 
-@dataclass(frozen=True)
-class TwoSatInstance:
+class TwoSatInstance(Frozen):
     """Conjunction of 2-literal clauses; literal k>0 means variable k-1 true,
     k<0 its negation."""
 
-    num_vars: int
-    clauses: Tuple[Tuple[int, int], ...]
+    __slots__ = _fields = ("num_vars", "clauses")
 
-    def __post_init__(self):
-        for clause in self.clauses:
+    def __init__(self, num_vars: int, clauses: Tuple[Tuple[int, int], ...]):
+        setfield(self, "num_vars", num_vars)
+        setfield(self, "clauses", clauses)
+        for clause in clauses:
             if len(clause) != 2:
                 raise InstanceError("every clause must have exactly 2 literals")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise InstanceError(f"literal {lit} out of range")
 
 
@@ -174,13 +174,15 @@ def _clauses(members, universe):
     return clauses
 
 
-@dataclass(frozen=True)
-class Renaming:
+class Renaming(Frozen):
     """Renaming flags per constraint, the renamed instance and its forest."""
 
-    flags: Tuple[bool, ...]
-    renamed: CountInstance
-    forest: LaminarForest
+    __slots__ = _fields = ("flags", "renamed", "forest")
+
+    def __init__(self, flags: Tuple[bool, ...], renamed: CountInstance, forest: LaminarForest):
+        setfield(self, "flags", flags)
+        setfield(self, "renamed", renamed)
+        setfield(self, "forest", forest)
 
 
 def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:

@@ -2,27 +2,37 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .costs import Cost, format_cost
 from .formats import SOLUTION_FORMAT
+from .frozen import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Frozen):
     """An optimal assignment with its exact cost and provenance notes.
 
     ``assignment`` and ``cost`` are None only for an explicit "not solved"
     outcome (dispatch fell through every route); ``certificate`` carries
-    solver-specific audit data such as the matching used.
+    solver-specific audit data such as the matching used, a new empty dict
+    when not given.
     """
 
-    assignment: Optional[Tuple[int, ...]]
-    cost: Optional[Cost]
-    solver: str
-    certificate: dict = field(default_factory=dict)
-    verdicts: Tuple[dict, ...] = ()
+    __slots__ = _fields = ("assignment", "cost", "solver", "certificate", "verdicts")
+
+    def __init__(
+        self,
+        assignment: Optional[Tuple[int, ...]],
+        cost: Optional[Cost],
+        solver: str,
+        certificate: Optional[dict] = None,
+        verdicts: Tuple[dict, ...] = (),
+    ):
+        setfield(self, "assignment", assignment)
+        setfield(self, "cost", cost)
+        setfield(self, "solver", solver)
+        setfield(self, "certificate", {} if certificate is None else certificate)
+        setfield(self, "verdicts", verdicts)
 
     @property
     def solved(self) -> bool:

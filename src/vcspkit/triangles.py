@@ -39,13 +39,13 @@ that violates the property.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from typing import Mapping, Optional, Tuple
 
 from .costs import ONE, Cost, ZERO
 from .errors import ClassViolation
+from .frozen import Frozen, setfield
 from .instances import BinaryInstance
 
 
@@ -129,15 +129,24 @@ def classify_triple(costs, scheme: Scheme, m_value: Optional[Cost] = None) -> st
     raise ClassViolation(f"unknown scheme {scheme!r}")
 
 
-@dataclass(frozen=True)
-class TriangleProfile:
+class TriangleProfile(Frozen):
     """The set of triple types observed over all triangles of an instance."""
 
-    scheme: Scheme
-    observed: frozenset
-    witnesses: Mapping[str, Tuple[int, int, int, int, int, int]]
-    mu: Optional[Cost] = None       # subtracted minimum (MIN0 only)
-    m_value: Optional[Cost] = None  # instance maximum (MAXM only)
+    __slots__ = _fields = ("scheme", "observed", "witnesses", "mu", "m_value")
+
+    def __init__(
+        self,
+        scheme: Scheme,
+        observed: frozenset,
+        witnesses: Mapping[str, Tuple[int, int, int, int, int, int]],
+        mu: Optional[Cost] = None,  # subtracted minimum (MIN0 only)
+        m_value: Optional[Cost] = None,  # instance maximum (MAXM only)
+    ):
+        setfield(self, "scheme", scheme)
+        setfield(self, "observed", observed)
+        setfield(self, "witnesses", witnesses)
+        setfield(self, "mu", mu)
+        setfield(self, "m_value", m_value)
 
     def types_sorted(self):
         return sorted(self.observed)
@@ -178,8 +187,7 @@ def _range_check(inst: BinaryInstance, scheme: Scheme, values):
                     )
 
 
-@dataclass(frozen=True)
-class TriangleScan:
+class TriangleScan(Frozen):
     """The kinds of cost triple over all triangles of an instance.
 
     ``values`` holds the distinct binary costs in increasing order, with
@@ -203,9 +211,17 @@ class TriangleScan:
     values it visits every triangle.  Both give the same ``first``.
     """
 
-    inst: BinaryInstance
-    values: Tuple[Cost, ...]
-    ranks: Mapping[Tuple[int, int], Tuple[Tuple[int, ...], ...]]
+    _fields = ("inst", "values", "ranks")
+
+    def __init__(
+        self,
+        inst: BinaryInstance,
+        values: Tuple[Cost, ...],
+        ranks: Mapping[Tuple[int, int], Tuple[Tuple[int, ...], ...]],
+    ):
+        setfield(self, "inst", inst)
+        setfield(self, "values", values)
+        setfield(self, "ranks", ranks)
 
     @cached_property
     def first(self):
@@ -408,14 +424,17 @@ def check_jwp(inst: BinaryInstance):
     return True, None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Dichotomy outcome for a profile: tractable (with a solver), JWP-only,
     NP-hard, or trivially small-domain."""
 
-    kind: str  # "tractable" | "tractable-unimplemented" | "np-hard" | "trivial-small-domain"
-    solver: Optional[str]
-    rule: str
+    __slots__ = _fields = ("kind", "solver", "rule")
+
+    def __init__(self, kind: str, solver: Optional[str], rule: str):
+        # kind: "tractable" | "tractable-unimplemented" | "np-hard" | "trivial-small-domain"
+        setfield(self, "kind", kind)
+        setfield(self, "solver", solver)
+        setfield(self, "rule", rule)
 
     def to_doc(self):
         return {"kind": self.kind, "solver": self.solver, "rule": self.rule}

@@ -203,6 +203,19 @@ def test_validation_error_exits_three():
     assert json.loads(proc.stdout)["error"]["kind"] == "format"
 
 
+@pytest.mark.parametrize("via", ["path", "stdin"])
+def test_non_utf8_input_exits_three(tmp_path, via):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe")
+    arg, stdin = (str(path), None) if via == "path" else ("-", path.read_bytes())
+    proc = subprocess.run([sys.executable, "-m", "vcspkit.cli", "solve", arg],
+                          capture_output=True, input=stdin, env=CHILD_ENV)
+    assert proc.returncode == 3
+    error = json.loads(proc.stdout)["error"]
+    assert error == {"kind": "format", "message": f"cannot read {arg}: not UTF-8 text"}
+    assert b"Traceback" not in proc.stderr
+
+
 def test_deeply_nested_json_exits_three():
     proc = run_cli("solve", "-", stdin="[" * 5000 + "]" * 5000)
     assert proc.returncode == 3
@@ -309,7 +322,8 @@ def test_cli_import_leaves_networkx_unloaded(matching_binary, in_class_binary):
         False, ["matching-cardinality", False], ["weighted-matching", False]]
 
 
-def test_no_source_file_imports_networkx():
+@pytest.mark.parametrize("module", ["networkx", "dataclasses"])
+def test_no_source_file_imports(module):
     sources = sorted((ROOT / "src" / "vcspkit").rglob("*.py"))
     assert sources
     for path in sources:
@@ -320,7 +334,7 @@ def test_no_source_file_imports_networkx():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(name.split(".")[0] == "networkx" for name in names), path
+            assert not any(name.split(".")[0] == module for name in names), path
 
 
 def test_solve_near_1e17_maxm_is_exact(tmp_path):
@@ -373,7 +387,7 @@ def matching_binary(tmp_path_factory):
 
 
 _BASE_MODULES = {"vcspkit", "vcspkit.cli", "vcspkit.costs", "vcspkit.errors",
-                 "vcspkit.formats", "vcspkit.instances", "vcspkit.results"}
+                 "vcspkit.formats", "vcspkit.frozen", "vcspkit.instances", "vcspkit.results"}
 _BINARY_MODULES = {"vcspkit.binary_solvers", "vcspkit.matching", "vcspkit.triangles"}
 _COUNT_MODULES = {"vcspkit.cfc", "vcspkit.flow", "vcspkit.renaming"}
 
@@ -383,13 +397,14 @@ try:
     code = vcspkit.cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("vcspkit", "networkx"))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] in ("vcspkit", "networkx", "dataclasses", "inspect"))]))
 """
 
 
 def _run_and_list_modules(*args):
-    """The exit code of one command and the vcspkit and networkx modules its
-    process loaded."""
+    """The exit code of one command and the vcspkit, networkx, dataclasses
+    and inspect modules its process loaded."""
     proc = subprocess.run([sys.executable, "-c", _LIST_MODULES, *args],
                           capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
@@ -421,7 +436,7 @@ def test_command_loads_only_its_modules(args, runs, unloaded, in_class_binary, m
     code, modules = _run_and_list_modules(*(inputs.get(a, a) for a in args))
     assert code == 0
     assert runs in modules
-    unloaded = unloaded | {"networkx"}
+    unloaded = unloaded | {"networkx", "dataclasses", "inspect"}
     assert not modules & unloaded, sorted(modules & unloaded)
 
 
