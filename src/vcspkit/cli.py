@@ -54,7 +54,12 @@ NAMED_GRAPHS = {
 def _read_text(path):
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
+            if sys.stdin is None:
+                raise FormatError("cannot read -: standard input is closed")
+            # bytes decoded here when the stream has them, so that the
+            # locale does not choose the decoding; a text stream is read as is
+            buffer = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:

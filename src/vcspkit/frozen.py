@@ -3,7 +3,8 @@
 A subclass names its fields in ``_fields``, in constructor order, and sets
 each one once in its ``__init__`` through ``setfield``; after that every
 assignment or deletion raises ``AttributeError``.  Equality, hash and repr
-read the fields alone, through one ``operator.attrgetter`` per class.
+read the fields alone, through one ``operator.attrgetter`` per class.  Copy
+and pickle rebuild an object by calling its class on its fields.
 """
 
 from operator import attrgetter
@@ -27,6 +28,11 @@ class Frozen:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values(self) == other._values(other)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since restoring
+        # the fields one by one would go through __setattr__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __hash__(self):
         return hash(self._values(self))

@@ -216,6 +216,31 @@ def test_non_utf8_input_exits_three(tmp_path, via):
     assert b"Traceback" not in proc.stderr
 
 
+def test_text_stdin_is_read_as_is(monkeypatch, capsys):
+    """A ``sys.stdin`` with no byte buffer, as in-process callers set it."""
+    import io
+
+    from vcspkit import cli
+
+    path = FIXTURES / "pair-grid.json"
+    assert cli.main(["solve-cfc", str(path)]) == 0
+    from_path, _ = capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    assert cli.main(["solve-cfc", "-"]) == 0
+    from_stdin, _ = capsys.readouterr()
+    assert from_stdin == from_path
+
+
+def test_closed_stdin_exits_three():
+    # the shell starts Python with descriptor 0 closed, so sys.stdin is None
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m vcspkit.cli solve - <&-', sys.executable],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 3
+    error = json.loads(proc.stdout)["error"]
+    assert error == {"kind": "format", "message": "cannot read -: standard input is closed"}
+    assert "Traceback" not in proc.stderr
+
+
 def test_deeply_nested_json_exits_three():
     proc = run_cli("solve", "-", stdin="[" * 5000 + "]" * 5000)
     assert proc.returncode == 3

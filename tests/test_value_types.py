@@ -1,6 +1,9 @@
 """The contract every value class keeps: immutable fields, equality and hash
-over the fields, the ``Name(field=value, ...)`` repr, and a constructor
-taking the fields in order."""
+over the fields, the ``Name(field=value, ...)`` repr, a constructor taking
+the fields in order, and copies and pickles that compare equal."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -47,6 +50,10 @@ HASHABLE = {
     "TwoSatInstance",
 }
 
+# the classes that hold a mapping proxy (the binary tables), which deepcopy
+# and pickle refuse
+UNPICKLABLE = {"BinaryInstance", "IntegerCosts", "TriangleScan"}
+
 
 @pytest.fixture(scope="module")
 def values():
@@ -88,17 +95,27 @@ def test_value_class_contract(values, name):
     with pytest.raises(AttributeError):
         obj.not_a_field = 1
 
-    copy = type(obj)(*[getattr(obj, field) for field in fields])
-    assert copy == obj and not copy != obj
+    rebuilt = type(obj)(*[getattr(obj, field) for field in fields])
+    assert rebuilt == obj and not rebuilt != obj
     assert obj != (*[getattr(obj, field) for field in fields],)
     if name in HASHABLE:
-        assert hash(copy) == hash(obj)
+        assert hash(rebuilt) == hash(obj)
     else:
         with pytest.raises(TypeError):
             hash(obj)
 
     shown = ", ".join(f"{field}={getattr(obj, field)!r}" for field in fields)
     assert repr(obj) == f"{name}({shown})"
+
+    assert copy.copy(obj) == obj
+    if name in UNPICKLABLE:
+        with pytest.raises(TypeError):
+            pickle.dumps(obj)
+        with pytest.raises(TypeError):
+            copy.deepcopy(obj)
+    else:
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.deepcopy(obj) == obj
 
 
 def test_solve_results_do_not_share_a_certificate():
