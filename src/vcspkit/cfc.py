@@ -20,12 +20,12 @@ and two sets that both miss u0 cannot cover the universe.
 
 from __future__ import annotations
 
-from typing import Mapping, Tuple
+from typing import Tuple
 
 from .costs import INF, ZERO
 from .errors import ClassViolation, InstanceError
 from .flow import Arc, Flow, FlowNetwork, Infeasible, min_convex_cost_flow
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 from .instances import (
     AssignmentSet,
     CountFunction,
@@ -128,8 +128,12 @@ def check_convexity(g: IntegerCount):
 def first_nonconvex_set(inst: CountInstance):
     """``(k, m)``: the first set k whose function is not convex, at count m
     (``check_convexity`` on the instance's integer view); None when all are
-    convex."""
+    convex.  Equal tables share one IntegerCount, which is checked once."""
+    checked = set()
     for k, g in enumerate(inst.integer_counts.counts):
+        if id(g) in checked:
+            continue
+        checked.add(id(g))
         ok, at = check_convexity(g)
         if not ok:
             return k, at
@@ -173,20 +177,6 @@ class LaminarForest(Frozen):
     """
 
     __slots__ = _fields = ("instance", "sets", "counts", "father", "smallest")
-
-    def __init__(
-        self,
-        instance: CountInstance,
-        sets: Tuple[AssignmentSet, ...],
-        counts: Tuple[IntegerCount, ...],
-        father: Tuple[int, ...],
-        smallest: Mapping[tuple, int],
-    ):
-        setfield(self, "instance", instance)
-        setfield(self, "sets", sets)
-        setfield(self, "counts", counts)
-        setfield(self, "father", father)
-        setfield(self, "smallest", smallest)
 
 
 def build_laminar_forest(inst: CountInstance) -> LaminarForest:
@@ -389,19 +379,12 @@ class DomainReduction(Frozen):
 
     Oversized variables become chains of small-domain variables whose only
     finite assignments are staircases carrying one original value.
+    ``groups[i]`` holds the new variable indices of original variable i, and
+    ``carried_value[i]`` maps each of them to the original value index it
+    carries.
     """
 
     __slots__ = _fields = ("reduced", "groups", "carried_value")
-
-    def __init__(
-        self,
-        reduced: CountInstance,
-        groups: Tuple[Tuple[int, ...], ...],  # new variable indices per original
-        carried_value: Tuple[Mapping[int, int], ...],  # new var -> original value index
-    ):
-        setfield(self, "reduced", reduced)
-        setfield(self, "groups", groups)
-        setfield(self, "carried_value", carried_value)
 
     def back_map(self, x) -> Tuple[int, ...]:
         out = []

@@ -61,12 +61,7 @@ class FlowNetwork(Frozen):
     def __init__(
         self, num_nodes: int, source: int, sink: int, value: int, arcs: Tuple[Arc, ...], den: int
     ):
-        setfield(self, "num_nodes", num_nodes)
-        setfield(self, "source", source)
-        setfield(self, "sink", sink)
-        setfield(self, "value", value)
-        setfield(self, "arcs", arcs)
-        setfield(self, "den", den)
+        Frozen.__init__(self, num_nodes, source, sink, value, arcs, den)
         for node in (source, sink):
             if not (0 <= node < num_nodes):
                 raise InstanceError(f"node {node} outside range")
@@ -94,11 +89,9 @@ class FlowNetwork(Frozen):
 
 
 class Flow(Frozen):
-    __slots__ = _fields = ("amounts", "total")
+    """A feasible flow: ``amounts[k]`` units on arc k, at exact cost ``total``."""
 
-    def __init__(self, amounts: Tuple[int, ...], total: Cost):
-        setfield(self, "amounts", amounts)
-        setfield(self, "total", total)
+    __slots__ = _fields = ("amounts", "total")
 
 
 class Infeasible(Frozen):
@@ -106,9 +99,6 @@ class Infeasible(Frozen):
     (None when the required value itself is unreachable)."""
 
     __slots__ = _fields = ("witness_arc",)
-
-    def __init__(self, witness_arc: Optional[int] = None):
-        setfield(self, "witness_arc", witness_arc)
 
 
 def _compress(values):

@@ -1,10 +1,26 @@
 """The base of the immutable value classes.
 
-A subclass names its fields in ``_fields``, in constructor order, and sets
-each one once in its ``__init__`` through ``setfield``; after that every
-assignment or deletion raises ``AttributeError``.  Equality, hash and repr
-read the fields alone, through one ``operator.attrgetter`` per class.  Copy
-and pickle rebuild an object by calling its class on its fields.
+A subclass names its fields in ``_fields``, in constructor order.  The
+shared constructor takes exactly one positional value per field and stores
+them in that order; after that every assignment or deletion raises
+``AttributeError``.  Equality, hash and repr read the fields alone, through
+one ``operator.attrgetter`` per class.  Copy and pickle rebuild an object by
+calling its class on its fields.
+
+The value classes fall in three groups:
+
+- records that only store their arguments inherit the constructor and
+  define no ``__init__``;
+- classes that default, convert or check an argument keep their own
+  signature and checks, and store their fields with one
+  ``Frozen.__init__(self, ...)`` call;
+- the classes made once per arc, set or table (``Arc``, ``AssignmentSet``,
+  ``CountFunction``, ``IntegerCount``) set each field through ``setfield``.
+  The shared constructor takes about 850-1,000 ns for a 3-field object
+  against 480 ns for three ``setfield`` calls (best of 7 x 200,000), and
+  with ``Arc`` alone built through it, ``cfc-laminar`` ``wall_s`` read
+  0.127 / 0.123 / 0.122 s against 0.112 / 0.113 / 0.116 s, slower in 3 of
+  3 alternating pairs.
 """
 
 from operator import attrgetter
@@ -17,6 +33,14 @@ class Frozen:
 
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            setfield(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")

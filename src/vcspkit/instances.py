@@ -34,16 +34,6 @@ class IntegerCosts(Frozen):
 
     __slots__ = _fields = ("den", "unary", "binary")
 
-    def __init__(
-        self,
-        den: int,
-        unary: Tuple[Tuple[Optional[int], ...], ...],
-        binary: Mapping[Tuple[int, int], Tuple[Tuple[Optional[int], ...], ...]],
-    ):
-        setfield(self, "den", den)
-        setfield(self, "unary", unary)
-        setfield(self, "binary", binary)
-
     def cost(self, v: Optional[int]) -> Cost:
         """The cost a scaled value stands for."""
         return INF if v is None else Cost(Fraction(v, self.den))
@@ -110,11 +100,6 @@ class IntegerCounts(Frozen):
 
     __slots__ = _fields = ("den", "counts", "constant")
 
-    def __init__(self, den: int, counts: Tuple[IntegerCount, ...], constant: Optional[int]):
-        setfield(self, "den", den)
-        setfield(self, "counts", counts)
-        setfield(self, "constant", constant)
-
 
 def _freeze_table(rows, n_rows, n_cols, what):
     if len(rows) != n_rows:
@@ -144,10 +129,7 @@ class BinaryInstance(Frozen):
         unary: Tuple[Tuple[Cost, ...], ...],
         binary: Mapping[Tuple[int, int], Tuple[Tuple[Cost, ...], ...]],
     ):
-        setfield(self, "names", names)
-        setfield(self, "domains", domains)
-        setfield(self, "unary", unary)
-        setfield(self, "binary", MappingProxyType(dict(binary)))
+        Frozen.__init__(self, names, domains, unary, MappingProxyType(dict(binary)))
         n = len(names)
         if len(domains) != n:
             raise InstanceError("one domain per variable required")
@@ -183,8 +165,6 @@ class BinaryInstance(Frozen):
         for (i, j), rows in (binary or {}).items():
             if j < i:
                 raise InstanceError(f"binary pair must be ordered i < j, got ({i}, {j})")
-            if (i, j) in tables:
-                raise InstanceError(f"duplicate binary table on pair ({i}, {j})")
             tables[(i, j)] = _freeze_table(rows, len(domains_t[i]), len(domains_t[j]), f"c[{i},{j}]")
         return cls(tuple(names), domains_t, unary_t, tables)
 
@@ -324,10 +304,7 @@ class CountInstance(Frozen):
         constant: Cost,
         sets: Tuple[AssignmentSet, ...],
     ):
-        setfield(self, "names", names)
-        setfield(self, "domains", domains)
-        setfield(self, "constant", constant)
-        setfield(self, "sets", sets)
+        Frozen.__init__(self, names, domains, constant, sets)
         n = len(names)
         if len(domains) != n:
             raise InstanceError("one domain per variable required")

@@ -54,7 +54,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .errors import InstanceError
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 
 
 class MatchingGraph(Frozen):
@@ -63,8 +63,7 @@ class MatchingGraph(Frozen):
     __slots__ = _fields = ("num_vertices", "edges")
 
     def __init__(self, num_vertices: int, edges: Tuple[Tuple[int, int, int], ...]):
-        setfield(self, "num_vertices", num_vertices)
-        setfield(self, "edges", edges)
+        Frozen.__init__(self, num_vertices, edges)
         seen = set()
         for u, v, _ in edges:
             if u == v:

@@ -13,15 +13,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Optional, Tuple
 
-from .cfc import (
-    LaminarForest,
-    _incompletely_overlap,
-    _require_convex,
-    _solve_forest,
-    build_laminar_forest,
-)
+from .cfc import _incompletely_overlap, _require_convex, _solve_forest, build_laminar_forest
 from .errors import ClassViolation, InstanceError
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 from .instances import AssignmentSet, CountInstance
 from .results import SolveResult
 
@@ -54,8 +48,7 @@ class TwoSatInstance(Frozen):
     __slots__ = _fields = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses: Tuple[Tuple[int, int], ...]):
-        setfield(self, "num_vars", num_vars)
-        setfield(self, "clauses", clauses)
+        Frozen.__init__(self, num_vars, clauses)
         for clause in clauses:
             if len(clause) != 2:
                 raise InstanceError("every clause must have exactly 2 literals")
@@ -178,11 +171,6 @@ class Renaming(Frozen):
     """Renaming flags per constraint, the renamed instance and its forest."""
 
     __slots__ = _fields = ("flags", "renamed", "forest")
-
-    def __init__(self, flags: Tuple[bool, ...], renamed: CountInstance, forest: LaminarForest):
-        setfield(self, "flags", flags)
-        setfield(self, "renamed", renamed)
-        setfield(self, "forest", forest)
 
 
 def recognize_renamable(inst: CountInstance) -> Optional[Renaming]:

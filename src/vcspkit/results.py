@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 from .costs import Cost, format_cost
 from .formats import SOLUTION_FORMAT
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 
 
 class SolveResult(Frozen):
@@ -28,11 +28,9 @@ class SolveResult(Frozen):
         certificate: Optional[dict] = None,
         verdicts: Tuple[dict, ...] = (),
     ):
-        setfield(self, "assignment", assignment)
-        setfield(self, "cost", cost)
-        setfield(self, "solver", solver)
-        setfield(self, "certificate", {} if certificate is None else certificate)
-        setfield(self, "verdicts", verdicts)
+        Frozen.__init__(
+            self, assignment, cost, solver, {} if certificate is None else certificate, verdicts
+        )
 
     @property
     def solved(self) -> bool:

@@ -140,16 +140,14 @@ def _rational_pool(rng, *, allow_inf=False):
 
 
 def _unary_tables(rng, domains, kind):
-    """kind: 'zero' | 'binary01' | 'crisp' | 'soft' | 'rational'."""
+    """kind: 'binary01' | 'crisp' | 'soft' | 'rational'."""
     draw_soft = _rational_pool(rng, allow_inf=True)
     draw_fin = _rational_pool(rng)
     tables = {}
     for i, dom in enumerate(domains):
         row = []
         for _ in dom:
-            if kind == "zero":
-                row.append(ZERO)
-            elif kind == "binary01":
+            if kind == "binary01":
                 row.append(Cost(rng.randint(0, 1)))
             elif kind == "crisp":
                 row.append(INF if rng.random() < 0.15 else ZERO)
@@ -339,9 +337,7 @@ def _gen_planted_matching(rng, n, d, low, high, unary):
 
 def _gen_pentagon(rng, n, d, scheme):
     """Constant-per-pair tables coloured by a triangle-free 2-colouring of
-    the complete graph on up to 5 vertices."""
-    if n > 5:
-        raise GenerationError("the two-colour construction needs n <= 5")
+    the complete graph on up to 5 vertices; each caller rejects n > 5."""
     domains = _domains(n, d)
     perm = list(range(5))
     rng.shuffle(perm)

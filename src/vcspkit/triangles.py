@@ -45,7 +45,7 @@ from typing import Mapping, Optional, Tuple
 
 from .costs import ONE, Cost, ZERO
 from .errors import ClassViolation
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 from .instances import BinaryInstance
 
 
@@ -142,11 +142,7 @@ class TriangleProfile(Frozen):
         mu: Optional[Cost] = None,  # subtracted minimum (MIN0 only)
         m_value: Optional[Cost] = None,  # instance maximum (MAXM only)
     ):
-        setfield(self, "scheme", scheme)
-        setfield(self, "observed", observed)
-        setfield(self, "witnesses", witnesses)
-        setfield(self, "mu", mu)
-        setfield(self, "m_value", m_value)
+        Frozen.__init__(self, scheme, observed, witnesses, mu, m_value)
 
     def types_sorted(self):
         return sorted(self.observed)
@@ -212,16 +208,6 @@ class TriangleScan(Frozen):
     """
 
     _fields = ("inst", "values", "ranks")
-
-    def __init__(
-        self,
-        inst: BinaryInstance,
-        values: Tuple[Cost, ...],
-        ranks: Mapping[Tuple[int, int], Tuple[Tuple[int, ...], ...]],
-    ):
-        setfield(self, "inst", inst)
-        setfield(self, "values", values)
-        setfield(self, "ranks", ranks)
 
     @cached_property
     def first(self):
@@ -426,15 +412,14 @@ def check_jwp(inst: BinaryInstance):
 
 class Verdict(Frozen):
     """Dichotomy outcome for a profile: tractable (with a solver), JWP-only,
-    NP-hard, or trivially small-domain."""
+    NP-hard, or trivially small-domain.
+
+    ``kind`` is "tractable", "tractable-unimplemented", "np-hard" or
+    "trivial-small-domain"; ``solver`` names the route, if any, and ``rule``
+    the reason.
+    """
 
     __slots__ = _fields = ("kind", "solver", "rule")
-
-    def __init__(self, kind: str, solver: Optional[str], rule: str):
-        # kind: "tractable" | "tractable-unimplemented" | "np-hard" | "trivial-small-domain"
-        setfield(self, "kind", kind)
-        setfield(self, "solver", solver)
-        setfield(self, "rule", rule)
 
     def to_doc(self):
         return {"kind": self.kind, "solver": self.solver, "rule": self.rule}

@@ -156,6 +156,24 @@ def test_convexity_check():
     assert ok
 
 
+def test_first_nonconvex_set_checks_each_table_once(monkeypatch):
+    import vcspkit.cfc as cfc
+
+    convex, nonconvex = (ZERO, C(1), C(3)), (ZERO, C(2), C(3))
+    members = [{(0, 0), (1, 0)}, {(1, 0), (2, 0)}, {(0, 1), (2, 1)}, {(0, 0), (1, 1)}]
+    tables = [convex, convex, nonconvex, nonconvex]
+    inst = CountInstance.build(
+        [("a", "b")] * 3,
+        [AssignmentSet(frozenset(m), CountFunction(t)) for m, t in zip(members, tables)],
+    )
+    counts = inst.integer_counts.counts
+    assert counts[0] is counts[1] and counts[2] is counts[3]
+    calls = _counting(monkeypatch, cfc, "check_convexity")
+    # sets 2 and 3 share the non-convex table; the earlier one is reported
+    assert cfc.first_nonconvex_set(inst) == (2, 0)
+    assert len(calls) == 2
+
+
 def _fraction_convexity(table):
     # first differences as Fractions, each slope pair compared directly
     finite = [m for m, c in enumerate(table) if not c.is_infinite]
@@ -424,7 +442,7 @@ def test_cross_free_and_renamed_solves_nest_each_family_once(monkeypatch):
     assert solve_cfc(inst).cost == oracle_count(inst).cost
     assert len(nests) == 2
     # a renamed Boolean tree: the renamed family is nested once, and each
-    # function is checked for convexity once
+    # distinct function is checked for convexity once
     base = gen_full_laminar_tree(5, 2, 0)
     sets = [rename_set(a, base.domains) if k % 2 else a for k, a in enumerate(base.sets)]
     inst = CountInstance.build(base.domains, sets)
@@ -433,7 +451,7 @@ def test_cross_free_and_renamed_solves_nest_each_family_once(monkeypatch):
     convexity = _counting(monkeypatch, cfc, "check_convexity")
     assert solve_renamable(inst).cost == oracle_count(inst).cost
     assert len(nests) == 1
-    assert len(convexity) == len(inst.sets)
+    assert len(convexity) == len({id(g) for g in inst.integer_counts.counts}) < len(inst.sets)
 
 
 def test_network_feasible_iff_finite_solution():

@@ -54,6 +54,9 @@ HASHABLE = {
 # and pickle refuse
 UNPICKLABLE = {"BinaryInstance", "IntegerCosts", "TriangleScan"}
 
+# the classes whose last constructor parameter has a default
+DEFAULTED = {"SolveResult", "TriangleProfile"}
+
 
 @pytest.fixture(scope="module")
 def values():
@@ -116,6 +119,13 @@ def test_value_class_contract(values, name):
     else:
         assert pickle.loads(pickle.dumps(obj)) == obj
         assert copy.deepcopy(obj) == obj
+
+    given = [getattr(obj, field) for field in fields]
+    with pytest.raises(TypeError):
+        type(obj)(*given, None)
+    if name not in DEFAULTED:
+        with pytest.raises(TypeError):
+            type(obj)(*given[:-1])
 
 
 def test_solve_results_do_not_share_a_certificate():
