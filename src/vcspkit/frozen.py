@@ -14,13 +14,14 @@ The value classes fall in three groups:
 - classes that default, convert or check an argument keep their own
   signature and checks, and store their fields with one
   ``Frozen.__init__(self, ...)`` call;
-- the classes made once per arc, set or table (``Arc``, ``AssignmentSet``,
-  ``CountFunction``, ``IntegerCount``) set each field through ``setfield``.
-  On Python 3.11.7 on an Intel Xeon, the shared constructor takes about
-  850-1,000 ns for a 3-field object against 480 ns for three ``setfield``
-  calls (best of 7 x 200,000), and with ``Arc`` alone built through it,
-  ``cfc-laminar`` ``wall_s`` read 0.127 / 0.123 / 0.122 s against 0.112 /
-  0.113 / 0.116 s, slower in 3 of 3 alternating pairs.
+- two classes set their slots through ``setfield``.  ``Arc`` is made once
+  per arc of every flow network: on Python 3.11.7 on an Intel Xeon, the
+  shared constructor takes about 850-1,000 ns for a 3-field object against
+  480 ns for three ``setfield`` calls (best of 7 x 200,000), and with
+  ``Arc`` built through it, ``cfc-laminar`` ``wall_s`` read 0.127 / 0.123 /
+  0.122 s against 0.112 / 0.113 / 0.116 s, slower in 3 of 3 alternating
+  pairs.  ``CountFunction`` also fills ``_support``, a slot outside
+  ``_fields``, which the shared constructor does not set.
 """
 
 from operator import attrgetter

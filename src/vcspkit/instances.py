@@ -50,16 +50,6 @@ class IntegerCount(Frozen):
 
     __slots__ = _fields = ("table", "support", "slopes")
 
-    def __init__(
-        self,
-        table: Tuple[Optional[int], ...],
-        support: Optional[Tuple[int, int]],
-        slopes: Tuple[int, ...],
-    ):
-        setfield(self, "table", table)
-        setfield(self, "support", support)
-        setfield(self, "slopes", slopes)
-
 
 def _finite_support(finite):
     """(l, u), the ends of ``finite``, the indices of a table's finite
@@ -263,10 +253,8 @@ class AssignmentSet(Frozen):
     __slots__ = _fields = ("members", "g")
 
     def __init__(self, members: frozenset, g: CountFunction):
-        members = frozenset(members)
-        setfield(self, "members", members)
-        setfield(self, "g", g)
-        if not members:
+        Frozen.__init__(self, frozenset(members), g)
+        if not self.members:
             raise InstanceError("assignment-set must be non-empty")
         if g.size != self.var_count:
             raise InstanceError(
