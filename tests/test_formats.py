@@ -146,3 +146,128 @@ def test_solution_documents():
     assert assignment == (1, 0, 2)
     assert total == Cost(5)
     assert json.loads(text)["format"] == "vcsp-solution/1"
+
+
+_VARIABLES = [{"name": "x", "domain": ["a", "b"]}, {"name": "y", "domain": ["a", "b", "c"]}]
+_MALFORMED_COST = "; expected inf, n or p/q, non-negative"
+
+
+def _binary_text(**fields):
+    return json.dumps({"format": "vcsp-binary/1", "variables": _VARIABLES, **fields})
+
+
+def _count_text(**fields):
+    return json.dumps({"format": "vcsp-cfc/1", "variables": _VARIABLES, **fields})
+
+
+def _row(*costs):
+    return {"i": 0, "j": 1, "costs": list(costs)}
+
+
+def _set(assignments, g=("0", "1", "2")):
+    return {"assignments": assignments, "g": list(g)}
+
+
+# one document per raise site of parse_binary_instance and parse_count_instance
+# (the InstanceError re-raises are unreachable once these checks pass), with
+# the whole message and its location
+PARSE_ERRORS = {
+    "unary-not-a-list": (_binary_text(unary={}), "'unary' must be a list"),
+    "unary-not-an-object": (_binary_text(unary=[["0", "0"]]),
+                            "unary entry must be an object (at unary[0])"),
+    "unary-bool-index": (_binary_text(unary=[{"var": True, "costs": ["0", "0", "0"]}]),
+                         "bad variable index True (at unary[0])"),
+    "unary-index-out-of-range": (_binary_text(unary=[{"var": 2, "costs": ["0"]}]),
+                                 "bad variable index 2 (at unary[0])"),
+    "unary-negative-index": (_binary_text(unary=[{"var": -1, "costs": ["0"]}]),
+                             "bad variable index -1 (at unary[0])"),
+    "unary-repeated": (
+        _binary_text(unary=[{"var": 1, "costs": ["0", "0", "0"]}, {"var": 1, "costs": ["1", "0", "0"]}]),
+        "duplicate unary table on variable 1 (at unary[1])",
+    ),
+    "unary-costs-not-a-list": (_binary_text(unary=[{"var": 0, "costs": "0"}]),
+                               "unary costs must be a list (at unary[0])"),
+    "unary-wrong-length": (_binary_text(unary=[{"var": 1, "costs": ["0", "0"]}]),
+                           "unary table length 2 != domain size 3 (at unary[0])"),
+    "unary-bad-cost": (_binary_text(unary=[{"var": 0, "costs": ["0", "-1"]}]),
+                       f"malformed cost string '-1'{_MALFORMED_COST} (at unary[0].costs[1])"),
+    "binary-not-a-list": (_binary_text(binary="x"), "'binary' must be a list"),
+    "binary-not-an-object": (_binary_text(binary=[None]),
+                             "binary entry must be an object (at binary[0])"),
+    "binary-bool-index": (_binary_text(binary=[{"i": False, "j": True, "costs": []}]),
+                          "pair indices must be ints (at binary[0])"),
+    "binary-missing-index": (_binary_text(binary=[{"i": 0, "costs": []}]),
+                             "pair indices must be ints (at binary[0])"),
+    "binary-pair-order": (_binary_text(binary=[{"i": 1, "j": 0, "costs": []}]),
+                          "pair (1, 0) must satisfy 0 <= i < j < n (at binary[0])"),
+    "binary-pair-out-of-range": (_binary_text(binary=[{"i": 0, "j": 2, "costs": []}]),
+                                 "pair (0, 2) must satisfy 0 <= i < j < n (at binary[0])"),
+    "binary-repeated": (
+        _binary_text(binary=[_row(["0"] * 3, ["0"] * 3), _row(["1"] * 3, ["0"] * 3)]),
+        "duplicate binary table on pair (0, 1) (at binary[1])",
+    ),
+    "binary-wrong-row-count": (_binary_text(binary=[_row(["0"] * 3)]),
+                               "expected 2 rows (at binary[0])"),
+    "binary-rows-not-a-list": (_binary_text(binary=[{"i": 0, "j": 1, "costs": "00"}]),
+                               "expected 2 rows (at binary[0])"),
+    "binary-wrong-row-length": (_binary_text(binary=[_row(["0"] * 3, ["0"] * 2)]),
+                                "row 1 must have 3 entries (at binary[0])"),
+    "binary-row-not-a-list": (_binary_text(binary=[_row(["0"] * 3, "000")]),
+                              "row 1 must have 3 entries (at binary[0])"),
+    "binary-bad-cost": (
+        _binary_text(binary=[_row(["0"] * 3, ["0", "1/0", "0"])]),
+        "cost denominator must be positive: '1/0' (at binary[0].costs[1][1])",
+    ),
+    "binary-cost-not-a-string": (
+        _binary_text(binary=[_row(["0", "0", 5], ["0"] * 3)]),
+        "cost must be a string, got int (at binary[0].costs[0][2])",
+    ),
+    "count-bad-constant": (_count_text(constant="1.5"),
+                           f"malformed cost string '1.5'{_MALFORMED_COST} (at constant)"),
+    "count-sets-not-a-list": (_count_text(sets={"assignments": []}), "'sets' must be a list"),
+    "count-set-not-an-object": (_count_text(sets=[[[0, 0]]]),
+                                "set entry must be an object (at sets[0])"),
+    "count-no-assignments": (_count_text(sets=[{"g": ["0", "1"]}]),
+                             "set needs a non-empty 'assignments' list (at sets[0])"),
+    "count-empty-assignments": (_count_text(sets=[_set([])]),
+                                "set needs a non-empty 'assignments' list (at sets[0])"),
+    "count-bool-index": (_count_text(sets=[_set([[0, 0]], ["0", "1"]), _set([[0, True]], ["0", "1"])]),
+                         "assignment must be [varIdx, valIdx], got [0, True] (at sets[1])"),
+    "count-float-index": (_count_text(sets=[_set([[1.0, 0]])]),
+                          "assignment must be [varIdx, valIdx], got [1.0, 0] (at sets[0])"),
+    "count-short-pair": (_count_text(sets=[_set([[0, 0], [1]])]),
+                         "assignment must be [varIdx, valIdx], got [1] (at sets[0])"),
+    "count-long-pair": (_count_text(sets=[_set([[0, 0, 0]])]),
+                        "assignment must be [varIdx, valIdx], got [0, 0, 0] (at sets[0])"),
+    "count-pair-not-a-list": (_count_text(sets=[_set([{"0": 0}])]),
+                              "assignment must be [varIdx, valIdx], got {'0': 0} (at sets[0])"),
+    "count-variable-out-of-range": (_count_text(sets=[_set([[2, 0]])]),
+                                    "variable index 2 out of range (at sets[0])"),
+    "count-negative-variable": (_count_text(sets=[_set([[-1, 0]])]),
+                                "variable index -1 out of range (at sets[0])"),
+    "count-value-out-of-range": (_count_text(sets=[_set([[0, 1], [1, 3]])]),
+                                 "value index 3 outside domain of variable 1 (at sets[0])"),
+    "count-negative-value": (_count_text(sets=[_set([[0, -1]])]),
+                             "value index -1 outside domain of variable 0 (at sets[0])"),
+    "count-repeated-assignment": (_count_text(sets=[_set([[1, 2], [0, 0], [1, 2]])]),
+                                  "repeated assignment (1, 2) (at sets[0])"),
+    "count-no-g": (_count_text(sets=[{"assignments": [[0, 0]]}]),
+                   "set needs a cost table 'g' (at sets[0])"),
+    "count-g-not-a-list": (_count_text(sets=[{"assignments": [[0, 0]], "g": "01"}]),
+                           "set needs a cost table 'g' (at sets[0])"),
+    "count-wrong-g-length": (_count_text(sets=[_set([[0, 0], [0, 1]])]),
+                             "g has length 3, expected s+1 = 2 (at sets[0])"),
+    "count-bad-cost": (
+        _count_text(sets=[_set([[0, 0]], ["0", "1"]), _set([[0, 0], [1, 0]], ["0", "1", "x"])]),
+        f"malformed cost string 'x'{_MALFORMED_COST} (at sets[1].g[2])",
+    ),
+    "count-cost-not-a-string": (_count_text(sets=[_set([[0, 0]], [None, "1"])]),
+                                "cost must be a string, got NoneType (at sets[0].g[0])"),
+}
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+def test_parse_error_text_is_pinned(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
