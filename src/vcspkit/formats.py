@@ -5,11 +5,17 @@ Three document kinds, distinguished by their ``format`` field:
 ASCII decimal integers, ``p/q`` fractions, or ``inf``.  ``serialize_instance``
 is the canonical writer; parsing its output reproduces the same bytes.
 Solution documents are only written, by ``SolveResult.to_doc``.
+
+``dumps`` writes every emitted document.  Its canonical bytes are those of
+``json.dumps(doc, indent=2, ensure_ascii=False)`` and a newline, but built by
+string joins: with an indent, the standard library's encoder runs in pure
+Python, which took longer than solving on large count instances.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 
 from .costs import ZERO as ZERO_COST, format_cost, parse_cost
 from .errors import FormatError, InstanceError
@@ -81,54 +87,73 @@ def _parse_cost_at(s, where):
 
 
 def _cost_reader():
-    """``_parse_cost_at`` that parses each distinct cost string once, for
-    the cost strings of one document."""
+    """A reader of cost lists that parses each distinct cost string once per
+    document.  ``read(raw, where, *at)`` gives the costs of the list ``raw``
+    as a tuple; when entry m is no cost, the error's location is
+    ``where.format(*at, m)``, built only then."""
     seen = {}
 
-    def read(s, where):
-        c = seen.get(s) if isinstance(s, str) else None
-        if c is None:
-            c = seen[s] = _parse_cost_at(s, where)
-        return c
+    def read(raw, where, *at):
+        try:
+            return tuple([seen[s] for s in raw])
+        except (KeyError, TypeError):  # a string not seen yet, or no string
+            pass
+        for m, s in enumerate(raw):
+            if type(s) is not str or s not in seen:
+                try:
+                    seen[s] = parse_cost(s)
+                except FormatError as exc:
+                    raise FormatError(str(exc), where.format(*at, m))
+        return tuple([seen[s] for s in raw])
 
     return read
 
 
+# Each entry is checked with plain conditions, and a message and its location
+# are built only when a check fails.
+
+
 def parse_binary_instance(doc) -> BinaryInstance:
     names, domains = _parse_variables(doc)
-    parse_cost_at = _cost_reader()
+    read_costs = _cost_reader()
     n = len(names)
     unary = {}
     for k, entry in enumerate(_list_field(doc, "unary")):
-        where = f"unary[{k}]"
-        _expect(isinstance(entry, dict), "unary entry must be an object", where)
+        if not isinstance(entry, dict):
+            raise FormatError("unary entry must be an object", f"unary[{k}]")
         var = entry.get("var")
-        _expect(_is_index(var) and 0 <= var < n, f"bad variable index {var!r}", where)
-        _expect(var not in unary, f"duplicate unary table on variable {var}", where)
+        if not (_is_index(var) and 0 <= var < n):
+            raise FormatError(f"bad variable index {var!r}", f"unary[{k}]")
+        if var in unary:
+            raise FormatError(f"duplicate unary table on variable {var}", f"unary[{k}]")
         costs = entry.get("costs")
-        _expect(isinstance(costs, list), "unary costs must be a list", where)
-        _expect(
-            len(costs) == len(domains[var]),
-            f"unary table length {len(costs)} != domain size {len(domains[var])}",
-            where,
-        )
-        unary[var] = tuple(parse_cost_at(c, f"{where}.costs[{i}]") for i, c in enumerate(costs))
+        if not isinstance(costs, list):
+            raise FormatError("unary costs must be a list", f"unary[{k}]")
+        if len(costs) != len(domains[var]):
+            raise FormatError(
+                f"unary table length {len(costs)} != domain size {len(domains[var])}",
+                f"unary[{k}]",
+            )
+        unary[var] = read_costs(costs, "unary[{}].costs[{}]", k)
     binary = {}
     for k, entry in enumerate(_list_field(doc, "binary")):
-        where = f"binary[{k}]"
-        _expect(isinstance(entry, dict), "binary entry must be an object", where)
+        if not isinstance(entry, dict):
+            raise FormatError("binary entry must be an object", f"binary[{k}]")
         i, j = entry.get("i"), entry.get("j")
-        _expect(_is_index(i) and _is_index(j), "pair indices must be ints", where)
-        _expect(0 <= i < j < n, f"pair ({i}, {j}) must satisfy 0 <= i < j < n", where)
-        _expect((i, j) not in binary, f"duplicate binary table on pair ({i}, {j})", where)
+        if not (_is_index(i) and _is_index(j)):
+            raise FormatError("pair indices must be ints", f"binary[{k}]")
+        if not 0 <= i < j < n:
+            raise FormatError(f"pair ({i}, {j}) must satisfy 0 <= i < j < n", f"binary[{k}]")
+        if (i, j) in binary:
+            raise FormatError(f"duplicate binary table on pair ({i}, {j})", f"binary[{k}]")
         rows = entry.get("costs")
-        _expect(isinstance(rows, list) and len(rows) == len(domains[i]),
-                f"expected {len(domains[i])} rows", where)
+        if not (isinstance(rows, list) and len(rows) == len(domains[i])):
+            raise FormatError(f"expected {len(domains[i])} rows", f"binary[{k}]")
         table = []
         for a, row in enumerate(rows):
-            _expect(isinstance(row, list) and len(row) == len(domains[j]),
-                    f"row {a} must have {len(domains[j])} entries", where)
-            table.append([parse_cost_at(c, f"{where}.costs[{a}][{b}]") for b, c in enumerate(row)])
+            if not (isinstance(row, list) and len(row) == len(domains[j])):
+                raise FormatError(f"row {a} must have {len(domains[j])} entries", f"binary[{k}]")
+            table.append(read_costs(row, "binary[{}].costs[{}][{}]", k, a))
         binary[(i, j)] = table
     try:
         return BinaryInstance.build(domains, names=names, unary=unary, binary=binary)
@@ -139,38 +164,43 @@ def parse_binary_instance(doc) -> BinaryInstance:
 def parse_count_instance(doc) -> CountInstance:
     names, domains = _parse_variables(doc)
     n = len(names)
-    parse_cost_at = _cost_reader()
-    constant = parse_cost_at(doc.get("constant", "0"), "constant")
+    sizes = [len(dom) for dom in domains]
+    read_costs = _cost_reader()
+    constant = _parse_cost_at(doc.get("constant", "0"), "constant")
     sets = []
     for k, entry in enumerate(_list_field(doc, "sets")):
-        where = f"sets[{k}]"
-        _expect(isinstance(entry, dict), "set entry must be an object", where)
+        if not isinstance(entry, dict):
+            raise FormatError("set entry must be an object", f"sets[{k}]")
         raw_members = entry.get("assignments")
-        _expect(isinstance(raw_members, list) and raw_members,
-                "set needs a non-empty 'assignments' list", where)
+        if not (isinstance(raw_members, list) and raw_members):
+            raise FormatError("set needs a non-empty 'assignments' list", f"sets[{k}]")
         members = set()
         for pair in raw_members:
-            _expect(
-                isinstance(pair, list) and len(pair) == 2
-                and all(_is_index(v) for v in pair),
-                f"assignment must be [varIdx, valIdx], got {pair!r}",
-                where,
-            )
+            # json.loads makes no int subclass but bool, and a bool is no index
+            if not (type(pair) is list and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is int):
+                raise FormatError(
+                    f"assignment must be [varIdx, valIdx], got {pair!r}", f"sets[{k}]"
+                )
             i, a = pair
-            _expect(0 <= i < n, f"variable index {i} out of range", where)
-            _expect(0 <= a < len(domains[i]), f"value index {a} outside domain of variable {i}", where)
-            _expect((i, a) not in members, f"repeated assignment ({i}, {a})", where)
+            if not 0 <= i < n:
+                raise FormatError(f"variable index {i} out of range", f"sets[{k}]")
+            if not 0 <= a < sizes[i]:
+                raise FormatError(f"value index {a} outside domain of variable {i}", f"sets[{k}]")
+            if (i, a) in members:
+                raise FormatError(f"repeated assignment ({i}, {a})", f"sets[{k}]")
             members.add((i, a))
         g_raw = entry.get("g")
-        _expect(isinstance(g_raw, list), "set needs a cost table 'g'", where)
+        if not isinstance(g_raw, list):
+            raise FormatError("set needs a cost table 'g'", f"sets[{k}]")
         s = len({i for i, _ in members})
-        _expect(len(g_raw) == s + 1,
-                f"g has length {len(g_raw)}, expected s+1 = {s + 1}", where)
-        table = [parse_cost_at(c, f"{where}.g[{m}]") for m, c in enumerate(g_raw)]
+        if len(g_raw) != s + 1:
+            raise FormatError(f"g has length {len(g_raw)}, expected s+1 = {s + 1}", f"sets[{k}]")
+        g = read_costs(g_raw, "sets[{}].g[{}]", k)
         try:
-            sets.append(AssignmentSet(frozenset(members), CountFunction(tuple(table))))
+            sets.append(AssignmentSet(members, CountFunction(g)))
         except InstanceError as exc:
-            raise FormatError(str(exc), where)
+            raise FormatError(str(exc), f"sets[{k}]")
     try:
         return CountInstance.build(domains, sets, names=names, constant=constant)
     except InstanceError as exc:
@@ -217,7 +247,7 @@ def count_to_doc(inst: CountInstance) -> dict:
         "constant": format_cost(inst.constant),
         "sets": [
             {
-                "assignments": [[i, a] for i, a in sorted(aset.members)],
+                "assignments": sorted(aset.members),
                 "g": [format_cost(c) for c in aset.g.table],
             }
             for aset in inst.sets
@@ -225,9 +255,56 @@ def count_to_doc(inst: CountInstance) -> dict:
     }
 
 
+def _write(v, nl):
+    """``v`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes it at the
+    depth whose line break and indent is ``nl``.  A container writes its str
+    and int items in place, so that there is one call per container."""
+    t = type(v)
+    if t is tuple or t is list or isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        items = f",{inner}".join([
+            encode_basestring(x) if type(x) is str
+            else int.__repr__(x) if type(x) is int
+            else _write(x, inner)
+            for x in v
+        ])
+        return f"[{inner}{items}{nl}]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        items = f",{inner}".join([
+            f"{_key(k)}: {_write(x, inner)}" for k, x in v.items()
+        ])
+        return f"{{{inner}{items}{nl}}}"
+    if t is str:
+        return encode_basestring(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    # a float, or a str or int subclass: json's text, or its TypeError
+    return json.dumps(v, ensure_ascii=False)
+
+
+def _key(k):
+    """A dict key as json writes it: a str escaped, an int, float, bool or
+    None as its JSON text in quotes, anything else json's TypeError."""
+    if type(k) is str:
+        return encode_basestring(k)
+    return json.dumps({k: 0}, ensure_ascii=False)[1:-4]
+
+
 def dumps(doc) -> str:
-    """Canonical JSON rendering used for all emitted documents."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON rendering used for all emitted documents: the bytes of
+    ``json.dumps(doc, indent=2, ensure_ascii=False)`` and a newline."""
+    return _write(doc, "\n") + "\n"
 
 
 def serialize_instance(inst) -> str:

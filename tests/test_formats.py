@@ -1,17 +1,20 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import parse_solution, solution_to_doc
-from vcspkit.costs import Cost, INF, ZERO
+from vcspkit.costs import Cost, INF, ZERO, format_cost
 from vcspkit.errors import FormatError
 from vcspkit.formats import (
+    count_to_doc,
     dumps,
     parse_instance,
     serialize_instance,
 )
-from vcspkit.instances import BinaryInstance, CountInstance
+from vcspkit.instances import AssignmentSet, BinaryInstance, CountFunction, CountInstance
 from vcspkit.testkit import fixtures, gen_matching_encoding, gen_profile
 from vcspkit.triangles import Scheme
 
@@ -169,8 +172,8 @@ def _set(assignments, g=("0", "1", "2")):
 
 
 # one document per raise site of parse_binary_instance and parse_count_instance
-# (the InstanceError re-raises are unreachable once these checks pass), with
-# the whole message and its location
+# (the final InstanceError re-raises are unreachable once these checks pass),
+# with the whole message and its location
 PARSE_ERRORS = {
     "unary-not-a-list": (_binary_text(unary={}), "'unary' must be a list"),
     "unary-not-an-object": (_binary_text(unary=[["0", "0"]]),
@@ -182,7 +185,8 @@ PARSE_ERRORS = {
     "unary-negative-index": (_binary_text(unary=[{"var": -1, "costs": ["0"]}]),
                              "bad variable index -1 (at unary[0])"),
     "unary-repeated": (
-        _binary_text(unary=[{"var": 1, "costs": ["0", "0", "0"]}, {"var": 1, "costs": ["1", "0", "0"]}]),
+        _binary_text(unary=[{"var": 1, "costs": ["0", "0", "0"]},
+                            {"var": 1, "costs": ["1", "0", "0"]}]),
         "duplicate unary table on variable 1 (at unary[1])",
     ),
     "unary-costs-not-a-list": (_binary_text(unary=[{"var": 0, "costs": "0"}]),
@@ -231,8 +235,10 @@ PARSE_ERRORS = {
                              "set needs a non-empty 'assignments' list (at sets[0])"),
     "count-empty-assignments": (_count_text(sets=[_set([])]),
                                 "set needs a non-empty 'assignments' list (at sets[0])"),
-    "count-bool-index": (_count_text(sets=[_set([[0, 0]], ["0", "1"]), _set([[0, True]], ["0", "1"])]),
-                         "assignment must be [varIdx, valIdx], got [0, True] (at sets[1])"),
+    "count-bool-index": (
+        _count_text(sets=[_set([[0, 0]], ["0", "1"]), _set([[0, True]], ["0", "1"])]),
+        "assignment must be [varIdx, valIdx], got [0, True] (at sets[1])",
+    ),
     "count-float-index": (_count_text(sets=[_set([[1.0, 0]])]),
                           "assignment must be [varIdx, valIdx], got [1.0, 0] (at sets[0])"),
     "count-short-pair": (_count_text(sets=[_set([[0, 0], [1]])]),
@@ -263,6 +269,10 @@ PARSE_ERRORS = {
     ),
     "count-cost-not-a-string": (_count_text(sets=[_set([[0, 0]], [None, "1"])]),
                                 "cost must be a string, got NoneType (at sets[0].g[0])"),
+    "count-g-support-not-contiguous": (
+        _count_text(sets=[_set([[0, 0], [1, 0]], ["0", "inf", "0"])]),
+        "finite support of a count function must be a contiguous interval, got [0, 2] (at sets[0])",
+    ),
 }
 
 
@@ -271,3 +281,165 @@ def test_parse_error_text_is_pinned(text, message):
     with pytest.raises(FormatError) as err:
         parse_instance(text)
     assert str(err.value) == message
+
+
+# text that json escapes (quotes, backslashes, control characters) or, with
+# ensure_ascii=False, writes as is (non-ASCII, U+2028)
+_CHARACTERS = st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t/\u2028é€😀'), st.characters())
+_STRINGS = st.text(_CHARACTERS, max_size=6)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.integers(),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+    st.floats(),
+    _STRINGS,
+)
+_KEYS = st.one_of(_STRINGS, st.integers(), st.booleans(), st.none(), st.floats())
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_JSON_VALUES)
+def test_dumps_writes_the_bytes_of_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+_FINITE_COSTS = st.one_of(
+    st.just(ZERO),
+    st.integers(0, 9).map(Cost),
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)).map(Cost),
+)
+_COSTS = _FINITE_COSTS | st.just(INF)
+_NAME = st.text(_CHARACTERS, min_size=1, max_size=3)
+
+
+@st.composite
+def _ragged_domains(draw, max_n=4):
+    return [draw(st.lists(_NAME, min_size=1, max_size=3, unique=True))
+            for _ in range(draw(st.integers(1, max_n)))]
+
+
+@st.composite
+def _binary_instances(draw):
+    domains = draw(_ragged_domains())
+    n = len(domains)
+    names = draw(st.none() | st.lists(_NAME, min_size=n, max_size=n, unique=True))
+    # absent tables read as zeros, and an all-zero unary table is not written
+    unary = {i: [draw(_COSTS) for _ in domains[i]]
+             for i in range(n) if draw(st.booleans())}
+    binary = {(i, j): [[draw(_COSTS) for _ in domains[j]] for _ in domains[i]]
+              for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    return BinaryInstance.build(domains, names=names, unary=unary, binary=binary)
+
+
+@st.composite
+def _count_sets(draw):
+    """(domains, sets): some sets share their members, so they merge."""
+    domains = draw(_ragged_domains())
+    universe = [(i, a) for i, dom in enumerate(domains) for a in range(len(dom))]
+    sets = []
+    for _ in range(draw(st.integers(0, 5))):
+        if sets and draw(st.booleans()):
+            members = draw(st.sampled_from(sets)).members
+        else:
+            members = draw(st.sets(st.sampled_from(universe), min_size=1))
+        s = len({i for i, _ in members})
+        # finite on a contiguous interval of counts, possibly empty
+        lo = draw(st.integers(0, s + 1))
+        hi = draw(st.integers(lo, s + 1))
+        table = tuple(draw(_FINITE_COSTS) if lo <= m < hi else INF for m in range(s + 1))
+        sets.append(AssignmentSet(frozenset(members), CountFunction(table)))
+    return domains, sets
+
+
+def _assert_round_trip(inst):
+    text = serialize_instance(inst)
+    again = parse_instance(text)
+    assert again == inst
+    assert serialize_instance(again) == text
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_binary_instances())
+def test_binary_instances_round_trip(inst):
+    _assert_round_trip(inst)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_count_sets(), _COSTS)
+def test_count_instances_round_trip(domains_and_sets, constant):
+    domains, sets = domains_and_sets
+    inst = CountInstance.build(domains, sets, constant=constant)
+    _assert_round_trip(inst)
+    # a document that lists each set as given parses to the merged instance
+    doc = count_to_doc(inst)
+    doc["sets"] = [{"assignments": sorted(a.members), "g": [format_cost(c) for c in a.g.table]}
+                   for a in sets]
+    assert parse_instance(dumps(doc)) == inst
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value, the root's included."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+_HOSTILE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([-1, 0, 1, 2**64, -(2**64), 10**400]),
+    st.floats(),
+    st.sampled_from(["", "0", "1/0", "-1", "inf", "x", "１", "1_0"]),
+    st.lists(st.one_of(st.integers(-2, 3), st.booleans(), st.none()), max_size=3),
+    st.dictionaries(st.sampled_from(["var", "i", "j", "costs", "g", "assignments", "name"]),
+                    st.integers(-1, 3), max_size=2),
+)
+
+
+# valid documents of both kinds: the count fixtures, and binary instances
+# with unary tables, ragged domains, fractions and inf
+_VALID_DOCUMENTS = [p.read_text(encoding="utf-8") for p in sorted(FIXTURE_DIR.glob("*.json"))] + [
+    serialize_instance(gen_profile(4, 2, {"<", "="}, Scheme.ORDER, seed=3)),
+    serialize_instance(gen_matching_encoding(4, [(0, 1), (1, 2), (2, 3)])),
+    serialize_instance(BinaryInstance.build(
+        [["a"], ["b", "c", "d"], ["e", "f"]],
+        unary={0: [INF], 2: [Cost(Fraction(1, 2)), ZERO]},
+        binary={(1, 2): [[ZERO, INF], [Cost(3), Cost(Fraction(5, 6))], [INF, ZERO]]},
+    )),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_VALID_DOCUMENTS), st.data())
+def test_mutated_documents_parse_or_raise_format_error(text, data):
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        value = data.draw(_HOSTILE)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        parse_instance(json.dumps(doc))
+    except FormatError:
+        pass
