@@ -255,19 +255,29 @@ def count_to_doc(inst: CountInstance) -> dict:
     }
 
 
-def _write(v, nl):
+_INT = frozenset([int])
+
+
+def _write(v, nl, written):
     """``v`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes it at the
     depth whose line break and indent is ``nl``.  A container writes its str
-    and int items in place, so that there is one call per container."""
+    and int items in place, so that there is one call per container.  A tuple
+    of ints is written once per depth and then looked up in ``written``: the
+    members of a count document's sets repeat from set to set."""
     t = type(v)
     if t is tuple or t is list or isinstance(v, (list, tuple)):
         if not v:
             return "[]"
         inner = nl + "  "
+        if t is tuple and _INT.issuperset(map(type, v)):
+            text = written.get((v, nl))
+            if text is None:
+                text = written[v, nl] = f"[{inner}{f',{inner}'.join(map(int.__repr__, v))}{nl}]"
+            return text
         items = f",{inner}".join([
             encode_basestring(x) if type(x) is str
             else int.__repr__(x) if type(x) is int
-            else _write(x, inner)
+            else _write(x, inner, written)
             for x in v
         ])
         return f"[{inner}{items}{nl}]"
@@ -276,7 +286,7 @@ def _write(v, nl):
             return "{}"
         inner = nl + "  "
         items = f",{inner}".join([
-            f"{_key(k)}: {_write(x, inner)}" for k, x in v.items()
+            f"{_key(k)}: {_write(x, inner, written)}" for k, x in v.items()
         ])
         return f"{{{inner}{items}{nl}}}"
     if t is str:
@@ -304,7 +314,7 @@ def _key(k):
 def dumps(doc) -> str:
     """Canonical JSON rendering used for all emitted documents: the bytes of
     ``json.dumps(doc, indent=2, ensure_ascii=False)`` and a newline."""
-    return _write(doc, "\n") + "\n"
+    return _write(doc, "\n", {}) + "\n"
 
 
 def serialize_instance(inst) -> str:

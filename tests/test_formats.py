@@ -3,7 +3,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import parse_solution, solution_to_doc
 from vcspkit.costs import Cost, INF, ZERO, format_cost
@@ -311,6 +311,8 @@ _JSON_VALUES = st.recursive(
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_JSON_VALUES)
+# equal tuples that json writes differently, at one depth, and an empty one
+@example([(1, 0), (True, False), (1.0, 0), (1, 0), ()])
 def test_dumps_writes_the_bytes_of_json_dumps(value):
     assert dumps(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
