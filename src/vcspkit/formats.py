@@ -94,10 +94,6 @@ def _cost_reader():
     seen = {}
 
     def read(raw, where, *at):
-        try:
-            return tuple([seen[s] for s in raw])
-        except (KeyError, TypeError):  # a string not seen yet, or no string
-            pass
         for m, s in enumerate(raw):
             if type(s) is not str or s not in seen:
                 try:
@@ -164,7 +160,6 @@ def parse_binary_instance(doc) -> BinaryInstance:
 def parse_count_instance(doc) -> CountInstance:
     names, domains = _parse_variables(doc)
     n = len(names)
-    sizes = [len(dom) for dom in domains]
     read_costs = _cost_reader()
     constant = _parse_cost_at(doc.get("constant", "0"), "constant")
     sets = []
@@ -185,7 +180,7 @@ def parse_count_instance(doc) -> CountInstance:
             i, a = pair
             if not 0 <= i < n:
                 raise FormatError(f"variable index {i} out of range", f"sets[{k}]")
-            if not 0 <= a < sizes[i]:
+            if not 0 <= a < len(domains[i]):
                 raise FormatError(f"value index {a} outside domain of variable {i}", f"sets[{k}]")
             if (i, a) in members:
                 raise FormatError(f"repeated assignment ({i}, {a})", f"sets[{k}]")
@@ -262,8 +257,9 @@ def _write(v, nl, written):
     """``v`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes it at the
     depth whose line break and indent is ``nl``.  A container writes its str
     and int items in place, so that there is one call per container.  A tuple
-    of ints is written once per depth and then looked up in ``written``: the
-    members of a count document's sets repeat from set to set."""
+    of items of type int (so that no bool or float shares its key) is written
+    once per depth and then looked up in ``written``: the members of a count
+    document's sets repeat from set to set."""
     t = type(v)
     if t is tuple or t is list or isinstance(v, (list, tuple)):
         if not v:
