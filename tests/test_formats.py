@@ -327,9 +327,9 @@ _NAME = st.text(_CHARACTERS, min_size=1, max_size=3)
 
 
 @st.composite
-def _ragged_domains(draw, max_n=4):
+def _ragged_domains(draw):
     return [draw(st.lists(_NAME, min_size=1, max_size=3, unique=True))
-            for _ in range(draw(st.integers(1, max_n)))]
+            for _ in range(draw(st.integers(1, 4)))]
 
 
 @st.composite
