@@ -7,9 +7,9 @@ is the canonical writer; parsing its output reproduces the same bytes.
 Solution documents are only written, by ``SolveResult.to_doc``.
 
 ``dumps`` writes every emitted document.  Its canonical bytes are those of
-``json.dumps(doc, indent=2, ensure_ascii=False)`` and a newline, but built by
-string joins: with an indent, the standard library's encoder runs in pure
-Python, which took longer than solving on large count instances.
+``json.dumps(doc, indent=2, ensure_ascii=False)`` and a newline, but built
+from pieces joined once: with an indent, the standard library's encoder runs
+in pure Python, which took longer than solving on large count instances.
 """
 
 from __future__ import annotations
@@ -253,50 +253,64 @@ def count_to_doc(inst: CountInstance) -> dict:
 _INT = frozenset([int])
 
 
-def _write(v, nl, written):
-    """``v`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes it at the
-    depth whose line break and indent is ``nl``.  A container writes its str
-    and int items in place, so that there is one call per container.  A tuple
+def _write(v, nl, out, written):
+    """Append to ``out`` the text of ``v`` as ``json.dumps(indent=2,
+    ensure_ascii=False)`` writes it at the depth whose line break and indent
+    is ``nl``.  Each item of a container is appended after its separator, and
+    ``dumps`` joins the pieces once.  Text built a container at a time is
+    copied once per depth, and those megabyte-sized copies made the peak
+    memory of a round trip depend on the allocator's earlier state.  A tuple
     of items of type int (so that no bool or float shares its key) is written
     once per depth and then looked up in ``written``: the members of a count
     document's sets repeat from set to set."""
     t = type(v)
     if t is tuple or t is list or isinstance(v, (list, tuple)):
         if not v:
-            return "[]"
+            out.append("[]")
+            return
         inner = nl + "  "
         if t is tuple and _INT.issuperset(map(type, v)):
             text = written.get((v, nl))
             if text is None:
                 text = written[v, nl] = f"[{inner}{f',{inner}'.join(map(int.__repr__, v))}{nl}]"
-            return text
-        items = f",{inner}".join([
-            encode_basestring(x) if type(x) is str
-            else int.__repr__(x) if type(x) is int
-            else _write(x, inner, written)
-            for x in v
-        ])
-        return f"[{inner}{items}{nl}]"
-    if isinstance(v, dict):
+            out.append(text)
+            return
+        sep = "," + inner
+        first = len(out)
+        for x in v:
+            if type(x) is str:
+                out.append(sep + encode_basestring(x))
+            elif type(x) is int:
+                out.append(sep + int.__repr__(x))
+            else:
+                out.append(sep)
+                _write(x, inner, out, written)
+        out[first] = "[" + out[first][1:]
+        out.append(nl + "]")
+    elif isinstance(v, dict):
         if not v:
-            return "{}"
+            out.append("{}")
+            return
         inner = nl + "  "
-        items = f",{inner}".join([
-            f"{_key(k)}: {_write(x, inner, written)}" for k, x in v.items()
-        ])
-        return f"{{{inner}{items}{nl}}}"
-    if t is str:
-        return encode_basestring(v)
-    if t is int:
-        return int.__repr__(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    # a float, or a str or int subclass: json's text, or its TypeError
-    return json.dumps(v, ensure_ascii=False)
+        first = len(out)
+        for k, x in v.items():
+            out.append(f",{inner}{_key(k)}: ")
+            _write(x, inner, out, written)
+        out[first] = "{" + out[first][1:]
+        out.append(nl + "}")
+    elif t is str:
+        out.append(encode_basestring(v))
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    else:
+        # a float, or a str or int subclass: json's text, or its TypeError
+        out.append(json.dumps(v, ensure_ascii=False))
 
 
 def _key(k):
@@ -310,7 +324,10 @@ def _key(k):
 def dumps(doc) -> str:
     """Canonical JSON rendering used for all emitted documents: the bytes of
     ``json.dumps(doc, indent=2, ensure_ascii=False)`` and a newline."""
-    return _write(doc, "\n", {}) + "\n"
+    out = []
+    _write(doc, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
 
 
 def serialize_instance(inst) -> str:
