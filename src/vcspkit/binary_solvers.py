@@ -8,13 +8,15 @@ the route's cells in ``triangles._SOLVER_CELLS``.  No route re-tests what
 its cell implies (matching-cardinality: no assignment zero-pairs with two
 variables; weighted-matching: no assignment is below the maximum M in two
 tables, and no pair minimum exceeds M; min0-structure: mu is 0 when a table
-is absent).  The two matching routes are one reduction, ``_matching_route``,
-under two preconditions: matching-cardinality is the cell {>, 1} with
-{0, 1} unaries and M = 1, weighted-matching the cell {>M, M} with its M.
-The routes that add or compare costs (all but trivial) read the instance's
-integer costs (``BinaryInstance.integer_costs``: every finite cost times one
-common denominator, None for inf) and make a ``Cost`` only of what they
-report.  Every answer leaves through ``_result``, which re-evaluates its
+is absent, and the non-zero pairs share a variable or carry one value;
+trivial: a two-colour cell holds at most five variables; lr: every pivot
+signature is one of its two sides).  The two matching routes are one
+reduction, ``_matching_route``, under two preconditions: matching-cardinality
+is the cell {>, 1} with {0, 1} unaries and M = 1, weighted-matching the cell
+{>M, M} with its M.  The routes that add or compare costs (all but trivial)
+read the instance's integer costs (``BinaryInstance.integer_costs``: every
+finite cost times one common denominator, None for inf) and make a ``Cost``
+only of what they report.  Every answer leaves through ``_result``, which re-evaluates its
 assignment on the ``Cost`` tables by ``evaluate_binary``.  The dispatcher
 scans the triangles once and reads every applicable scheme's profile from
 that scan.
@@ -38,11 +40,11 @@ from .results import SolveResult
 from .triangles import (
     _SOLVER_CELLS,
     Scheme,
+    _lookup_cell,
     has_soft_unaries,
     in_range,
     profile,
     scan_triangles,
-    solver_for,
     verdict,
 )
 
@@ -148,19 +150,14 @@ def _trivial(inst, prof):
     """Classes whose instances are tiny or have no finite solution.
 
     Crisp instances avoiding the all-zero triangle have cost inf for three
-    or more variables; the all-distinct anchored cells admit at most five
-    variables (a two-colour triangle argument), so exhaustive search is
-    constant-time.
+    or more variables.  The two-colour cells (MAXCSP {<, >}, MIN0 {delta0,
+    <0, >0}, MAXM {deltaM, <M, >M}) exclude both monochromatic types, so one
+    value per variable 2-colours K_n with no monochromatic triangle, and
+    R(3, 3) = 6 bounds n by 5: exhaustive search is constant-time.
     """
-    crisp = prof.scheme is Scheme.CSP
-    if crisp and inst.n >= 3:
+    if prof.scheme is Scheme.CSP and inst.n >= 3:
         # no all-zero triangle can exist, so no solution has finite cost
         return (0,) * inst.n, INF, {"reason": "no finite solution with n >= 3"}
-    limit = 2 if crisp else 5
-    if inst.n > limit:
-        raise ClassViolation(
-            f"trivial: {inst.n} variables cannot stay within the class (limit {limit})"
-        )
     x, total = _brute_force(inst)
     return x, total, {"enumerated": prod(len(d) for d in inst.domains)}
 
@@ -169,10 +166,12 @@ def _split_signatures(ints, binary, one, a1, a2, pivot):
     """Per-assignment side labels relative to the two pivot assignments.
 
     With a costly pivot pair (cost ``one``) the sides are (one, 0) vs
-    (0, one); with a cheap one they are (0, 0) vs (one, one).  Anything
-    else contradicts the class.
+    (0, one); with a cheap one they are (0, 0) vs (one, one).  Entries are
+    0 or ``one``, and in the lr cell (and in ``_min0``'s single-value call)
+    every triangle holds 0 or 2 of ``one``, so pivot + c1 + c2 is 0 or
+    2 * one: a signature that is not the L side's is the R side's.
     """
-    sig_l, sig_r = ((one, 0), (0, one)) if pivot == one else ((0, 0), (one, one))
+    sig_l = (one, 0) if pivot == one else (0, 0)
     sides = []
     for i in range(2, len(ints.unary)):
         t1, t2 = binary.get((0, i)), binary.get((1, i))
@@ -180,15 +179,7 @@ def _split_signatures(ints, binary, one, a1, a2, pivot):
         for b in range(len(ints.unary[i])):
             c1 = t1[a1][b] if t1 is not None else 0
             c2 = t2[a2][b] if t2 is not None else 0
-            if (c1, c2) == sig_l:
-                row.append("L")
-            elif (c1, c2) == sig_r:
-                row.append("R")
-            else:
-                raise ClassViolation(
-                    "lr: assignment signature fits neither side",
-                    witness=[i, b, str(ints.cost(c1)), str(ints.cost(c2))],
-                )
+            row.append("L" if (c1, c2) == sig_l else "R")
         sides.append(row)
     return sides
 
@@ -357,6 +348,12 @@ def _min0(inst, prof):
     instantiating it) or a single non-zero value occurs (solved as the
     zero/one two-sided class, with that value as the unit).  An absent table counts as cost
     0, which makes the minimum mu 0, so absent tables need no normalising.
+
+    The second case is not re-tested: in the cell {>0, 0} two non-zero
+    entries on disjoint pairs have equal values, so values x != y sit only
+    on pairs {i, j} and {i, k}, each carrying both; a non-zero pair avoiding
+    i must then be {j, k}, and the six triangles over i, j, k contradict
+    x != y.
     """
     ints = inst.integer_costs
     n, unary = inst.n, ints.unary
@@ -365,15 +362,8 @@ def _min0(inst, prof):
     # each table normalised once; an absent table stays absent (mu is 0)
     norm = {pair: tuple(tuple(c - mu for c in row) for row in table)
             for pair, table in ints.binary.items()} if mu else ints.binary
-    witnesses = {}  # first non-zero entry (a, b, cost) of each pair, in pair order
-    values = set()
-    for pair, table in sorted(norm.items()):
-        for a, row in enumerate(table):
-            for b, c in enumerate(row):
-                if c:
-                    witnesses.setdefault(pair, (a, b, c))
-                    values.add(c)
-    common = set.intersection(*(set(pair) for pair in witnesses)) if witnesses else {0}
+    pairs = [pair for pair, table in norm.items() if any(map(any, table))]
+    common = set.intersection(*(set(pair) for pair in pairs)) if pairs else {0}
     if common:
         k = min(common)
         best = None
@@ -395,26 +385,13 @@ def _min0(inst, prof):
                 best = (total, tuple(picks[i] for i in range(n)), a)
         total, x, a = best
         return x, ints.cost(_add(total, offset)), {"case": "anchor-variable", "anchor": [k, a]}
-    if len(values) == 1:
-        # one non-zero value: the zero/one lr cell with that value as one
-        alpha = values.pop()
-        x, inner_cost, inner_cert = _solve_lr(inst, norm, alpha)
-        cert = {"case": "single-value"}
-        if not inner_cost.is_infinite:
-            cert.update(alpha=str(ints.cost(alpha)), inner_k=inner_cert["k"])
-        return x, inner_cost + ints.cost(offset), cert
-    pair_a, *others = witnesses
-    pair_b = next((cand for cand in others if not set(cand) & set(pair_a)
-                   and witnesses[cand][2] != witnesses[pair_a][2]), None)
-
-    def detail(pair):
-        a, b, c = witnesses[pair]
-        return [list(pair), [a, b], str(ints.cost(c))]
-
-    raise ClassViolation(
-        "min0-structure: several non-zero costs without a shared variable",
-        witness=[detail(pair_a), None if pair_b is None else detail(pair_b)],
-    )
+    # one non-zero value: the zero/one lr cell with that value as one
+    alpha = next(c for row in norm[pairs[0]] for c in row if c)
+    x, inner_cost, inner_cert = _solve_lr(inst, norm, alpha)
+    cert = {"case": "single-value"}
+    if not inner_cost.is_infinite:
+        cert.update(alpha=str(ints.cost(alpha)), inner_k=inner_cert["k"])
+    return x, inner_cost + ints.cost(offset), cert
 
 
 def _weighted_matching(inst, prof):
@@ -526,7 +503,7 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResu
         if v.kind == "tractable" and route is None:
             route = (v.solver, prof)
         if v.kind == "trivial-small-domain" and small_domain_route is None:
-            solver = solver_for(scheme, prof.observed)
+            _, solver = _lookup_cell(scheme, prof.observed)
             if solver is not None:
                 small_domain_route = (solver, prof)
     verdicts = tuple(verdict_docs)

@@ -24,13 +24,12 @@ from typing import Tuple
 
 from .costs import INF, ZERO
 from .errors import ClassViolation, InstanceError
-from .flow import Arc, Flow, FlowNetwork, Infeasible, min_convex_cost_flow
+from .flow import Arc, Flow, FlowNetwork, Infeasible, check_convexity, min_convex_cost_flow
 from .frozen import Frozen
 from .instances import (
     AssignmentSet,
     CountFunction,
     CountInstance,
-    IntegerCount,
     evaluate_count,
     integer_count,
 )
@@ -109,20 +108,6 @@ def _is_laminar(members_list, universe):
     except ClassViolation:
         return False
     return True
-
-
-def check_convexity(g: IntegerCount):
-    """``(True, None)`` iff the finite part of g has non-decreasing slopes,
-    else ``(False, m)`` with m the first count where
-    g(m+2) - g(m+1) < g(m+1) - g(m).  The finite part is contiguous by
-    construction; the slopes are compared as the ints of g."""
-    if g.support is None:
-        return True, None
-    slopes = g.slopes
-    for m, (left, right) in enumerate(zip(slopes, slopes[1:]), g.support[0]):
-        if right < left:
-            return False, m
-    return True, None
 
 
 def first_nonconvex_set(inst: CountInstance):

@@ -29,6 +29,20 @@ from .frozen import Frozen, setfield
 from .instances import IntegerCount
 
 
+def check_convexity(g: IntegerCount):
+    """``(True, None)`` iff the finite part of g has non-decreasing slopes,
+    else ``(False, m)`` with m the first count where
+    g(m+2) - g(m+1) < g(m+1) - g(m).  The finite part is contiguous by
+    construction; the slopes are compared as the ints of g."""
+    if g.support is None:
+        return True, None
+    slopes = g.slopes
+    for m, (left, right) in enumerate(zip(slopes, slopes[1:]), g.support[0]):
+        if right < left:
+            return False, m
+    return True, None
+
+
 class Arc(Frozen):
     """Directed arc whose flow f costs ``cost.table[f] / den``, ``den`` the
     network's.  The window [lo, hi] is the table's finite support, and
@@ -83,8 +97,7 @@ class FlowNetwork(Frozen):
             checked.add(id(arc.cost))
             if arc.cost.support is None:
                 raise InstanceError("arc cost has no finite entry")
-            slopes = arc.cost.slopes
-            if any(b < a for a, b in zip(slopes, slopes[1:])):
+            if not check_convexity(arc.cost)[0]:
                 raise InstanceError("arc cost is not convex on its window")
 
 

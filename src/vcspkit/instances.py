@@ -91,17 +91,6 @@ class IntegerCounts(Frozen):
     __slots__ = _fields = ("den", "counts", "constant")
 
 
-def _freeze_table(rows, n_rows, n_cols, what):
-    if len(rows) != n_rows:
-        raise InstanceError(f"{what}: expected {n_rows} rows, got {len(rows)}")
-    out = []
-    for row in rows:
-        if len(row) != n_cols:
-            raise InstanceError(f"{what}: ragged row of length {len(row)}, expected {n_cols}")
-        out.append(tuple(Cost(c) for c in row))
-    return tuple(out)
-
-
 class BinaryInstance(Frozen):
     """Variables with finite domains, unary cost tables and pairwise tables.
 
@@ -141,7 +130,8 @@ class BinaryInstance(Frozen):
 
     @classmethod
     def build(cls, domains: Sequence[Sequence[str]], *, names=None, unary=None, binary=None):
-        """Construct with zero-filled defaults for absent tables."""
+        """Construct with zero-filled defaults for absent tables; the
+        constructor checks the shapes and the pairs."""
         domains_t = tuple(tuple(d) for d in domains)
         n = len(domains_t)
         if names is None:
@@ -151,11 +141,8 @@ class BinaryInstance(Frozen):
             tuple(Cost(c) for c in unary[i]) if i in unary else tuple(ZERO for _ in domains_t[i])
             for i in range(n)
         )
-        tables = {}
-        for (i, j), rows in (binary or {}).items():
-            if j < i:
-                raise InstanceError(f"binary pair must be ordered i < j, got ({i}, {j})")
-            tables[(i, j)] = _freeze_table(rows, len(domains_t[i]), len(domains_t[j]), f"c[{i},{j}]")
+        tables = {pair: tuple(tuple(Cost(c) for c in row) for row in rows)
+                  for pair, rows in (binary or {}).items()}
         return cls(tuple(names), domains_t, unary_t, tables)
 
     @property

@@ -429,7 +429,7 @@ class Verdict(Frozen):
 # solvers in preference order.  A profile is tractable iff some cell holds
 # it, and each solver checks its input against its own cells.  Cells
 # solvable only through the two-smallest-equal triangle property have no
-# dedicated solver here (solver None).
+# dedicated solver here (solver None) and come last in their scheme.
 _SOLVER_CELLS = {
     Scheme.CSP: (
         (frozenset({">", "0", "inf"}), "sac"),
@@ -467,26 +467,19 @@ _RULES = {
 _RULE_CSP_SOFT = "crisp-binary-soft-unary-dichotomy"
 
 
-def is_tractable_cell(scheme: Scheme, observed: frozenset) -> bool:
-    """The dichotomy's tractable/NP-hard split, independent of domain size:
-    whether some tractable cell of the scheme holds every observed type."""
-    s = frozenset(observed)
-    return any(s <= cell for cell, _ in _SOLVER_CELLS[scheme])
-
-
-def solver_for(scheme: Scheme, observed: frozenset) -> Optional[str]:
-    """Implemented solver id for a tractable profile, else None."""
-    s = frozenset(observed)
+def _lookup_cell(scheme: Scheme, observed: frozenset) -> Tuple[bool, Optional[str]]:
+    """Whether some tractable cell of the scheme holds every observed type
+    (the dichotomy's split, independent of domain size), and the solver of
+    the first that does, None only if no cell with a solver holds them."""
     for cell, solver in _SOLVER_CELLS[scheme]:
-        if s <= cell and solver is not None:
-            return solver
-    return None
+        if observed <= cell:
+            return True, solver
+    return False, None
 
 
 def verdict(prof: TriangleProfile, domain_max: int, soft_unaries_present: bool) -> Verdict:
     """Dichotomy verdict for a profile at the given maximum domain size."""
     scheme = prof.scheme
-    s = frozenset(prof.observed)
     rule = _RULES[scheme]
     if scheme is Scheme.CSP:
         if soft_unaries_present:
@@ -498,9 +491,9 @@ def verdict(prof: TriangleProfile, domain_max: int, soft_unaries_present: bool) 
     else:
         if domain_max <= 1:
             return Verdict("trivial-small-domain", None, rule)
-    if not is_tractable_cell(scheme, s):
+    tractable, solver = _lookup_cell(scheme, prof.observed)
+    if not tractable:
         return Verdict("np-hard", None, rule)
-    solver = solver_for(scheme, s)
     if solver is None:
         return Verdict("tractable-unimplemented", None, rule)
     return Verdict("tractable", solver, rule)

@@ -89,17 +89,6 @@ def test_lr_all_zero_instance():
     assert res.cost == ZERO
 
 
-def test_lr_reports_signature_violations():
-    # a {0,0,1} triangle breaks the two-sided structure
-    inst = BinaryInstance.build(
-        [["a"]] * 3,
-        binary={(0, 1): [[C(1)]], (0, 2): [[ZERO]], (1, 2): [[ZERO]]},
-    )
-    # past the profile check, which would reject the triangle first
-    with pytest.raises(ClassViolation):
-        binary_solvers._solve_lr(inst)
-
-
 def test_matching_cardinality_path_graph():
     # path on three vertices: maximum matching 1, optimum pairs - 1 = 2
     inst = gen_matching_encoding(3, [(0, 1), (1, 2)])
@@ -501,10 +490,19 @@ def test_out_of_range_solver_call_raises_before_scanning(monkeypatch):
 
 # -- the profile check owns the structure each solver relies on -------------
 
+# solver -> the cells probed: (scheme, cell, common costs, rare costs, the
+# variable counts tried on random instances)
 _CELL_OF = {
-    "matching-cardinality": (Scheme.MAXCSP, {">", "1"}, [1], [0]),
-    "weighted-matching": (Scheme.MAXM, {">M", "M"}, [3], [0, 1, 2, Fraction(1, 2)]),
-    "min0-structure": (Scheme.MIN0, {">0", "0"}, [0], [1, 2, Fraction(1, 2), 3]),
+    "matching-cardinality": [(Scheme.MAXCSP, {">", "1"}, [1], [0], (3, 5))],
+    "weighted-matching": [(Scheme.MAXM, {">M", "M"}, [3], [0, 1, 2, Fraction(1, 2)], (3, 5))],
+    "min0-structure": [(Scheme.MIN0, {">0", "0"}, [0], [1, 2, Fraction(1, 2), 3], (3, 5))],
+    "lr": [(Scheme.MAXCSP, {">", "0"}, [0], [1], (3, 5))],
+    # the two-colour cells, on up to seven variables
+    "trivial": [
+        (Scheme.MAXCSP, {"<", ">"}, [0, 1], [], (3, 7)),
+        (Scheme.MIN0, {"delta0", "<0", ">0"}, [1, 2], [0], (3, 7)),
+        (Scheme.MAXM, {"deltaM", "<M", ">M"}, [1, 2], [3], (3, 7)),
+    ],
 }
 
 
@@ -551,40 +549,80 @@ def _pair_minimum_exceeds(inst, m):
     return False
 
 
+def _entry(inst, i, a, j, b):
+    """c[i, j](a, b) for i < j; an absent table is zero."""
+    table = inst.binary.get((i, j))
+    return ZERO if table is None else table[a][b]
+
+
+def _signatures_fit_two_sides(inst, mu, one):
+    """Whether, against every pivot (a1, a2) of variables 0 and 1, each
+    (i, b) has the signature (c[0, i](a1, b), c[1, i](a2, b)) of one of the
+    pivot's two sides, on costs less ``mu``: (one, 0) or (0, one) under a
+    pivot of cost ``one``, else (0, 0) or (one, one)."""
+    for a1 in range(len(inst.domains[0])):
+        for a2 in range(len(inst.domains[1])):
+            if _entry(inst, 0, a1, 1, a2) - mu == one:
+                sides = {(one, ZERO), (ZERO, one)}
+            else:
+                sides = {(ZERO, ZERO), (one, one)}
+            for i in range(2, inst.n):
+                for b in range(len(inst.domains[i])):
+                    sig = (_entry(inst, 0, a1, i, b) - mu, _entry(inst, 1, a2, i, b) - mu)
+                    if sig not in sides:
+                        return False
+    return True
+
+
+def _nonzero_pairs(inst, mu):
+    """The pairs with an entry other than ``mu``, and those entries less mu."""
+    pairs, values = [], set()
+    for pair, table in inst.binary.items():
+        found = {c - mu for row in table for c in row if c != mu}
+        if found:
+            pairs.append(pair)
+            values |= found
+    return pairs, values
+
+
 def _in_cell_instances():
-    """Seeded instances, generated and random, each tagged with its solver."""
-    for solver, (scheme, cell, _, _) in _CELL_OF.items():
-        for n in range(3, 8):
-            for d in range(1, 4):
-                for seed in range(30):
-                    try:
-                        yield solver, gen_profile(n, d, cell, scheme, seed)
-                    except GenerationError:
-                        pass
+    """Seeded instances, generated and random, each tagged with its solver
+    and the scheme and cell it was made for."""
+    for solver, cells in _CELL_OF.items():
+        for scheme, cell, _, _, _ in cells:
+            for n in range(3, 8):
+                for d in range(1, 4):
+                    for seed in range(30):
+                        try:
+                            yield solver, scheme, cell, gen_profile(n, d, cell, scheme, seed)
+                        except GenerationError:
+                            pass
     rng = random.Random(99)
     for _ in range(1000):
-        for solver, (_, _, common, rare) in _CELL_OF.items():
-            n = rng.randint(3, 5)
-            domains = [["v"] * rng.randint(1, 3) for _ in range(n)]
-            p = rng.choice([0.05, 0.15, 0.3])
+        for solver, cells in _CELL_OF.items():
+            for scheme, cell, common, rare, (lo, hi) in cells:
+                n = rng.randint(lo, hi)
+                domains = [["v"] * rng.randint(1, 3) for _ in range(n)]
+                p = rng.choice([0.05, 0.15, 0.3])
 
-            def cost():
-                return C(Fraction(rng.choice(rare if rng.random() < p else common)))
+                def cost():
+                    pool = rare if rare and rng.random() < p else common
+                    return C(Fraction(rng.choice(pool)))
 
-            unary = {i: [C(rng.randint(0, 2)) for _ in domains[i]] for i in range(n)}
-            binary = {
-                (i, j): [[cost() for _ in domains[j]] for _ in domains[i]]
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rng.random() < 0.85
-            }
-            yield solver, BinaryInstance.build(domains, unary=unary, binary=binary)
+                unary = {i: [C(rng.randint(0, 2)) for _ in domains[i]] for i in range(n)}
+                binary = {
+                    (i, j): [[cost() for _ in domains[j]] for _ in domains[i]]
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if rng.random() < 0.85
+                }
+                inst = BinaryInstance.build(domains, unary=unary, binary=binary)
+                yield solver, scheme, cell, inst
 
 
 def test_profile_check_settles_the_solver_conditions():
     seen = {solver: 0 for solver in _CELL_OF}
-    for solver, inst in _in_cell_instances():
-        scheme, cell, _, _ = _CELL_OF[solver]
+    for solver, scheme, cell, inst in _in_cell_instances():
         try:
             prof = triangles.profile(inst, scheme)
         except ClassViolation:
@@ -598,9 +636,19 @@ def test_profile_check_settles_the_solver_conditions():
             m = _max_binary(inst)
             assert not _hit_in_two_tables(inst, lambda c: c < m)
             assert not _pair_minimum_exceeds(inst, m)
-        elif len(inst.binary) < inst.n * (inst.n - 1) // 2:
-            assert prof.mu == ZERO
-    assert sum(seen.values()) >= 2000
+        elif solver == "lr":
+            assert _signatures_fit_two_sides(inst, ZERO, C(1))
+        elif solver == "trivial":
+            # R(3, 3) = 6: no two-colour cell holds six variables
+            assert inst.n <= 5
+        else:
+            if len(inst.binary) < inst.n * (inst.n - 1) // 2:
+                assert prof.mu == ZERO
+            pairs, values = _nonzero_pairs(inst, prof.mu)
+            if pairs and not set.intersection(*(set(pair) for pair in pairs)):
+                assert len(values) == 1
+                assert _signatures_fit_two_sides(inst, prof.mu, values.pop())
+    assert sum(seen.values()) >= 3000
     assert min(seen.values()) >= 400
 
 
@@ -617,3 +665,23 @@ def test_profile_check_rejects_what_the_solvers_rely_on():
     )
     with pytest.raises(ClassViolation, match="triangle type .* outside"):
         solve_weighted_matching_class(below_twice)
+    # six variables whose every pair costs 1: no two-colour cell holds them
+    all_one = BinaryInstance.build(
+        [["a"]] * 6, binary={(i, j): [[C(1)]] for i in range(6) for j in range(i + 1, 6)}
+    )
+    with pytest.raises(ClassViolation, match="triangle type .* outside"):
+        solve_trivial_class(all_one)
+    # a {0, 0, 1} triangle: the pivot (0, 0) sees the signature (0, 0)
+    # under a pivot of cost 1
+    one_costly = BinaryInstance.build(
+        [["a"]] * 3, binary={(0, 1): [[C(1)]], (0, 2): [[ZERO]], (1, 2): [[ZERO]]}
+    )
+    with pytest.raises(ClassViolation, match="triangle type .* outside"):
+        solve_lr_class(one_costly)
+    # the values 1 and 2 on disjoint pairs, which share no variable
+    two_values = BinaryInstance.build([["a"]] * 4, binary={
+        (0, 1): [[C(1)]], (2, 3): [[C(2)]],
+        (0, 2): [[ZERO]], (0, 3): [[ZERO]], (1, 2): [[ZERO]], (1, 3): [[ZERO]],
+    })
+    with pytest.raises(ClassViolation, match="triangle type .* outside"):
+        solve_min0_class(two_values)

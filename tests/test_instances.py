@@ -164,6 +164,8 @@ def test_instance_shape_validation():
     with pytest.raises(InstanceError):
         BinaryInstance.build([["a"], ["b"]], binary={(1, 0): [[ZERO]]})
     with pytest.raises(InstanceError):
+        BinaryInstance.build([["a"], ["b"]], binary={(0, 5): [[ZERO]]})
+    with pytest.raises(InstanceError):
         BinaryInstance.build([["a"], ["b", "c"]], binary={(0, 1): [[ZERO]]})
 
 
