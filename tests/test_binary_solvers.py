@@ -549,12 +549,6 @@ def _pair_minimum_exceeds(inst, m):
     return False
 
 
-def _entry(inst, i, a, j, b):
-    """c[i, j](a, b) for i < j; an absent table is zero."""
-    table = inst.binary.get((i, j))
-    return ZERO if table is None else table[a][b]
-
-
 def _signatures_fit_two_sides(inst, mu, one):
     """Whether, against every pivot (a1, a2) of variables 0 and 1, each
     (i, b) has the signature (c[0, i](a1, b), c[1, i](a2, b)) of one of the
@@ -562,14 +556,13 @@ def _signatures_fit_two_sides(inst, mu, one):
     pivot of cost ``one``, else (0, 0) or (one, one)."""
     for a1 in range(len(inst.domains[0])):
         for a2 in range(len(inst.domains[1])):
-            if _entry(inst, 0, a1, 1, a2) - mu == one:
+            if _full_row(inst, 0, a1, 1)[a2] - mu == one:
                 sides = {(one, ZERO), (ZERO, one)}
             else:
                 sides = {(ZERO, ZERO), (one, one)}
             for i in range(2, inst.n):
-                for b in range(len(inst.domains[i])):
-                    sig = (_entry(inst, 0, a1, i, b) - mu, _entry(inst, 1, a2, i, b) - mu)
-                    if sig not in sides:
+                for c1, c2 in zip(_full_row(inst, 0, a1, i), _full_row(inst, 1, a2, i)):
+                    if (c1 - mu, c2 - mu) not in sides:
                         return False
     return True
 
