@@ -487,8 +487,8 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResu
     chose it, and its answer is re-evaluated against the instance.
 
     Profiles with no implemented solver (or NP-hard cells) fall back to the
-    exhaustive oracle within the budget; otherwise an explicit unsolved
-    result carrying the verdicts is returned.
+    exhaustive oracle within the budget, whose answer is re-evaluated too;
+    otherwise an explicit unsolved result carrying the verdicts is returned.
     """
     soft = has_soft_unaries(inst)
     scan = scan_triangles(inst)
@@ -518,7 +518,7 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResu
         result = oracle_binary(inst, budget=oracle_budget)
         cert = dict(result.certificate)
         cert["fallback"] = "no implemented solver for the observed profiles"
-        return SolveResult(result.assignment, result.cost, "oracle", cert, verdicts)
+        return _result(inst, "oracle", (result.assignment, result.cost, cert), verdicts)
     return SolveResult(None, None, "none",
                        {"reason": f"search space {space} exceeds the oracle budget"},
                        verdicts)

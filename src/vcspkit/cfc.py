@@ -6,10 +6,10 @@ cross-free family to a laminar one on the way); translate to a flow network
 whose minimum-cost integral flows of value n correspond one-to-one to the
 finite-cost solutions; solve; decode.  Every step after the parse reads the
 instance's integer view (``CountInstance.integer_counts``): the convexity
-check its slopes, the forest and the network its tables, which become the
-arcs' tables as they are, over the view's denominator.  The rewrite works
-on the ``Cost`` tables; the rewritten instance builds its own view on
-first use.
+check its tables' ``bend``, decided once per distinct table when the view
+is built, the forest and the network its tables, which become the arcs'
+tables as they are, over the view's denominator.  The rewrite works on the
+``Cost`` tables; the rewritten instance builds its own view on first use.
 
 One complement rule both decides the family's kind and does the rewrite:
 fix one assignment u0 and complement every set that contains u0.  The
@@ -24,7 +24,8 @@ from typing import Tuple
 
 from .costs import INF, ZERO
 from .errors import ClassViolation, InstanceError
-from .flow import Arc, Flow, FlowNetwork, Infeasible, check_convexity, min_convex_cost_flow
+from .flow import Arc, Flow, FlowNetwork, Infeasible, min_convex_cost_flow
+from .flow import check_convexity  # noqa: F401  (kept importable from here)
 from .frozen import Frozen
 from .instances import (
     AssignmentSet,
@@ -111,17 +112,12 @@ def _is_laminar(members_list, universe):
 
 
 def first_nonconvex_set(inst: CountInstance):
-    """``(k, m)``: the first set k whose function is not convex, at count m
-    (``check_convexity`` on the instance's integer view); None when all are
-    convex.  Equal tables share one IntegerCount, which is checked once."""
-    checked = set()
+    """``(k, m)``: the first set k whose function is not convex, at count m,
+    its table's ``bend`` in the instance's integer view, where each distinct
+    table's convexity is decided once; None when all are convex."""
     for k, g in enumerate(inst.integer_counts.counts):
-        if id(g) in checked:
-            continue
-        checked.add(id(g))
-        ok, at = check_convexity(g)
-        if not ok:
-            return k, at
+        if g.bend is not None:
+            return k, g.bend
     return None
 
 

@@ -3,17 +3,17 @@
 Each arc carries a cost table over flow amounts as ints over the network's
 one denominator ``den`` (an ``IntegerCount``); its demand/capacity window
 [lo, hi] is the table's finite support, and the table must be convex there.
-The network checks the support and the convexity of each distinct table
-once, and the solver reads the tables' integer slopes as they are, with no
-rescaling.  It runs successive shortest augmenting paths with node
-potentials over unit steps with non-decreasing costs.  Units with negative
-marginal cost are saturated up front (their removal stays available through
-residual arcs), which keeps every residual cost non-negative from the
-start, even on cyclic networks.  Each phase's Dijkstra settles the nodes
-reached at the current distance from a plain stack and heaps only the
-farther ones; a phase whose sink lies at reduced distance 0 leaves the
-potentials as they are.  The final cost is re-read from the arcs' tables
-and made one ``Cost``.
+Each table's convexity was decided when it was built (``IntegerCount.bend``);
+the network reads that and the support of every arc's table, and the solver
+reads the tables' integer slopes as they are, with no rescaling.  It runs
+successive shortest augmenting paths with node potentials over unit steps
+with non-decreasing costs.  Units with negative marginal cost are saturated
+up front (their removal stays available through residual arcs), which keeps
+every residual cost non-negative from the start, even on cyclic networks.
+Each phase's Dijkstra settles the nodes reached at the current distance
+from a plain stack and heaps only the farther ones; a phase whose sink lies
+at reduced distance 0 leaves the potentials as they are.  The final cost is
+re-read from the arcs' tables and made one ``Cost``.
 """
 
 from __future__ import annotations
@@ -32,15 +32,8 @@ from .instances import IntegerCount
 def check_convexity(g: IntegerCount):
     """``(True, None)`` iff the finite part of g has non-decreasing slopes,
     else ``(False, m)`` with m the first count where
-    g(m+2) - g(m+1) < g(m+1) - g(m).  The finite part is contiguous by
-    construction; the slopes are compared as the ints of g."""
-    if g.support is None:
-        return True, None
-    slopes = g.slopes
-    for m, (left, right) in enumerate(zip(slopes, slopes[1:]), g.support[0]):
-        if right < left:
-            return False, m
-    return True, None
+    g(m+2) - g(m+1) < g(m+1) - g(m): ``g.bend``, decided when g was built."""
+    return g.bend is None, g.bend
 
 
 class Arc(Frozen):
@@ -66,9 +59,8 @@ class Arc(Frozen):
 
 class FlowNetwork(Frozen):
     """Nodes 0..num_nodes-1 and arcs whose tables are ints over ``den``; a
-    flow must carry ``value`` from ``source`` to ``sink``.  Each distinct
-    arc table is checked once: it must have a finite entry, and its slopes
-    must not decrease."""
+    flow must carry ``value`` from ``source`` to ``sink``.  Every arc's
+    table must have a finite entry and be convex, as its ``bend`` records."""
 
     __slots__ = _fields = ("num_nodes", "source", "sink", "value", "arcs", "den")
 
@@ -87,17 +79,13 @@ class FlowNetwork(Frozen):
             )
         if den < 1:
             raise InstanceError(f"network denominator must be positive, got {den}")
-        checked = set()
         for arc in arcs:
             for node in (arc.tail, arc.head):
                 if not (0 <= node < num_nodes):
                     raise InstanceError(f"arc endpoint {node} outside range")
-            if id(arc.cost) in checked:
-                continue
-            checked.add(id(arc.cost))
             if arc.cost.support is None:
                 raise InstanceError("arc cost has no finite entry")
-            if not check_convexity(arc.cost)[0]:
+            if arc.cost.bend is not None:
                 raise InstanceError("arc cost is not convex on its window")
 
 

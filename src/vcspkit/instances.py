@@ -6,6 +6,8 @@ of instance keeps, built on first use, one view of its costs as integers
 over one denominator (``BinaryInstance.integer_costs``,
 ``CountInstance.integer_counts``), which the solvers read; the evaluators
 read the ``Cost`` tables, so re-evaluation is independent of the views.
+A count table's convexity is decided there once, when its ``IntegerCount``
+is built (``bend``), and equal tables of one view share that object.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from .costs import Cost, INF, ZERO, cost_sum, scale_tables
 from .errors import InstanceError
-from .frozen import Frozen, setfield
+from .frozen import Frozen
 
 Solution = Tuple[int, ...]
 Assignment = Tuple[int, int]  # (variable index, value index)
@@ -44,11 +46,12 @@ class IntegerCount(Frozen):
 
     ``table[m]`` is the cost of count m times that denominator, None where
     it is ``inf``; ``support`` is (l, u), the ends of the finite part, or
-    None if it is empty; ``slopes`` are the first differences on [l, u].
-    Build it with ``integer_count``.
+    None if it is empty; ``slopes`` are the first differences on [l, u];
+    ``bend`` is the first count m with g(m+2) - g(m+1) < g(m+1) - g(m), or
+    None when the table is convex.  Build it with ``integer_count``.
     """
 
-    __slots__ = _fields = ("table", "support", "slopes")
+    __slots__ = _fields = ("table", "support", "slopes", "bend")
 
 
 def _finite_support(finite):
@@ -62,16 +65,21 @@ def _finite_support(finite):
 
 
 def integer_count(table) -> IntegerCount:
-    """The IntegerCount of a table of ints and Nones."""
+    """The IntegerCount of a table of ints and Nones: the one place where a
+    table's convexity is decided, from its slopes."""
     table = tuple(table)
     support = _finite_support([m for m, v in enumerate(table) if v is not None])
     lo, hi = support or (0, -1)
     slopes = tuple([b - a for a, b in zip(table[lo:hi], table[lo + 1:hi + 1])])
-    return IntegerCount(table, support, slopes)
+    bend = next(
+        (m for m, (left, right) in enumerate(zip(slopes, slopes[1:]), lo) if right < left), None
+    )
+    return IntegerCount(table, support, slopes, bend)
 
 
 def _integer_counts(tables):
-    """One IntegerCount per table; equal tables share one."""
+    """One IntegerCount per table; equal tables share one, so each distinct
+    table's convexity is decided once."""
     made = {}
     for t in tables:
         if t not in made:
@@ -188,20 +196,19 @@ class CountFunction(Frozen):
     """Cost as a function of a count in [0, s], finite on a contiguous interval.
 
     The finite support may be empty.  Convexity of the finite part is a
-    property of the solvable class, checked separately, not a construction
-    requirement (non-convex tables are legitimate instances).
+    property of the solvable class, decided in the instance's integer view
+    (``IntegerCount.bend``), not a construction requirement (non-convex
+    tables are legitimate instances).
     """
 
-    __slots__ = ("table", "_support")
-    _fields = ("table",)
+    __slots__ = _fields = ("table",)
 
     def __init__(self, table: Tuple[Cost, ...]):
         table = tuple(c if type(c) is Cost else Cost(c) for c in table)
-        setfield(self, "table", table)
         if not table:
             raise InstanceError("count function needs at least one entry")
-        finite = [m for m, c in enumerate(table) if not c.is_infinite]
-        setfield(self, "_support", _finite_support(finite))
+        Frozen.__init__(self, table)
+        self.support  # raises unless the finite part is contiguous
 
     @property
     def size(self) -> int:
@@ -211,7 +218,7 @@ class CountFunction(Frozen):
     @property
     def support(self) -> Optional[Tuple[int, int]]:
         """(l, u) endpoints of the finite interval, or None if empty."""
-        return self._support
+        return _finite_support([m for m, c in enumerate(self.table) if not c.is_infinite])
 
     def __call__(self, m: int) -> Cost:
         if not (0 <= m < len(self.table)):
@@ -310,7 +317,8 @@ class CountInstance(Frozen):
     @cached_property
     def integer_counts(self) -> IntegerCounts:
         """The costs scaled to integers, built on first use and kept.  The
-        convexity check, the network and the flow read these;
+        convexity check (each table's ``bend``), the forest, the network and
+        the flow read these;
         ``evaluate_count`` reads the ``Cost`` tables."""
         den, (tables, ((constant,),)) = scale_tables(
             ([aset.g.table for aset in self.sets], ((self.constant,),))

@@ -290,7 +290,7 @@ def _mask_scan(sizes, ranks, count):
                                 skip.add(sig)
             if best:
                 found = {}
-                for sig, (k, a, b, c) in sorted(best.items(), key=lambda e: e[1]):
+                for sig, (k, a, b, c) in best.items():
                     key = tuple(sorted((t_ij[a][b], ranks[i, k][a][c], ranks[j, k][b][c])))
                     found[sig] = ((i, j, k, a, b, c), key)
                 seen.update(found)
@@ -328,7 +328,9 @@ def _loop_scan(n, ranks, top):
 def _found_in_order(inst: BinaryInstance, values, ranks):
     """The entries of ``TriangleScan.first``, yielded in loop order, a batch
     after each variable pair (or triple), so that a caller wanting only the
-    earliest triangle of some kind can stop at the first batch holding it."""
+    earliest triangle of some kind can stop at the first batch holding it.
+    Within a batch the entries come in no set order; both readers take the
+    least position."""
     if len(values) <= _MASK_VALUES:
         return _mask_scan([len(d) for d in inst.domains], ranks, len(values))
     return _loop_scan(inst.n, ranks, len(values) - 1)

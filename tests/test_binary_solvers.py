@@ -16,9 +16,10 @@ from vcspkit.binary_solvers import (
     solve_weighted_matching_class,
 )
 from vcspkit.costs import Cost, INF, ZERO
-from vcspkit.errors import ClassViolation, GenerationError, VcspError
+from vcspkit.errors import ClassViolation, GenerationError, InstanceError, VcspError
 from vcspkit.formats import dumps
 from vcspkit.instances import BinaryInstance, evaluate_binary
+from vcspkit.results import SolveResult
 from vcspkit.testkit import gen_matching_encoding, gen_profile, oracle_binary
 from vcspkit.triangles import Scheme
 
@@ -383,6 +384,21 @@ def test_dispatch_falls_back_to_oracle_on_jwp_cells():
     kinds = {v["kind"] for v in res.verdicts}
     assert "tractable-unimplemented" in kinds
     assert res.cost == oracle_binary(inst).cost
+
+
+def test_dispatch_re_evaluates_the_oracle_fallback(monkeypatch):
+    import vcspkit.testkit as testkit
+
+    inst = gen_profile(4, 2, {"<", "="}, Scheme.ORDER, seed=7)
+    real = testkit.oracle_binary
+
+    def wrong_cost(inst, budget):
+        res = real(inst, budget=budget)
+        return SolveResult(res.assignment, res.cost + C(1), "oracle", res.certificate)
+
+    monkeypatch.setattr(testkit, "oracle_binary", wrong_cost)
+    with pytest.raises(InstanceError, match="internal check failed"):
+        dispatch(inst)
 
 
 def test_dispatch_reports_unsolved_over_budget():

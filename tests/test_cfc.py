@@ -158,6 +158,7 @@ def test_convexity_check():
 
 def test_first_nonconvex_set_checks_each_table_once(monkeypatch):
     import vcspkit.cfc as cfc
+    import vcspkit.instances as instances
 
     convex, nonconvex = (ZERO, C(1), C(3)), (ZERO, C(2), C(3))
     members = [{(0, 0), (1, 0)}, {(1, 0), (2, 0)}, {(0, 1), (2, 1)}, {(0, 0), (1, 1)}]
@@ -166,12 +167,15 @@ def test_first_nonconvex_set_checks_each_table_once(monkeypatch):
         [("a", "b")] * 3,
         [AssignmentSet(frozenset(m), CountFunction(t)) for m, t in zip(members, tables)],
     )
+    made = _counting(monkeypatch, instances, "integer_count")
     counts = inst.integer_counts.counts
     assert counts[0] is counts[1] and counts[2] is counts[3]
-    calls = _counting(monkeypatch, cfc, "check_convexity")
+    # convexity is decided once per distinct table, as the view is built
+    assert len(made) == 2
+    made.clear()
     # sets 2 and 3 share the non-convex table; the earlier one is reported
     assert cfc.first_nonconvex_set(inst) == (2, 0)
-    assert len(calls) == 2
+    assert made == []
 
 
 def _fraction_convexity(table):
@@ -427,6 +431,7 @@ def _counting(monkeypatch, module, name):
 
 def test_cross_free_and_renamed_solves_nest_each_family_once(monkeypatch):
     import vcspkit.cfc as cfc
+    import vcspkit.instances as instances
     from vcspkit.renaming import rename_set, solve_renamable
 
     # a complemented tree: the failed laminarity test, then the rewrite
@@ -442,16 +447,20 @@ def test_cross_free_and_renamed_solves_nest_each_family_once(monkeypatch):
     assert solve_cfc(inst).cost == oracle_count(inst).cost
     assert len(nests) == 2
     # a renamed Boolean tree: the renamed family is nested once, and each
-    # distinct function is checked for convexity once
+    # distinct function of each integer view, the input's and the renamed
+    # instance's, is checked for convexity once
     base = gen_full_laminar_tree(5, 2, 0)
     sets = [rename_set(a, base.domains) if k % 2 else a for k, a in enumerate(base.sets)]
     inst = CountInstance.build(base.domains, sets)
     assert check_family([a.members for a in inst.sets], inst.universe())[0] != LAMINAR
     nests.clear()
-    convexity = _counting(monkeypatch, cfc, "check_convexity")
+    views = _counting(monkeypatch, instances, "_integer_counts")
+    made = _counting(monkeypatch, instances, "integer_count")
     assert solve_renamable(inst).cost == oracle_count(inst).cost
     assert len(nests) == 1
-    assert len(convexity) == len({id(g) for g in inst.integer_counts.counts}) < len(inst.sets)
+    assert len(views) == 2
+    assert len(made) == sum(len(set(tables)) for (tables,) in views)
+    assert len({id(g) for g in inst.integer_counts.counts}) < len(inst.sets)
 
 
 def test_network_feasible_iff_finite_solution():

@@ -322,6 +322,32 @@ def test_rename_rejects_non_convex_count_function():
     assert err["witness"] == [1, 0]
 
 
+def test_convexity_is_reported_before_the_family():
+    from vcspkit.cfc import NEITHER, check_family, solve_cfc
+    from vcspkit.errors import ClassViolation
+    from vcspkit.formats import parse_instance
+
+    # sets 0 and 1 cross, and set 1 bends down at count 0
+    doc = {
+        "format": "vcsp-cfc/1",
+        "variables": [{"name": v, "domain": ["a", "b"]} for v in "xyz"],
+        "sets": [
+            {"assignments": [[0, 0], [1, 0]], "g": ["0", "1", "2"]},
+            {"assignments": [[1, 0], [2, 0]], "g": ["0", "3", "4"]},
+        ],
+    }
+    inst = parse_instance(json.dumps(doc))
+    assert check_family([a.members for a in inst.sets], inst.universe())[0] == NEITHER
+    with pytest.raises(ClassViolation, match="not convex") as raised:
+        solve_cfc(inst)
+    assert raised.value.witness == [1, 0]
+    proc = run_cli("solve-cfc", "-", stdin=json.dumps(doc))
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout) == {
+        "error": {"kind": "class", "message": str(raised.value), "witness": [1, 0]}
+    }
+
+
 _SOLVE_AND_LIST_NETWORKX = """
 import contextlib, io, json, sys, vcspkit.cli
 loaded = ["networkx" in sys.modules]

@@ -21,7 +21,7 @@ from vcspkit.triangles import Scheme, has_soft_unaries, profile, scan_triangles,
 # each class's constructor parameters, in order
 FIELDS = {
     "IntegerCosts": ("den", "unary", "binary"),
-    "IntegerCount": ("table", "support", "slopes"),
+    "IntegerCount": ("table", "support", "slopes", "bend"),
     "IntegerCounts": ("den", "counts", "constant"),
     "BinaryInstance": ("names", "domains", "unary", "binary"),
     "CountFunction": ("table",),
