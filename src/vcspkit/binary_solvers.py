@@ -2,9 +2,10 @@
 
 Each route in ``SOLVERS`` maps ``(inst, prof)`` to (assignment, cost,
 certificate), ``prof`` being the profile of the route's cell that holds the
-instance: ``dispatch`` hands over the one its verdict read, and a public
-``solve_*_class(inst)`` finds it by ``_require_profile``, the check against
-the route's cells in ``triangles._SOLVER_CELLS``.  No route re-tests what
+instance: ``dispatch`` hands over the one its verdict read, and
+``solve_class(inst, solver)``, the one public entry to a named route, finds
+it by ``_require_profile``, the check against the route's cells in
+``triangles._SOLVER_CELLS``.  No route re-tests what
 its cell implies (matching-cardinality: no assignment zero-pairs with two
 variables; weighted-matching: no assignment is below the maximum M in two
 tables, and no pair minimum exceeds M; min0-structure: mu is 0 when a table
@@ -19,7 +20,9 @@ finite cost times one common denominator, None for inf) and make a ``Cost``
 only of what they report.  Every answer leaves through ``_result``, which re-evaluates its
 assignment on the ``Cost`` tables by ``evaluate_binary``.  The dispatcher
 scans the triangles once and reads every applicable scheme's profile from
-that scan.
+that scan.  The one exhaustive search, ``_enumerate``, serves the tiny
+instances of trivial and lr and dispatch's fallback; the layer shares no
+code with the test kit's oracles.
 
 The crisp solver needs no consistency propagation: in its class no triangle
 has exactly one infinite cost, so values zero-compatible with a common
@@ -97,13 +100,33 @@ def _key(x):
     return (1, 0) if x is None else (0, x)
 
 
-def _brute_force(inst):
-    best_x, best = None, None
+def _enumerate(inst):
+    """The first least-cost assignment in product order and its cost, by
+    summing every assignment on the integer costs; the first assignment
+    and inf when none is finite."""
+    ints = inst.integer_costs
+    unary = ints.unary
+    pairs = [(i, j, rows) for (i, j), rows in ints.binary.items()]
+    best_x = best = None
     for x in itertools.product(*(range(len(d)) for d in inst.domains)):
-        total = evaluate_binary(inst, x)
-        if best is None or total < best:
-            best_x, best = x, total
-    return best_x, best
+        if best_x is None:
+            best_x = x
+        total = 0
+        for i, a in enumerate(x):
+            u = unary[i][a]
+            if u is None:
+                break
+            total += u
+        else:
+            for i, j, rows in pairs:
+                w = rows[x[i]][x[j]]
+                if w is None:
+                    break
+                total += w
+            else:
+                if best is None or total < best:
+                    best_x, best = x, total
+    return best_x, ints.cost(best)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +181,7 @@ def _trivial(inst, prof):
     if prof.scheme is Scheme.CSP and inst.n >= 3:
         # no all-zero triangle can exist, so no solution has finite cost
         return (0,) * inst.n, INF, {"reason": "no finite solution with n >= 3"}
-    x, total = _brute_force(inst)
+    x, total = _enumerate(inst)
     return x, total, {"enumerated": prod(len(d) for d in inst.domains)}
 
 
@@ -194,19 +217,17 @@ def _lr(inst, prof):
     provably sits at an end, which is re-verified numerically).
     """
     if inst.n <= 2:
-        x, total = _brute_force(inst)
+        x, total = _enumerate(inst)
         return x, total, {"enumerated": True}
-    return _solve_lr(inst)
+    ints = inst.integer_costs
+    return _solve_lr(inst, ints.binary, ints.den)
 
 
-def _solve_lr(inst, binary=None, one=None):
+def _solve_lr(inst, binary, one):
     """The pivot scan on n >= 3 variables, over tables of the integer
-    costs whose entries are 0 and ``one``: by default the instance's own,
-    with ``one`` their denominator (cost 1).  Returns the assignment, its
+    costs whose entries are 0 and ``one``.  Returns the assignment, its
     cost and the certificate."""
     ints = inst.integer_costs
-    if binary is None:
-        binary, one = ints.binary, ints.den
     n, unary = inst.n, ints.unary
     zero_one_unaries = all(u == 0 or u == one for t in unary for u in t)
     t01 = binary.get((0, 1))
@@ -429,41 +450,15 @@ SOLVERS = {
 
 
 # ---------------------------------------------------------------------------
-# public class solvers: the route's profile check, the route, the re-evaluation
+# the public class-solver entry: the route's profile check, the route, the
+# re-evaluation
 
 
-def _solve(inst, solver):
+def solve_class(inst: BinaryInstance, solver: str) -> SolveResult:
+    """Route ``solver``, a key of ``SOLVERS``, after its profile check."""
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}: expected one of {sorted(SOLVERS)}")
     return _result(inst, solver, SOLVERS[solver](inst, _require_profile(inst, solver)))
-
-
-def solve_sac_class(inst: BinaryInstance) -> SolveResult:
-    """Route ``sac`` (``_sac``) after its profile check."""
-    return _solve(inst, "sac")
-
-
-def solve_trivial_class(inst: BinaryInstance) -> SolveResult:
-    """Route ``trivial`` (``_trivial``) after its profile check."""
-    return _solve(inst, "trivial")
-
-
-def solve_lr_class(inst: BinaryInstance) -> SolveResult:
-    """Route ``lr`` (``_lr``) after its profile check."""
-    return _solve(inst, "lr")
-
-
-def solve_matching_cardinality_class(inst: BinaryInstance) -> SolveResult:
-    """Route ``matching-cardinality`` (``_matching_cardinality``) after its profile check."""
-    return _solve(inst, "matching-cardinality")
-
-
-def solve_min0_class(inst: BinaryInstance) -> SolveResult:
-    """Route ``min0-structure`` (``_min0``) after its profile check."""
-    return _solve(inst, "min0-structure")
-
-
-def solve_weighted_matching_class(inst: BinaryInstance) -> SolveResult:
-    """Route ``weighted-matching`` (``_weighted_matching``) after its profile check."""
-    return _solve(inst, "weighted-matching")
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +481,10 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResu
     is read from that scan.  The route gets the profile of the verdict that
     chose it, and its answer is re-evaluated against the instance.
 
-    Profiles with no implemented solver (or NP-hard cells) fall back to the
-    exhaustive oracle within the budget, whose answer is re-evaluated too;
-    otherwise an explicit unsolved result carrying the verdicts is returned.
+    Profiles with no implemented solver (or NP-hard cells) fall back to
+    ``_enumerate`` within the budget, as solver "oracle", whose answer is
+    re-evaluated too; otherwise an explicit unsolved result carrying the
+    verdicts is returned.
     """
     soft = has_soft_unaries(inst)
     scan = scan_triangles(inst)
@@ -513,12 +509,9 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResu
         return _result(inst, solver, SOLVERS[solver](inst, prof), verdicts)
     space = prod(len(d) for d in inst.domains)
     if space <= oracle_budget:
-        from .testkit import oracle_binary
-
-        result = oracle_binary(inst, budget=oracle_budget)
-        cert = dict(result.certificate)
-        cert["fallback"] = "no implemented solver for the observed profiles"
-        return _result(inst, "oracle", (result.assignment, result.cost, cert), verdicts)
+        x, total = _enumerate(inst)
+        cert = {"enumerated": space, "fallback": "no implemented solver for the observed profiles"}
+        return _result(inst, "oracle", (x, total, cert), verdicts)
     return SolveResult(None, None, "none",
                        {"reason": f"search space {space} exceeds the oracle budget"},
                        verdicts)

@@ -151,8 +151,10 @@ class LaminarForest(Frozen):
     ``instance`` is that laminar form: the input itself when its family is
     laminar, else the input's rewrite by ``crossfree_to_laminar``.
     ``sets[0]`` is the root, ``instance``'s universe set or the zero
-    function on the universe; ``counts[k]`` is the function of set k in
-    ``instance.integer_counts``; ``father[k]`` indexes the minimal set
+    function on the universe; ``counts[k]`` is the function of set k >= 1
+    in ``instance.integer_counts``, and ``counts[0]`` is None, since the
+    root is the network's sink and carries no arc (its g(n) is read from
+    ``sets[0]``); ``father[k]`` indexes the minimal set
     properly containing set k; ``smallest`` maps every assignment to the
     minimal set containing it.
     """
@@ -204,13 +206,13 @@ def _nested(lam: CountInstance, universe) -> LaminarForest:
     rest = []
     for aset, g in zip(lam.sets, lam.integer_counts.counts):
         if aset.members == universe:
-            root = aset, g
+            root = aset
         else:
             rest.append((aset, g))
     if root is None:
-        root = AssignmentSet(universe, CountFunction.zero(lam.n)), integer_count((0,) * (lam.n + 1))
+        root = AssignmentSet(universe, CountFunction.zero(lam.n))
     order, father, smallest = _nest([aset.members for aset, _ in rest], universe)
-    pairs = [root] + [rest[k] for k in order]
+    pairs = [(root, None)] + [rest[k] for k in order]
     return LaminarForest(
         lam, tuple([a for a, _ in pairs]), tuple([g for _, g in pairs]), tuple(father), smallest
     )
@@ -218,6 +220,7 @@ def _nested(lam: CountInstance, universe) -> LaminarForest:
 
 _UNIT = integer_count((0, 0))
 _FORCED = integer_count((None, 0))
+_CLOSED = integer_count((0,))
 
 
 def _folded_costs(forest: LaminarForest, folded):
@@ -236,7 +239,7 @@ def _folded_costs(forest: LaminarForest, folded):
             terms[a] = g1
         acc = sums.get(i, [0] * len(terms))
         sums[i] = [None if c is None or t is None else c + t for c, t in zip(acc, terms)]
-    shared = {0: _UNIT, None: integer_count((0,))}
+    shared = {0: _UNIT, None: _CLOSED}
 
     def table(c):
         if c not in shared:

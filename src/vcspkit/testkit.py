@@ -2,8 +2,8 @@
 fixtures.
 
 This module holds what the commands and the benchmark reach: ``oracle``
-and ``dispatch``'s fallback use the oracles, ``gen`` the generators and
-fixtures.  The oracles are deliberately independent re-implementations:
+uses the oracles, ``gen`` the generators and fixtures; no solver imports
+it.  The oracles are deliberately independent re-implementations:
 they enumerate every assignment and share no search code with the solvers
 they are used to check.  They add the instance's integer view
 (``integer_costs``, ``integer_counts``), which the solvers read too; the

@@ -21,15 +21,7 @@ from helpers import (
     network,
     oracle_flow,
 )
-from vcspkit.binary_solvers import (
-    SOLVERS,
-    solve_lr_class,
-    solve_matching_cardinality_class,
-    solve_min0_class,
-    solve_sac_class,
-    solve_trivial_class,
-    solve_weighted_matching_class,
-)
+from vcspkit.binary_solvers import SOLVERS, solve_class
 from vcspkit.cfc import (
     LAMINAR,
     check_family,
@@ -65,7 +57,7 @@ def _in_class_suite(rng, scheme, types, solver, count, n_max):
         d = rng.randint(1, 3)
         seed = rng.randrange(2**30)
         inst = gen_profile(n, d, types, scheme, seed)
-        res = solver(inst)
+        res = solve_class(inst, solver)
         want = oracle_binary(inst)
         assert res.cost == want.cost, (scheme, sorted(types), seed, n, d)
         assert evaluate_binary(inst, res.assignment) == res.cost
@@ -74,15 +66,15 @@ def _in_class_suite(rng, scheme, types, solver, count, n_max):
 
 def test_criterion_1_binary_solvers_match_oracle():
     suites = [
-        (Scheme.CSP, {">", "0", "inf"}, solve_sac_class, 300, 7),
-        (Scheme.CSP, {"<", ">", "inf"}, solve_trivial_class, 150, 7),
-        (Scheme.MAXCSP, {"<", ">"}, solve_trivial_class, 75, 5),
-        (Scheme.MIN0, {"delta0", "<0", ">0"}, solve_trivial_class, 40, 5),
-        (Scheme.MAXM, {"deltaM", "<M", ">M"}, solve_trivial_class, 40, 5),
-        (Scheme.MAXCSP, {">", "0"}, solve_lr_class, 300, 7),
-        (Scheme.MAXCSP, {">", "1"}, solve_matching_cardinality_class, 300, 7),
-        (Scheme.MIN0, {">0", "0"}, solve_min0_class, 300, 7),
-        (Scheme.MAXM, {">M", "M"}, solve_weighted_matching_class, 300, 7),
+        (Scheme.CSP, {">", "0", "inf"}, "sac", 300, 7),
+        (Scheme.CSP, {"<", ">", "inf"}, "trivial", 150, 7),
+        (Scheme.MAXCSP, {"<", ">"}, "trivial", 75, 5),
+        (Scheme.MIN0, {"delta0", "<0", ">0"}, "trivial", 40, 5),
+        (Scheme.MAXM, {"deltaM", "<M", ">M"}, "trivial", 40, 5),
+        (Scheme.MAXCSP, {">", "0"}, "lr", 300, 7),
+        (Scheme.MAXCSP, {">", "1"}, "matching-cardinality", 300, 7),
+        (Scheme.MIN0, {">0", "0"}, "min0-structure", 300, 7),
+        (Scheme.MAXM, {">M", "M"}, "weighted-matching", 300, 7),
     ]
     start = time.monotonic()
     total = 0
@@ -136,7 +128,7 @@ def test_criterion_3_matching_identity():
         n = rng.randint(2, 7)
         d = rng.randint(1, 3)
         inst = gen_profile(n, d, {">M", "M"}, Scheme.MAXM, rng.randrange(2**30))
-        res = solve_weighted_matching_class(inst)
+        res = solve_class(inst, "weighted-matching")
         cert = res.certificate
         weight = parse_cost(cert["matching_weight"])
         m_val = parse_cost(cert["m_value"])

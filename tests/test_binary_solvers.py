@@ -6,20 +6,11 @@ import pytest
 
 from helpers import near_1e17_maxm_instance
 from vcspkit import binary_solvers, triangles
-from vcspkit.binary_solvers import (
-    dispatch,
-    solve_lr_class,
-    solve_matching_cardinality_class,
-    solve_min0_class,
-    solve_sac_class,
-    solve_trivial_class,
-    solve_weighted_matching_class,
-)
+from vcspkit.binary_solvers import SOLVERS, dispatch, solve_class
 from vcspkit.costs import Cost, INF, ZERO
 from vcspkit.errors import ClassViolation, GenerationError, InstanceError, VcspError
 from vcspkit.formats import dumps
 from vcspkit.instances import BinaryInstance, evaluate_binary
-from vcspkit.results import SolveResult
 from vcspkit.testkit import gen_matching_encoding, gen_profile, oracle_binary
 from vcspkit.triangles import Scheme
 
@@ -36,32 +27,32 @@ def test_sac_solver_examples():
         [["a", "b"]] * 3,
         unary={0: [C(2), C(1)], 1: [C(5), C(7)], 2: [ZERO, C(4)]},
     )
-    res = solve_sac_class(inst)
+    res = solve_class(inst, "sac")
     assert res.cost == C(6)
     assert res.assignment == (1, 0, 0)
     # single variable
     inst = BinaryInstance.build([["a", "b"]], unary={0: [C(3), C(1)]})
-    assert solve_sac_class(inst).cost == C(1)
+    assert solve_class(inst, "sac").cost == C(1)
 
 
 def test_sac_solver_handles_wipeout():
     inst = BinaryInstance.build(
         [["a"], ["b"]], binary={(0, 1): crisp([[1]])}
     )
-    res = solve_sac_class(inst)
+    res = solve_class(inst, "sac")
     assert res.cost == INF
     assert evaluate_binary(inst, res.assignment) == INF
 
 
 def test_trivial_crisp_three_variables_is_infeasible():
     inst = gen_profile(4, 2, {"<", ">", "inf"}, Scheme.CSP, seed=0)
-    res = solve_trivial_class(inst)
+    res = solve_class(inst, "trivial")
     assert res.cost == INF
 
 
 def test_trivial_small_brute_force():
     inst = gen_profile(2, 3, {"<", ">", "inf"}, Scheme.CSP, seed=1)
-    res = solve_trivial_class(inst)
+    res = solve_class(inst, "trivial")
     assert res.cost == oracle_binary(inst).cost
 
 
@@ -73,9 +64,9 @@ def test_trivial_rejects_oversized_two_colour_instance():
             (i, j): [[C(1), C(1)], [C(1), C(1)]] for i in range(6) for j in range(i + 1, 6)
         },
     )
-    solve_trivial_class(inst)  # in class, fine
+    solve_class(inst, "trivial")  # in class, fine
     with pytest.raises(ClassViolation):
-        solve_trivial_class(big)
+        solve_class(big, "trivial")
 
 
 def test_lr_quadratic_term_value():
@@ -86,14 +77,14 @@ def test_lr_quadratic_term_value():
 
 def test_lr_all_zero_instance():
     inst = BinaryInstance.build([["a", "b"]] * 4)
-    res = solve_lr_class(inst)
+    res = solve_class(inst, "lr")
     assert res.cost == ZERO
 
 
 def test_matching_cardinality_path_graph():
     # path on three vertices: maximum matching 1, optimum pairs - 1 = 2
     inst = gen_matching_encoding(3, [(0, 1), (1, 2)])
-    res = solve_matching_cardinality_class(inst)
+    res = solve_class(inst, "matching-cardinality")
     assert res.cost == C(2)
     assert res.certificate["matching_size"] == 1
 
@@ -105,7 +96,7 @@ def test_matching_cardinality_no_zero_cells():
             (i, j): [[C(1), C(1)], [C(1), C(1)]] for i in range(4) for j in range(i + 1, 4)
         },
     )
-    res = solve_matching_cardinality_class(inst)
+    res = solve_class(inst, "matching-cardinality")
     assert res.cost == C(6)
     assert res.certificate["matching_size"] == 0
 
@@ -115,14 +106,14 @@ def test_matching_cardinality_petersen():
              (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
              (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
     inst = gen_matching_encoding(10, edges)
-    res = solve_matching_cardinality_class(inst)
+    res = solve_class(inst, "matching-cardinality")
     assert res.certificate["matching_size"] == 5
     assert res.cost == C(45 - 5)
 
 
 def test_min0_star_case():
     inst = gen_profile(5, 3, {">0", "0"}, Scheme.MIN0, seed=101)
-    res = solve_min0_class(inst)
+    res = solve_class(inst, "min0-structure")
     assert res.cost == oracle_binary(inst).cost
 
 
@@ -139,7 +130,7 @@ def test_min0_single_value_case():
     }
     unary = {i: [C(Fraction(1, 2)), C(2)] for i in range(4)}
     inst = BinaryInstance.build([["0", "1"]] * 4, unary=unary, binary=binary)
-    res = solve_min0_class(inst)
+    res = solve_class(inst, "min0-structure")
     assert res.certificate["case"] == "single-value"
     assert res.cost == oracle_binary(inst).cost
 
@@ -152,7 +143,7 @@ def test_min0_rejects_two_values_on_disjoint_scopes():
     }
     inst = BinaryInstance.build([["a"]] * 4, binary=binary)
     with pytest.raises(ClassViolation) as err:
-        solve_min0_class(inst)
+        solve_class(inst, "min0-structure")
     assert err.value.witness is not None
 
 
@@ -164,7 +155,7 @@ def test_weighted_matching_constant_tables():
             (i, j): [[m, m], [m, m]] for i in range(4) for j in range(i + 1, 4)
         },
     )
-    res = solve_weighted_matching_class(inst)
+    res = solve_class(inst, "weighted-matching")
     assert res.cost == C(30)  # 6 pairs * 5
     assert res.certificate["matching"] == []
 
@@ -172,7 +163,7 @@ def test_weighted_matching_constant_tables():
 def test_weighted_matching_identity_holds():
     for seed in range(25):
         inst = gen_profile(6, 3, {">M", "M"}, Scheme.MAXM, seed=seed)
-        res = solve_weighted_matching_class(inst)
+        res = solve_class(inst, "weighted-matching")
         cert = res.certificate
         weight = _parse(cert["matching_weight"])
         m_val = _parse(cert["m_value"])
@@ -196,7 +187,7 @@ def test_matching_cardinality_all_one_unary_constant():
     base = gen_matching_encoding(3, [(0, 1), (1, 2)])
     unary = {i: [C(1)] * len(base.domains[i]) for i in (0, 2)}
     inst = BinaryInstance.build(base.domains, unary=unary, binary=dict(base.binary))
-    res = solve_matching_cardinality_class(inst)
+    res = solve_class(inst, "matching-cardinality")
     assert res.certificate["all_one_unary_constant"] == "2"
     assert res.certificate["matching_size"] == 1
     assert res.cost == C(4) == oracle_binary(inst).cost
@@ -218,8 +209,8 @@ def test_matching_routes_agree_on_zero_one_instances():
     for seed in range(90):
         base = gen_profile(2 + seed % 7, 1 + seed % 3, {">", "1"}, Scheme.MAXCSP, seed)
         for inst in (base, _zero_one_unaries(base, seed)):
-            card = solve_matching_cardinality_class(inst)
-            wm = solve_weighted_matching_class(inst)
+            card = solve_class(inst, "matching-cardinality")
+            wm = solve_class(inst, "weighted-matching")
             assert (wm.assignment, wm.cost) == (card.assignment, card.cost), f"seed {seed}"
             assert wm.certificate["unary_offset"] == card.certificate["all_one_unary_constant"]
             constants += card.certificate["all_one_unary_constant"] != "0"
@@ -242,7 +233,7 @@ def test_matching_routes_match_pinned_digest():
                     inst = gen_profile(n, d, types, scheme, seed)
                     digest.update(dumps(dispatch(inst).to_doc()).encode())
                     if scheme is Scheme.MAXCSP:
-                        doc = solve_matching_cardinality_class(inst).to_doc()
+                        doc = solve_class(inst, "matching-cardinality").to_doc()
                         digest.update(dumps(doc).encode())
     assert digest.hexdigest() == _PINNED_MATCHING_DOCS
 
@@ -251,15 +242,6 @@ def test_matching_routes_match_pinned_digest():
 # dispatch's profile.  A change that alters any of them must update this
 # constant on purpose.
 _PINNED_BINARY_DOCS = "e93a8820eaec5cf9f7cf6029ffb0ee957cfcc5a3b906d4b44d20ed77ae10f299"
-
-_PUBLIC_SOLVERS = {
-    "sac": solve_sac_class,
-    "trivial": solve_trivial_class,
-    "lr": solve_lr_class,
-    "matching-cardinality": solve_matching_cardinality_class,
-    "min0-structure": solve_min0_class,
-    "weighted-matching": solve_weighted_matching_class,
-}
 
 # binary costs of the random corpus: inf and denominators 2 and 7 included
 _COST_POOL = [ZERO, C(1), C(2), C(Fraction(1, 2)), C(Fraction(3, 7)), INF]
@@ -303,7 +285,7 @@ def test_binary_documents_match_pinned_digest():
     digest = hashlib.sha256()
     for inst in _binary_corpus():
         docs = [_document(lambda: dispatch(inst, oracle_budget=20_000).to_doc())]
-        docs += [_document(lambda: solve(inst).to_doc()) for solve in _PUBLIC_SOLVERS.values()]
+        docs += [_document(lambda: solve_class(inst, solver).to_doc()) for solver in SOLVERS]
         docs += [_document(lambda: triangles.profile_report(inst, scheme)) for scheme in Scheme]
         for doc in docs:
             digest.update(dumps(doc).encode())
@@ -327,17 +309,29 @@ def _with_odd_unaries(inst, seed):
     return BinaryInstance.build(inst.domains, unary=unary, binary=dict(inst.binary))
 
 
+_CASE_ID = {
+    "sac": "solve_sac_class",
+    "trivial": "solve_trivial_class",
+    "lr": "solve_lr_class",
+    "matching-cardinality": "solve_matching_cardinality_class",
+    "min0-structure": "solve_min0_class",
+    "weighted-matching": "solve_weighted_matching_class",
+}
+
+
 @pytest.mark.parametrize(
     "solver,scheme,types,n,d,count",
     [
-        (solve_sac_class, Scheme.CSP, {">", "0", "inf"}, 6, 3, 40),
-        (solve_trivial_class, Scheme.CSP, {"<", ">", "inf"}, 5, 3, 25),
-        (solve_trivial_class, Scheme.MAXCSP, {"<", ">"}, 5, 3, 25),
-        (solve_lr_class, Scheme.MAXCSP, {">", "0"}, 6, 3, 40),
-        (solve_matching_cardinality_class, Scheme.MAXCSP, {">", "1"}, 6, 3, 40),
-        (solve_min0_class, Scheme.MIN0, {">0", "0"}, 6, 3, 40),
-        (solve_weighted_matching_class, Scheme.MAXM, {">M", "M"}, 6, 3, 40),
+        ("sac", Scheme.CSP, {">", "0", "inf"}, 6, 3, 40),
+        ("trivial", Scheme.CSP, {"<", ">", "inf"}, 5, 3, 25),
+        ("trivial", Scheme.MAXCSP, {"<", ">"}, 5, 3, 25),
+        ("lr", Scheme.MAXCSP, {">", "0"}, 6, 3, 40),
+        ("matching-cardinality", Scheme.MAXCSP, {">", "1"}, 6, 3, 40),
+        ("min0-structure", Scheme.MIN0, {">0", "0"}, 6, 3, 40),
+        ("weighted-matching", Scheme.MAXM, {">M", "M"}, 6, 3, 40),
     ],
+    # each case keeps the id it had when every route had a function of its own
+    ids=lambda v: _CASE_ID.get(v) if isinstance(v, str) else None,
 )
 def test_solver_agrees_with_oracle(solver, scheme, types, n, d, count):
     rng = random.Random(hash((scheme.value, tuple(sorted(types)))) & 0xFFFF)
@@ -347,10 +341,10 @@ def test_solver_agrees_with_oracle(solver, scheme, types, n, d, count):
         seed = rng.randrange(2**30)
         inst = gen_profile(nn, dd, types, scheme, seed)
         inputs = [inst]
-        if solver is not solve_matching_cardinality_class:  # zero/one unaries only
+        if solver != "matching-cardinality":  # zero/one unaries only
             inputs.append(_with_odd_unaries(inst, seed))
         for inst in inputs:
-            res = solver(inst)
+            res = solve_class(inst, solver)
             want = oracle_binary(inst)
             assert res.cost == want.cost, f"seed {seed} n={nn} d={dd}"
             assert evaluate_binary(inst, res.assignment) == res.cost
@@ -387,16 +381,14 @@ def test_dispatch_falls_back_to_oracle_on_jwp_cells():
 
 
 def test_dispatch_re_evaluates_the_oracle_fallback(monkeypatch):
-    import vcspkit.testkit as testkit
-
     inst = gen_profile(4, 2, {"<", "="}, Scheme.ORDER, seed=7)
-    real = testkit.oracle_binary
+    real = binary_solvers._enumerate
 
-    def wrong_cost(inst, budget):
-        res = real(inst, budget=budget)
-        return SolveResult(res.assignment, res.cost + C(1), "oracle", res.certificate)
+    def wrong_cost(inst):
+        x, total = real(inst)
+        return x, total + C(1)
 
-    monkeypatch.setattr(testkit, "oracle_binary", wrong_cost)
+    monkeypatch.setattr(binary_solvers, "_enumerate", wrong_cost)
     with pytest.raises(InstanceError, match="internal check failed"):
         dispatch(inst)
 
@@ -476,7 +468,7 @@ def test_dispatch_hands_its_profile_to_the_route(monkeypatch, scheme, types, sol
     # the route reads the profile its verdict came from: no profile check of
     # its own, and the public solver's answer
     inst = gen_profile(5, 3, types, scheme, seed=3)
-    want = _PUBLIC_SOLVERS[solver](inst).to_doc()
+    want = solve_class(inst, solver).to_doc()
     checks = []
     real_check = binary_solvers._require_profile
 
@@ -500,7 +492,15 @@ def test_out_of_range_solver_call_raises_before_scanning(monkeypatch):
     assert INF in set(inst.all_binary_costs())
     calls = _count_scans(monkeypatch)
     with pytest.raises(ClassViolation, match="anchored schemes require finite"):
-        binary_solvers.solve_weighted_matching_class(inst)
+        solve_class(inst, "weighted-matching")
+    assert calls == []
+
+
+def test_unknown_solver_name_raises_before_scanning(monkeypatch):
+    inst = gen_profile(5, 3, {">", "0", "inf"}, Scheme.CSP, seed=0)
+    calls = _count_scans(monkeypatch)
+    with pytest.raises(ValueError, match="'weighted_matching'.*'lr', 'matching-cardinality'"):
+        solve_class(inst, "weighted_matching")
     assert calls == []
 
 
@@ -667,30 +667,30 @@ def test_profile_check_rejects_what_the_solvers_rely_on():
         [["a"]] * 3, binary={(0, 1): [[ZERO]], (0, 2): [[ZERO]], (1, 2): [[C(1)]]}
     )
     with pytest.raises(ClassViolation, match="triangle type .* outside"):
-        solve_matching_cardinality_class(zero_twice)
+        solve_class(zero_twice, "matching-cardinality")
     # (0, a) is below the maximum 2 in the tables with 1 and 2
     below_twice = BinaryInstance.build(
         [["a"]] * 3, binary={(0, 1): [[C(1)]], (0, 2): [[ZERO]], (1, 2): [[C(2)]]}
     )
     with pytest.raises(ClassViolation, match="triangle type .* outside"):
-        solve_weighted_matching_class(below_twice)
+        solve_class(below_twice, "weighted-matching")
     # six variables whose every pair costs 1: no two-colour cell holds them
     all_one = BinaryInstance.build(
         [["a"]] * 6, binary={(i, j): [[C(1)]] for i in range(6) for j in range(i + 1, 6)}
     )
     with pytest.raises(ClassViolation, match="triangle type .* outside"):
-        solve_trivial_class(all_one)
+        solve_class(all_one, "trivial")
     # a {0, 0, 1} triangle: the pivot (0, 0) sees the signature (0, 0)
     # under a pivot of cost 1
     one_costly = BinaryInstance.build(
         [["a"]] * 3, binary={(0, 1): [[C(1)]], (0, 2): [[ZERO]], (1, 2): [[ZERO]]}
     )
     with pytest.raises(ClassViolation, match="triangle type .* outside"):
-        solve_lr_class(one_costly)
+        solve_class(one_costly, "lr")
     # the values 1 and 2 on disjoint pairs, which share no variable
     two_values = BinaryInstance.build([["a"]] * 4, binary={
         (0, 1): [[C(1)]], (2, 3): [[C(2)]],
         (0, 2): [[ZERO]], (0, 3): [[ZERO]], (1, 2): [[ZERO]], (1, 3): [[ZERO]],
     })
     with pytest.raises(ClassViolation, match="triangle type .* outside"):
-        solve_min0_class(two_values)
+        solve_class(two_values, "min0-structure")

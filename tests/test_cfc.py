@@ -27,6 +27,7 @@ from vcspkit.cfc import (
 from vcspkit.costs import Cost, INF, ZERO, scale_tables
 from vcspkit.errors import ClassViolation
 from vcspkit.flow import Infeasible, min_convex_cost_flow
+from vcspkit.formats import parse_instance, serialize_instance
 from vcspkit.instances import (
     AssignmentSet,
     CountFunction,
@@ -176,6 +177,22 @@ def test_first_nonconvex_set_checks_each_table_once(monkeypatch):
     # sets 2 and 3 share the non-convex table; the earlier one is reported
     assert cfc.first_nonconvex_set(inst) == (2, 0)
     assert made == []
+    # a repeated solve builds only its folded arcs' tables, one per distinct
+    # sum: the root carries no arc, and the closed (0,) table is built once
+    tree = parse_instance(serialize_instance(gen_full_laminar_tree(100, 4, 0)))
+    solve_cfc(tree)
+    arcs = _counting(monkeypatch, cfc, "integer_count")
+    solve_cfc(tree)
+    assert sorted(arcs) == [((0, c),) for c in range(1, 6)]
+    # with no universe set, no zero table is built for the added root
+    pair = CountInstance.build(
+        [("a", "b")] * 2, [AssignmentSet(frozenset({(0, 0), (1, 0)}), CountFunction(convex))]
+    )
+    assert pair.integer_counts
+    made.clear()
+    arcs.clear()
+    assert solve_cfc(pair).cost == oracle_count(pair).cost
+    assert made == arcs == []
 
 
 def _fraction_convexity(table):

@@ -437,6 +437,21 @@ def matching_binary(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def fallback_binary(tmp_path_factory):
+    """A binary instance of a JWP cell, which `solve` answers by enumeration."""
+    from vcspkit import serialize_instance
+    from vcspkit.binary_solvers import dispatch
+    from vcspkit.testkit import gen_profile
+    from vcspkit.triangles import Scheme
+
+    inst = gen_profile(4, 2, {"<", "="}, Scheme.ORDER, 7)
+    assert dispatch(inst).solver == "oracle"
+    path = tmp_path_factory.mktemp("binary") / "jwp.json"
+    path.write_text(serialize_instance(inst))
+    return str(path)
+
+
 _BASE_MODULES = {"vcspkit", "vcspkit.cli", "vcspkit.costs", "vcspkit.errors",
                  "vcspkit.formats", "vcspkit.frozen", "vcspkit.instances", "vcspkit.results"}
 _BINARY_MODULES = {"vcspkit.binary_solvers", "vcspkit.matching", "vcspkit.triangles"}
@@ -470,6 +485,7 @@ def _run_and_list_modules(*args):
      _COUNT_MODULES | {"vcspkit.binary_solvers", "vcspkit.matching", "vcspkit.testkit"}),
     (("solve", "BINARY"), "vcspkit.binary_solvers", _COUNT_MODULES | {"vcspkit.testkit"}),
     (("solve", "MATCHING"), "vcspkit.matching", _COUNT_MODULES | {"vcspkit.testkit"}),
+    (("solve", "FALLBACK"), "vcspkit.binary_solvers", _COUNT_MODULES | {"vcspkit.testkit"}),
     (("solve-cfc", str(FIXTURES / "pair-grid.json")), "vcspkit.cfc",
      _BINARY_MODULES | {"vcspkit.testkit"}),
     (("rename", str(FIXTURES / "maxsat-overlap.json")), "vcspkit.renaming",
@@ -480,10 +496,11 @@ def _run_and_list_modules(*args):
      _BINARY_MODULES | {"vcspkit.testkit"}),
     (("check", str(FIXTURES / "pair-grid.json"), "--property", "convex"), "vcspkit.cfc",
      _BINARY_MODULES | {"vcspkit.testkit"}),
-], ids=["classify", "check-jwp", "solve", "solve-matching-cardinality", "solve-cfc", "rename", "check-laminar",
-        "check-crossfree", "check-convex"])
-def test_command_loads_only_its_modules(args, runs, unloaded, in_class_binary, matching_binary):
-    inputs = {"BINARY": in_class_binary, "MATCHING": matching_binary}
+], ids=["classify", "check-jwp", "solve", "solve-matching-cardinality", "solve-fallback", "solve-cfc",
+        "rename", "check-laminar", "check-crossfree", "check-convex"])
+def test_command_loads_only_its_modules(args, runs, unloaded, in_class_binary, matching_binary,
+                                        fallback_binary):
+    inputs = {"BINARY": in_class_binary, "MATCHING": matching_binary, "FALLBACK": fallback_binary}
     code, modules = _run_and_list_modules(*(inputs.get(a, a) for a in args))
     assert code == 0
     assert runs in modules
