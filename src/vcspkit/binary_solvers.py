@@ -11,23 +11,21 @@ variables; weighted-matching: no assignment is below the maximum M in two
 tables, and no pair minimum exceeds M; min0-structure: mu is 0 when a table
 is absent, and the non-zero pairs share a variable or carry one value;
 trivial: a two-colour cell holds at most five variables; lr: every pivot
-signature is one of its two sides).  The two matching routes are one
-reduction, ``_matching_route``, under two preconditions: matching-cardinality
-is the cell {>, 1} with {0, 1} unaries and M = 1, weighted-matching the cell
-{>M, M} with its M.  The routes that add or compare costs (all but trivial)
-read the instance's integer costs (``BinaryInstance.integer_costs``: every
-finite cost times one common denominator, None for inf) and make a ``Cost``
-only of what they report.  Every answer leaves through ``_result``, which re-evaluates its
+signature is one of its two sides).  The routes share three algorithms and
+one enumeration: the anchor scan, ``_anchor_scan`` (sac, and min0-structure
+when its non-zero pairs share a variable), the pivot scan, ``_solve_lr``
+(lr, and min0-structure's single-value case), the matching reduction,
+``_matching_route`` (matching-cardinality in the cell {>, 1} with {0, 1}
+unaries and M = 1, weighted-matching in the cell {>M, M} with its M), and
+``_enumerate``, which serves the tiny instances of trivial and lr and
+dispatch's fallback; the layer shares no code with the test kit's oracles.
+The routes that add or compare costs (all but trivial) read the instance's
+integer costs (``BinaryInstance.integer_costs``: every finite cost times one
+common denominator, None for inf) and make a ``Cost`` only of what they
+report.  Every answer leaves through ``_result``, which re-evaluates its
 assignment on the ``Cost`` tables by ``evaluate_binary``.  The dispatcher
 scans the triangles once and reads every applicable scheme's profile from
-that scan.  The one exhaustive search, ``_enumerate``, serves the tiny
-instances of trivial and lr and dispatch's fallback; the layer shares no
-code with the test kit's oracles.
-
-The crisp solver needs no consistency propagation: in its class no triangle
-has exactly one infinite cost, so values zero-compatible with a common
-anchor value are zero-compatible with each other, and scanning the anchor
-values of one variable is exact.
+that scan.  The crisp route needs no consistency propagation: see ``_sac``.
 """
 
 from __future__ import annotations
@@ -133,6 +131,39 @@ def _enumerate(inst):
 # class routes: (inst, prof) -> (assignment, cost, certificate)
 
 
+def _anchor_scan(inst, k, tables):
+    """The least (total, x, a) over the values a of variable k, each other
+    variable taking its least value by unary plus its finite entry in
+    ``tables`` with (k, a), 0 where the pair has no table; None when every a
+    leaves some variable no finite entry.  Ties go to the least value, then
+    to the first a."""
+    unary = inst.integer_costs.unary
+    best = None
+    for a, total in enumerate(unary[k]):
+        x = []
+        for i, costs in enumerate(unary):
+            if i == k:
+                x.append(a)
+                continue
+            table = tables.get((i, k) if i < k else (k, i))
+            if table is None:
+                row = (0,) * len(costs)
+            else:
+                row = table[a] if k < i else [r[a] for r in table]
+            # flat keys: nested ones made this scan about 10 % slower
+            options = [(True, 0, b) if u is None else (False, u + w, b)
+                       for b, u, w in zip(range(len(costs)), costs, row) if w is not None]
+            if not options:
+                break
+            inf, cost, b = min(options)
+            total = None if total is None or inf else total + cost
+            x.append(b)
+        else:
+            if best is None or _key(total) < _key(best[0]):
+                best = (total, tuple(x), a)
+    return best
+
+
 def _sac(inst, prof):
     """Crisp binaries whose triangles avoid the two-zeros-one-inf pattern,
     with arbitrary soft unaries.
@@ -145,28 +176,11 @@ def _sac(inst, prof):
     taking minimum-cost compatible unaries elsewhere.
     """
     ints = inst.integer_costs
-    unary = ints.unary
-    best = None
-    for a1, total in enumerate(unary[0]):
-        picks = [a1]
-        for i in range(1, inst.n):
-            table = ints.binary.get((0, i))
-            candidates = [
-                (_key(u), b) for b, u in enumerate(unary[i])
-                if table is None or table[a1][b] == 0
-            ]
-            if not candidates:
-                break
-            b = min(candidates)[1]
-            total = _add(total, unary[i][b])
-            picks.append(b)
-        else:
-            if best is None or _key(total) < _key(best[0]):
-                best = (total, tuple(picks))
+    best = _anchor_scan(inst, 0, ints.binary)
     if best is None:
         return (0,) * inst.n, INF, {"wipeout": True}
-    total, x = best
-    return x, ints.cost(total), {"anchor_value": x[0]}
+    total, x, a = best
+    return x, ints.cost(total), {"anchor_value": a}
 
 
 def _trivial(inst, prof):
@@ -377,7 +391,7 @@ def _min0(inst, prof):
     x != y.
     """
     ints = inst.integer_costs
-    n, unary = inst.n, ints.unary
+    n = inst.n
     mu = int(prof.mu.value * ints.den)
     offset = mu * (n * (n - 1) // 2)
     # each table normalised once; an absent table stays absent (mu is 0)
@@ -387,24 +401,7 @@ def _min0(inst, prof):
     common = set.intersection(*(set(pair) for pair in pairs)) if pairs else {0}
     if common:
         k = min(common)
-        best = None
-        for a, total in enumerate(unary[k]):
-            picks = {k: a}
-            for i in range(n):
-                if i == k:
-                    continue
-                table = norm.get((min(i, k), max(i, k)))
-
-                def fold(b):
-                    w = 0 if table is None else table[a][b] if k < i else table[b][a]
-                    return _add(unary[i][b], w)
-
-                b = min(range(len(unary[i])), key=lambda v: (_key(fold(v)), v))
-                total = _add(total, fold(b))
-                picks[i] = b
-            if best is None or _key(total) < _key(best[0]):
-                best = (total, tuple(picks[i] for i in range(n)), a)
-        total, x, a = best
+        total, x, a = _anchor_scan(inst, k, norm)
         return x, ints.cost(_add(total, offset)), {"case": "anchor-variable", "anchor": [k, a]}
     # one non-zero value: the zero/one lr cell with that value as one
     alpha = next(c for row in norm[pairs[0]] for c in row if c)
@@ -495,7 +492,7 @@ def dispatch(inst: BinaryInstance, *, oracle_budget=DEFAULT_BUDGET) -> SolveResu
             continue
         prof = profile(inst, scheme, scan=scan)
         v = verdict(prof, inst.max_domain, soft)
-        verdict_docs.append({"scheme": scheme.value, "observed": prof.types_sorted(), **v.to_doc()})
+        verdict_docs.append({"scheme": scheme.value, "observed": sorted(prof.observed), **v.to_doc()})
         if v.kind == "tractable" and route is None:
             route = (v.solver, prof)
         if v.kind == "trivial-small-domain" and small_domain_route is None:

@@ -363,27 +363,23 @@ class DomainReduction(Frozen):
 
     Oversized variables become chains of small-domain variables whose only
     finite assignments are staircases carrying one original value.
-    ``groups[i]`` holds the new variable indices of original variable i, and
-    ``carried_value[i]`` maps each of them to the original value index it
-    carries.
+    ``origin`` maps each reduced assignment (v, b) that carries an original
+    value to that original assignment (i, a).
     """
 
-    __slots__ = _fields = ("reduced", "groups", "carried_value")
+    __slots__ = _fields = ("reduced", "origin")
 
     def back_map(self, x) -> Tuple[int, ...]:
-        out = []
-        for i, group in enumerate(self.groups):
-            hits = [
-                self.carried_value[i][v][x[v]]
-                for v in group
-                if x[v] in self.carried_value[i].get(v, {})
-            ]
-            if len(hits) != 1:
-                raise InstanceError(
-                    f"assignment is not a staircase on the chain of variable {i}"
-                )
-            out.append(hits[0])
-        return tuple(out)
+        # carriers come in variable order: staircases carry 0, ..., n - 1 once each
+        hits = [self.origin[v, b] for v, b in enumerate(x) if (v, b) in self.origin]
+        carried = [i for i, _ in hits]
+        n = len({i for i, _ in self.origin.values()})
+        if carried != list(range(n)):
+            i = next(i for i in range(n) if carried.count(i) != 1)
+            raise InstanceError(
+                f"assignment is not a staircase on the chain of variable {i}"
+            )
+        return tuple(a for _, a in hits)
 
 
 def reduce_domains_pairsets(inst: CountInstance) -> DomainReduction:
@@ -404,26 +400,19 @@ def reduce_domains_pairsets(inst: CountInstance) -> DomainReduction:
 
     new_domains = []
     new_names = []
-    groups = []
-    carried = []
     assign_map = {}
     for i, dom in enumerate(inst.domains):
         k = len(dom)
         if k <= 3:
-            group = (len(new_domains),)
-            carried.append({group[0]: {a: a for a in range(k)}})
             for a in range(k):
-                assign_map[(i, a)] = (group[0], a)
+                assign_map[(i, a)] = (len(new_domains), a)
             new_domains.append(tuple(dom))
             new_names.append(inst.names[i])
-            groups.append(group)
             continue
         taken = set(dom)
         low = _fresh_name("0", taken)
         high = _fresh_name("1", taken | {low})
         base = len(new_domains)
-        group = [base + pos for pos in range(k)]
-        carry = {}
         for pos in range(k):
             if pos == 0:
                 values = (high, dom[pos])
@@ -433,10 +422,7 @@ def reduce_domains_pairsets(inst: CountInstance) -> DomainReduction:
                 values = (low, high, dom[pos])
             new_domains.append(values)
             new_names.append(f"{inst.names[i]}#{pos}")
-            carry[base + pos] = {len(values) - 1: pos}
             assign_map[(i, pos)] = (base + pos, len(values) - 1)
-        groups.append(tuple(group))
-        carried.append(carry)
 
     sets = []
     for aset in inst.sets:
@@ -453,9 +439,8 @@ def reduce_domains_pairsets(inst: CountInstance) -> DomainReduction:
         k = len(dom)
         if k <= 3:
             continue
-        group = groups[i]
         for pos in range(k - 1):
-            var_a, var_b = group[pos], group[pos + 1]
+            var_a, var_b = assign_map[i, pos][0], assign_map[i, pos + 1][0]
             # marker values sit at index 0 (low) except on the first chain
             # variable, whose domain starts with the high marker
             high_idx = 0 if pos == 0 else 1
@@ -463,7 +448,7 @@ def reduce_domains_pairsets(inst: CountInstance) -> DomainReduction:
             members = frozenset([(var_a, high_idx), (var_b, low_idx)])
             sets.append(AssignmentSet(members, coupling))
     reduced = CountInstance.build(new_domains, sets, names=new_names, constant=inst.constant)
-    return DomainReduction(reduced, tuple(groups), tuple(carried))
+    return DomainReduction(reduced, {new: old for old, new in assign_map.items()})
 
 
 def _fresh_name(base, taken):

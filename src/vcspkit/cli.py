@@ -261,9 +261,13 @@ def _parse_bounds(spec, count):
 
 def _parse_groups(spec):
     try:
-        return [tuple(int(v) for v in grp.split("-")) for grp in spec.split(",")]
+        groups = [tuple(int(v) for v in grp.split("-")) for grp in spec.split(",")]
     except ValueError:
         raise FormatError(f"malformed groups {spec!r}; expected like 0-1-2,0-1")
+    for grp in groups:
+        if len(set(grp)) != len(grp):
+            raise FormatError(f"group {'-'.join(map(str, grp))} names a variable twice")
+    return groups
 
 
 def cmd_oracle(args):

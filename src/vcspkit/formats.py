@@ -106,7 +106,8 @@ def _cost_reader():
 
 
 # Each entry is checked with plain conditions, and a message and its location
-# are built only when a check fails.
+# are built only when a check fails.  They cover all the instance constructors
+# test, so the final ``build`` raises no InstanceError.
 
 
 def parse_binary_instance(doc) -> BinaryInstance:
@@ -151,10 +152,7 @@ def parse_binary_instance(doc) -> BinaryInstance:
                 raise FormatError(f"row {a} must have {len(domains[j])} entries", f"binary[{k}]")
             table.append(read_costs(row, "binary[{}].costs[{}][{}]", k, a))
         binary[(i, j)] = table
-    try:
-        return BinaryInstance.build(domains, names=names, unary=unary, binary=binary)
-    except InstanceError as exc:
-        raise FormatError(str(exc))
+    return BinaryInstance.build(domains, names=names, unary=unary, binary=binary)
 
 
 def parse_count_instance(doc) -> CountInstance:
@@ -196,10 +194,7 @@ def parse_count_instance(doc) -> CountInstance:
             sets.append(AssignmentSet(members, CountFunction(g)))
         except InstanceError as exc:
             raise FormatError(str(exc), f"sets[{k}]")
-    try:
-        return CountInstance.build(domains, sets, names=names, constant=constant)
-    except InstanceError as exc:
-        raise FormatError(str(exc))
+    return CountInstance.build(domains, sets, names=names, constant=constant)
 
 
 def parse_instance(text):

@@ -78,16 +78,15 @@ def classify_triple(costs, scheme: Scheme, m_value: Optional[Cost] = None) -> st
     if len(t) != 3:
         raise ClassViolation(f"a triple has exactly 3 costs, got {len(t)}")
     a, b, c = t
+    if scheme is Scheme.MAXM and (m_value is None or m_value.is_infinite):
+        raise ClassViolation("max-anchored classification needs the finite instance maximum")
+    for x in t:
+        if not in_range(scheme, x) or (scheme is Scheme.MAXM and x > m_value):
+            raise ClassViolation(f"cost {x} outside the range of {scheme}")
     if scheme is Scheme.CSP:
-        for x in t:
-            if not (x == ZERO or x.is_infinite):
-                raise ClassViolation(f"cost {x} outside the crisp range {{0, inf}}")
         infs = sum(1 for x in t if x.is_infinite)
         return ("0", "<", ">", "inf")[infs]
     if scheme is Scheme.MAXCSP:
-        for x in t:
-            if x != ZERO and x != ONE:
-                raise ClassViolation(f"cost {x} outside the range {{0, 1}}")
         ones = sum(1 for x in t if x == ONE)
         return ("0", "<", ">", "1")[ones]
     if scheme is Scheme.ORDER:
@@ -99,11 +98,6 @@ def classify_triple(costs, scheme: Scheme, m_value: Optional[Cost] = None) -> st
             return ">"
         return "delta"
     if scheme is Scheme.MIN0:
-        for x in t:
-            if x.is_infinite:
-                raise ClassViolation("min-anchored classification requires finite binary costs")
-        if a < ZERO:
-            raise ClassViolation("min-anchored triple has a negative normalised entry")
         if a > ZERO:
             return OTHER
         if c == ZERO:
@@ -112,13 +106,6 @@ def classify_triple(costs, scheme: Scheme, m_value: Optional[Cost] = None) -> st
             return "<0"
         return ">0" if b == c else "delta0"
     if scheme is Scheme.MAXM:
-        if m_value is None or m_value.is_infinite:
-            raise ClassViolation("max-anchored classification needs the finite instance maximum")
-        for x in t:
-            if x.is_infinite:
-                raise ClassViolation("max-anchored classification requires finite binary costs")
-            if x > m_value:
-                raise ClassViolation(f"cost {x} exceeds the declared maximum {m_value}")
         if c < m_value:
             return OTHER
         if a == m_value:
@@ -143,9 +130,6 @@ class TriangleProfile(Frozen):
         m_value: Optional[Cost] = None,  # instance maximum (MAXM only)
     ):
         Frozen.__init__(self, scheme, observed, witnesses, mu, m_value)
-
-    def types_sorted(self):
-        return sorted(self.observed)
 
 
 def in_range(scheme: Scheme, x: Cost) -> bool:
@@ -482,17 +466,10 @@ def _lookup_cell(scheme: Scheme, observed: frozenset) -> Tuple[bool, Optional[st
 def verdict(prof: TriangleProfile, domain_max: int, soft_unaries_present: bool) -> Verdict:
     """Dichotomy verdict for a profile at the given maximum domain size."""
     scheme = prof.scheme
-    rule = _RULES[scheme]
-    if scheme is Scheme.CSP:
-        if soft_unaries_present:
-            rule = _RULE_CSP_SOFT
-            if domain_max <= 1:
-                return Verdict("trivial-small-domain", None, rule)
-        elif domain_max <= 2:
-            return Verdict("trivial-small-domain", None, rule)
-    else:
-        if domain_max <= 1:
-            return Verdict("trivial-small-domain", None, rule)
+    csp = scheme is Scheme.CSP
+    rule = _RULE_CSP_SOFT if csp and soft_unaries_present else _RULES[scheme]
+    if domain_max <= (2 if csp and not soft_unaries_present else 1):
+        return Verdict("trivial-small-domain", None, rule)
     tractable, solver = _lookup_cell(scheme, prof.observed)
     if not tractable:
         return Verdict("np-hard", None, rule)
@@ -514,7 +491,7 @@ def profile_report(inst: BinaryInstance, scheme: Scheme) -> dict:
     v = verdict(prof, inst.max_domain, has_soft_unaries(inst))
     doc = {
         "scheme": scheme.value,
-        "observed": prof.types_sorted(),
+        "observed": sorted(prof.observed),
         "witnesses": {t: list(w) for t, w in sorted(prof.witnesses.items())},
         "verdict": v.to_doc(),
     }

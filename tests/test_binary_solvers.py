@@ -397,7 +397,22 @@ def test_dispatch_reports_unsolved_over_budget():
     inst = gen_profile(4, 2, {"<", "="}, Scheme.ORDER, seed=8)
     res = dispatch(inst, oracle_budget=3)
     assert not res.solved
-    assert res.verdicts
+    assert res.to_doc() == {
+        "format": "vcsp-solution/1",
+        "assignment": None,
+        "cost": None,
+        "solver": "none",
+        "status": "unsolved",
+        "verdicts": [
+            {"scheme": "maxm", "observed": ["<M", "M", "other"], "kind": "np-hard",
+             "solver": None, "rule": "max-anchored-triangle-dichotomy"},
+            {"scheme": "min0", "observed": ["0", "<0", "other"], "kind": "np-hard",
+             "solver": None, "rule": "min-anchored-triangle-dichotomy"},
+            {"scheme": "order", "observed": ["<", "="], "kind": "tractable-unimplemented",
+             "solver": None, "rule": "order-triangle-dichotomy"},
+        ],
+        "certificate": {"reason": "search space 16 exceeds the oracle budget"},
+    }
 
 
 def test_dispatch_is_deterministic():

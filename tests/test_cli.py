@@ -592,7 +592,7 @@ def test_oracle_solves_fixture():
 @pytest.mark.parametrize(
     "args",
     [("soft-gcc", "--bounds", "x"), ("nested-gcc", "--groups", "0-a"), ("profile", "--n", "0"),
-     ("maxcut", "--edges", ""), ("matching", "--edges", "")],
+     ("maxcut", "--edges", ""), ("matching", "--edges", ""), ("nested-gcc", "--groups", "0-0")],
 )
 def test_gen_malformed_flag_exits_three(args):
     proc = run_cli("gen", *args)

@@ -136,6 +136,18 @@ def test_same_matching_as_networkx():
             edges.append((u, v, w))
         g = MatchingGraph(n, tuple(edges))
         assert max_weight_matching(g)[0] == _networkx_matching(g)
+    # the graphs above never make expand_blossom meet a sub-blossom, not a
+    # vertex, on the odd side of the blossom it expands.  About 2 % of these
+    # graphs, with weights 0-1000, do; the seeds were found once, by counting
+    # that branch in a copy of the module over the first 6,000 seeds.
+    for seed in (454, 2374, 3296, 4298, 5401):
+        rng = random.Random(seed)
+        n = rng.randint(2, 60)
+        density = rng.random()
+        edges = tuple((u, v, rng.randint(0, 1000)) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < density)
+        g = MatchingGraph(n, edges)
+        assert max_weight_matching(g)[0] == _networkx_matching(g)
 
 
 def _tampered_certify(tamper):

@@ -189,6 +189,12 @@ def test_solve_renamable_matches_oracle():
         assert evaluate_count(inst, res.assignment) == res.cost
 
 
+def test_solve_renamable_rejects_an_instance_that_is_not_renamable():
+    with pytest.raises(ClassViolation) as info:
+        solve_renamable(fixtures()["sat-fan"])
+    assert str(info.value) == "instance is not renamable cross-free"
+
+
 def _pairwise_clauses(members, universe):
     # every pair of sets tested, i < j, in index order
     negated = [frozenset((v, 1 - a) for v, a in ms) for ms in members]

@@ -35,7 +35,7 @@ FIELDS = {
     "TriangleScan": ("inst", "values", "ranks"),
     "Verdict": ("kind", "solver", "rule"),
     "LaminarForest": ("instance", "sets", "counts", "father", "smallest"),
-    "DomainReduction": ("reduced", "groups", "carried_value"),
+    "DomainReduction": ("reduced", "origin"),
     "MatchingGraph": ("num_vertices", "edges"),
     "TwoSatInstance": ("num_vars", "clauses"),
     "Renaming": ("flags", "renamed", "forest"),
