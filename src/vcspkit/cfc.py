@@ -53,7 +53,8 @@ def check_family(members_list, universe):
     set containing u0 is replaced by its complement (universe sets, which
     cross nothing, dropped).  Both laminarity tests are linear in the size
     of the family tested.  Only a NEITHER family is scanned pair by pair, to
-    return the first crossing pair of set indices in index order.
+    return the first crossing pair of set indices in index order; each
+    crossing test is one AND and one bit count on the sets' member masks.
     """
     rest = [m for m in members_list if m != universe]
     if _is_laminar(rest, universe):
@@ -64,17 +65,30 @@ def check_family(members_list, universe):
     return NEITHER, _crossing_pair(members_list, universe)
 
 
-def _incompletely_overlap(a, b, universe):
-    """Whether sets a and b cross: they overlap without nesting and without
-    covering the universe."""
-    return bool(a & b) and not a <= b and not b <= a and (a | b) != universe
+def _member_masks(members_list, universe):
+    """Each set as an int with bit k set for the k-th assignment of
+    ``sorted(universe)``."""
+    bit = {m: 1 << k for k, m in enumerate(sorted(universe))}
+    return [sum(map(bit.__getitem__, ms)) for ms in members_list]
+
+
+def _crosses(a, b, size_a, size_b, size_u):
+    """Whether member masks a and b, of sizes size_a and size_b, cross in a
+    universe of size_u: they overlap without nesting and without covering
+    the universe.  One AND and one bit count: with c = |a & b|, the sets
+    cross when c > 0, c != |a|, c != |b| and |a| + |b| - c != |U|."""
+    c = (a & b).bit_count()
+    return 0 < c and c != size_a and c != size_b and size_a + size_b - c != size_u
 
 
 def _crossing_pair(members_list, universe):
     """The first pair (i, j), i < j, of sets that cross."""
-    for i, a in enumerate(members_list):
-        for j in range(i + 1, len(members_list)):
-            if _incompletely_overlap(a, members_list[j], universe):
+    masks = _member_masks(members_list, universe)
+    sizes = [len(ms) for ms in members_list]
+    size_u = len(universe)
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if _crosses(a, masks[j], sizes[i], sizes[j], size_u):
                 return i, j
 
 

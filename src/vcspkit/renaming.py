@@ -3,9 +3,10 @@
 A constraint g(|x cap A|) on a set of literals A can be replaced by the
 equivalent constraint on the negated literals with the count function read
 backwards.  Whether some subset of constraints can be renamed to make the
-family cross-free reduces to 2-SAT over one flag per constraint.  The
-renaming works on the ``Cost`` tables; the renamed instance builds its own
-integer view on first use.
+family cross-free reduces to 2-SAT over one flag per constraint, whose
+clauses come from crossing tests on member masks: each test is one AND and
+one bit count.  The renaming works on the ``Cost`` tables; the renamed
+instance builds its own integer view on first use.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Optional, Tuple
 
-from .cfc import _incompletely_overlap, _require_convex, _solve_forest, build_laminar_forest
+from .cfc import _crosses, _member_masks, _require_convex, _solve_forest, build_laminar_forest
 from .errors import ClassViolation, InstanceError
 from .frozen import Frozen
 from .instances import AssignmentSet, CountInstance
@@ -67,15 +68,14 @@ def solve_2sat(inst: TwoSatInstance):
     """
     n = inst.num_vars
     size = 2 * n
-
-    def node(lit):
-        v = abs(lit) - 1
-        return 2 * v if lit > 0 else 2 * v + 1
-
+    # literal k > 0 is node 2k - 2 and k < 0 is node -2k - 1, so a literal's
+    # negation is its node ^ 1
     adj = [[] for _ in range(size)]
     for a, b in inst.clauses:
-        adj[node(-a)].append(node(b))
-        adj[node(-b)].append(node(a))
+        a = 2 * a - 2 if a > 0 else -2 * a - 1
+        b = 2 * b - 2 if b > 0 else -2 * b - 1
+        adj[a ^ 1].append(b)
+        adj[b ^ 1].append(a)
 
     index = [None] * size
     low = [0] * size
@@ -141,26 +141,34 @@ def _clauses(members, universe):
     Overlapping pairs force opposite flags; pairs that would overlap after
     one renaming force equal flags.  Both need A cap B or (not A) cap B to be
     non-empty, so the two sets share a variable: each i is tested only
-    against the j > i found through the sets of its variables.
+    against the j > i found through the sets of its variables.  The sets are
+    tested as member masks, where (v, a) is bit 2v + a, so renaming a set
+    swaps each pair of adjacent bits.
     """
-    negated = [frozenset((i, 1 - a) for i, a in ms) for ms in members]
+    masks = _member_masks(members, universe)
+    sizes = [len(ms) for ms in members]
+    size_u = len(universe)
+    low = (1 << size_u) // 3  # 0b0101...01: the bits of the (v, 0)
     variables = [{v for v, _ in ms} for ms in members]
     by_var = {}
     for k, vs in enumerate(variables):
         for v in vs:
             by_var.setdefault(v, []).append(k)
     clauses = []
-    for i, ms in enumerate(members):
+    for i, a in enumerate(masks):
+        negated = ((a & low) << 1) | ((a >> 1) & low)
+        size_a = sizes[i]
         near = set()
         for v in variables[i]:
             sharing = by_var[v]
             near.update(sharing[bisect_right(sharing, i):])
         for j in sorted(near):
-            if _incompletely_overlap(ms, members[j], universe):
+            b, size_b = masks[j], sizes[j]
+            if _crosses(a, b, size_a, size_b, size_u):
                 # exactly one of the two must be renamed
                 clauses.append((i + 1, j + 1))
                 clauses.append((-(i + 1), -(j + 1)))
-            if _incompletely_overlap(negated[i], members[j], universe):
+            if _crosses(negated, b, size_a, size_b, size_u):
                 # renaming one without the other would create an overlap
                 clauses.append((-(i + 1), j + 1))
                 clauses.append((i + 1, -(j + 1)))

@@ -3,8 +3,8 @@
 The references are deliberately independent of the code they check:
 exhaustive flow search (``oracle_flow``, ``enumerate_feasible_flows``)
 over networks built by ``network``,
-exhaustive matching search, a solution-document reader and a pairwise cost
-lookup.  The generators draw seeded random count instances and flow
+exhaustive matching search, a solution-document reader, a pairwise cost
+lookup and a frozenset definition of two assignment-sets crossing.  The generators draw seeded random count instances and flow
 networks; the same seed always yields the same instance.
 ``near_1e17_maxm_instance`` is a fixed instance that floating-point
 matching duals solve wrongly.  The oracles and
@@ -45,6 +45,12 @@ def pair_cost(inst, i: int, a: int, j: int, b: int) -> Cost:
         i, j, a, b = j, i, b, a
     table = inst.binary.get((i, j))
     return ZERO if table is None else table[a][b]
+
+
+def crosses(a, b, universe) -> bool:
+    """Whether assignment-sets a and b cross, by frozenset operations: they
+    overlap without nesting and without covering the universe."""
+    return bool(a & b) and not a <= b and not b <= a and (a | b) != universe
 
 
 def parse_solution(text) -> tuple:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     count_finite_solutions,
+    crosses,
     enumerate_feasible_flows,
     gen_random_crossfree,
     gen_random_laminar,
@@ -137,6 +138,43 @@ def test_check_family_matches_pairwise_reference():
         assert check_family(family, universe) == want, (family, universe)
         seen[want[0]] += 1
     assert min(seen.values()) >= 200, seen
+
+
+@st.composite
+def _ragged_families(draw):
+    """Random families over 1-6 variables with 1-4 values each: random sets
+    (an empty draw becomes the universe), sometimes the universe or the
+    complement of the set before."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    items = [(i, a) for i, d in enumerate(sizes) for a in range(d)]
+    universe = frozenset(items)
+    family = []
+    for _ in range(draw(st.integers(2, 7))):
+        roll = draw(st.integers(0, 5))
+        if roll == 0:
+            family.append(universe)
+        elif roll == 1 and family and family[-1] != universe:
+            family.append(universe - family[-1])
+        else:
+            picks = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+            family.append(frozenset(m for m, pick in zip(items, picks) if pick) or universe)
+    return family, universe
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_ragged_families())
+def test_neither_names_the_first_crossing_pair_on_ragged_domains(family):
+    family, universe = family
+    first = next(
+        ((i, j) for i, j in itertools.combinations(range(len(family)), 2)
+         if crosses(family[i], family[j], universe)),
+        None,
+    )
+    kind, witness = check_family(family, universe)
+    if first is None:
+        assert kind in (LAMINAR, CROSS_FREE) and witness is None
+    else:
+        assert (kind, witness) == (NEITHER, first)
 
 
 def _convexity(table):

@@ -348,6 +348,41 @@ def test_convexity_is_reported_before_the_family():
     }
 
 
+_NOT_CROSSFREE = {
+    # domains of 3, 1 and 4 values; sets 0 and 2 cross, set 1 crosses nothing
+    "format": "vcsp-cfc/1",
+    "variables": [{"name": "x", "domain": ["a", "b", "c"]}, {"name": "y", "domain": ["u"]},
+                  {"name": "z", "domain": ["p", "q", "r", "s"]}],
+    "sets": [
+        {"assignments": [[0, 0], [0, 1]], "g": ["0", "1"]},
+        {"assignments": [[2, 3]], "g": ["2", "0"]},
+        {"assignments": [[0, 1], [0, 2], [2, 0]], "g": ["1", "0", "1"]},
+    ],
+}
+_CROSSING_MEMBERS = [[[0, 0], [0, 1]], [[0, 1], [0, 2], [2, 0]]]
+
+
+@pytest.mark.parametrize("args, code, stdout", [
+    (["check", "--property", "crossfree"], 0, {
+        "property": "crossfree", "holds": False, "kind": "NEITHER",
+        "witness": {"sets": [0, 2], "members": _CROSSING_MEMBERS},
+    }),
+    (["solve-cfc"], 4, {"error": {
+        "kind": "class",
+        "message": "assignment-sets 0 and 2 overlap without covering the universe",
+        "witness": _CROSSING_MEMBERS,
+    }}),
+])
+def test_family_witness_names_the_first_crossing_pair(tmp_path, capsys, args, code, stdout):
+    from vcspkit import cli
+    from vcspkit.formats import dumps
+
+    path = tmp_path / "neither.json"
+    path.write_text(json.dumps(_NOT_CROSSFREE), encoding="utf-8")
+    assert cli.main([args[0], str(path), *args[1:]]) == code
+    assert capsys.readouterr().out == dumps(stdout)
+
+
 _SOLVE_AND_LIST_NETWORKX = """
 import contextlib, io, json, sys, vcspkit.cli
 loaded = ["networkx" in sys.modules]

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gen_random_laminar, gen_random_renamable
-from vcspkit.cfc import CROSS_FREE, LAMINAR, _incompletely_overlap, check_family
+from helpers import crosses, gen_random_laminar, gen_random_renamable
+from vcspkit.cfc import CROSS_FREE, LAMINAR, check_family, solve_cfc
 from vcspkit.costs import Cost, INF, ZERO
 from vcspkit.errors import ClassViolation
 from vcspkit.instances import (
@@ -23,7 +23,7 @@ from vcspkit.renaming import (
     solve_2sat,
     solve_renamable,
 )
-from vcspkit.testkit import fixtures, oracle_count
+from vcspkit.testkit import fixtures, gen_full_laminar_tree, oracle_count
 
 C = Cost
 BOOL = ("0", "1")
@@ -161,7 +161,7 @@ def test_negation_symmetry_of_incomplete_overlap():
             return frozenset(rng.sample(sorted(universe), k))
         a, b = rand_set(), rand_set()
         neg = lambda s: frozenset((i, 1 - v) for i, v in s)
-        assert _incompletely_overlap(neg(a), b, universe) == _incompletely_overlap(a, neg(b), universe)
+        assert crosses(neg(a), b, universe) == crosses(a, neg(b), universe)
 
 
 def test_solve_renamable_maxsat_fixture():
@@ -173,8 +173,6 @@ def test_solve_renamable_maxsat_fixture():
 
 
 def test_solve_renamable_single_constraint():
-    from vcspkit.cfc import solve_cfc
-
     aset = AssignmentSet(frozenset([(0, 1), (1, 1)]), CountFunction((C(1), ZERO, ZERO)))
     inst = CountInstance.build([BOOL, BOOL], [aset])
     assert solve_renamable(inst).cost == solve_cfc(inst).cost
@@ -201,9 +199,9 @@ def _pairwise_clauses(members, universe):
     clauses = []
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            if _incompletely_overlap(members[i], members[j], universe):
+            if crosses(members[i], members[j], universe):
                 clauses += [(i + 1, j + 1), (-(i + 1), -(j + 1))]
-            if _incompletely_overlap(negated[i], members[j], universe):
+            if crosses(negated[i], members[j], universe):
                 clauses += [(-(i + 1), j + 1), (i + 1, -(j + 1))]
     return clauses
 
@@ -336,3 +334,132 @@ def test_solve_renamable_matches_oracle_or_reports_why_not(inst):
     res = solve_renamable(inst)
     assert res.cost == oracle_count(inst).cost
     assert evaluate_count(inst, res.assignment) == res.cost
+
+
+@st.composite
+def _xor_equality_systems(draw):
+    """The clauses ``_clauses`` emits, for random pairs of distinct flags: an
+    xor pair (i, j), (-i, -j) or an equality pair (-i, j), (i, -j), the
+    clauses and their two literals shuffled."""
+    n = draw(st.integers(1, 12))
+    clauses = []
+    if n > 1:
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n - 1), st.booleans())
+        for i, step, xor in draw(st.lists(pairs, max_size=20)):
+            j = (i + step - 1) % n + 1
+            clauses += [(i, j), (-i, -j)] if xor else [(-i, j), (i, -j)]
+    clauses = draw(st.permutations(clauses))
+    flips = draw(st.lists(st.booleans(), min_size=len(clauses), max_size=len(clauses)))
+    return n, tuple((b, a) if flip else (a, b) for (a, b), flip in zip(clauses, flips))
+
+
+def _parity_components(n, clauses):
+    """Each flag's component root and its parity against it, by breadth-first
+    search over the xor and equality pairs; None when some cycle is odd."""
+    edges = [[] for _ in range(n)]
+    for a, b in clauses:
+        # (a, b) and (-a, -b) ask for different flags, (-a, b) for equal ones
+        differ = (a > 0) == (b > 0)
+        edges[abs(a) - 1].append((abs(b) - 1, differ))
+        edges[abs(b) - 1].append((abs(a) - 1, differ))
+    root = [None] * n
+    parity = [False] * n
+    for r in range(n):
+        if root[r] is not None:
+            continue
+        root[r] = r
+        queue = [r]
+        for v in queue:
+            for w, differ in edges[v]:
+                if root[w] is None:
+                    root[w], parity[w] = r, parity[v] ^ differ
+                    queue.append(w)
+                elif parity[w] != parity[v] ^ differ:
+                    return None
+    return root, parity
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_xor_equality_systems())
+def test_2sat_model_sets_each_components_least_flag_false(system):
+    n, clauses = system
+    model = solve_2sat(TwoSatInstance(n, clauses))
+    components = _parity_components(n, clauses)
+    if components is None:
+        assert model is None
+        return
+    assert model is not None and _satisfies(model, clauses)
+    root, parity = components
+    # the all-false preference: each component's least flag is False, so
+    # every flag is its parity against that flag
+    assert list(model) == parity
+    assert all(not model[r] for r in set(root))
+
+
+def _negated(ms):
+    return frozenset((v, 1 - a) for v, a in ms)
+
+
+@st.composite
+def _wide_boolean_families(draw):
+    """Boolean families on 33-130 variables, so member masks run past bits
+    64 and 128: runs of consecutive literals (holding both literals of the
+    variables inside), random sets near the top variable, the universe,
+    renamings and complements of earlier sets, and sets disjoint from an
+    earlier one."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(33, 130))
+    literals = [(v, a) for v in range(n) for a in range(2)]
+    universe = frozenset(literals)
+    start = rng.randrange(2 * n)
+    family = [frozenset(literals[start:])]  # holds (n - 1, 1), the top bit
+    for _ in range(draw(st.integers(2, 9))):
+        kind = draw(st.sampled_from(
+            ["run", "run", "top", "top", "universe", "renamed", "complement", "disjoint"]
+        ))
+        if kind == "run":
+            lo = rng.randrange(2 * n)
+            members = frozenset(literals[lo:rng.randint(lo + 1, 2 * n)])
+        elif kind == "top":
+            window = literals[rng.randrange(2 * n - 4):]
+            members = frozenset(rng.sample(window, rng.randint(1, len(window))))
+        elif kind == "universe":
+            members = universe
+        elif kind == "renamed":
+            members = _negated(rng.choice(family))
+        else:
+            members = universe - rng.choice(family)
+            if kind == "disjoint" and members:
+                members = frozenset(rng.sample(sorted(members), rng.randint(1, len(members))))
+        if members:
+            family.append(members)
+    return family, universe
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_wide_boolean_families())
+def test_clauses_match_pairwise_reference_past_one_machine_word(family):
+    members, universe = family
+    assert _clauses(members, universe) == _pairwise_clauses(members, universe)
+
+
+def _renamed_tree(n, seed):
+    """``gen_full_laminar_tree(n, 2, seed)`` and that tree with half its sets
+    renamed, as the benchmark's renamed trees are drawn."""
+    base = gen_full_laminar_tree(n, 2, seed)
+    rng = random.Random(seed)
+    sets = list(base.sets)
+    for k in rng.sample(range(len(sets)), round(0.5 * len(sets))):
+        sets[k] = rename_set(sets[k], base.domains)
+    return base, CountInstance.build(base.domains, sets)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_renamed_full_tree_matches_reference_clauses(seed):
+    base, inst = _renamed_tree(200, seed)
+    members = [a.members for a in inst.sets]
+    want = _pairwise_clauses(members, inst.universe())
+    assert _clauses(members, inst.universe()) == want
+    ren = recognize_renamable(inst)
+    assert ren.flags == solve_2sat(TwoSatInstance(len(members), tuple(want)))
+    assert solve_renamable(inst).cost == solve_cfc(base).cost
