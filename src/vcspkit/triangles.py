@@ -27,13 +27,13 @@ instance's integer costs over one denominator
 oracle), so only the distinct values become ``Cost`` values; answers are
 re-evaluated on the ``Cost`` tables.
 
-With at most 18 distinct values (``_MASK_VALUES``) the scan is
-bit-parallel: per variable pair and value pair it ANDs bit masks of the
-third assignments, one per rank pair whose signature is still unseen, and
-reads the earliest triangle off the lowest set bit.  With more values the
-masks would cost more than they save, and the scan visits each triangle.
-``check_jwp`` stops at the first variable pair (or triple, without masks)
-that violates the property.
+With at most 18 distinct values (``_MASK_VALUES``) the scan takes one
+variable pair at a time as a block of bits, one per triangle (k, a, b, c):
+three ANDs of masks find all of the pair's triangles with one kind of
+triple at once, for each kind still unseen, and the lowest set bit is the
+earliest.  With more values the scan visits each triangle.  ``check_jwp``
+stops at the first variable pair (or triple, on the loop) that violates the
+property.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
+from operator import or_
 from typing import Mapping, Optional, Tuple
 
 from .costs import ONE, Cost, ZERO
@@ -183,12 +184,21 @@ class TriangleScan(Frozen):
     triangle with it, given as (i, j, k, a, b, c) so that tuple order is loop
     order, and to that triangle's sorted rank triple.
 
-    With at most ``_MASK_VALUES`` (18) distinct values the scan is
-    bit-parallel: for each pair i < j and each (a, b) it ANDs, per rank pair
-    whose signature is still unseen, the mask of the (k, c) where
-    c[i,k](a, c) has the one rank with the mask where c[j,k](b, c) has the
-    other, and the lowest set bit is the earliest such (k, c).  With more
-    values it visits every triangle.  Both give the same ``first``.
+    With at most ``_MASK_VALUES`` (18) distinct values the scan is a block
+    scan.  Triangle (i, j, k, a, b, c) of the pair i < j is bit
+    ((k·D + a)·D + b)·D + c, D the largest domain, so the lowest set bit of
+    a mask is its earliest triangle.  Per variable v and range of ranks,
+    A[v] holds the bits with k > v where c[v,k](a, c) has a rank in the
+    range, for every b, and B[v] those where c[v,k](b, c) has, for every a;
+    X[x] holds the (a, b) where c[i,j] has rank x, for every k and c.
+    Beside x the ranks split at 0, x and the top rank into at most five
+    ranges, and a range for y and one for z fix the signature of (x, y, z),
+    save that inside one wider range it also reads whether y = z (one more
+    AND, with the bits where the two ranks are equal).  So X[x] & A[i] &
+    B[j] holds the pair's triangles of one signature.  Only range pairs
+    whose signature is unseen are ANDed, and the scan ends once every
+    signature the values allow is seen.  With more values it visits every
+    triangle.  Both give the same ``first``.
     """
 
     _fields = ("inst", "values", "ranks")
@@ -201,84 +211,176 @@ class TriangleScan(Frozen):
         return first
 
 
-# Up to this many distinct binary costs the scan ANDs position masks, one
-# per rank pair; above it that is more ANDs per (a, b) than the per-triangle
-# loop costs, and the loop runs instead.  Timed on random n=16, d=3 tables
-# the two break even between 18 and 20 values (n=12, d=4: at 18).
+# Up to this many distinct binary costs the block scan runs; above it the
+# per-triangle loop does.  On random n=16, d=3 tables with 12 to 24 distinct
+# costs the block scan took 1.3-5.3 ms against 11-21 ms for the loop over
+# three runs, and the two broke even between 128 and 256 values.  The
+# switch stays at 18: the block scan keeps masks per value (at n=40, d=8 its
+# peak grows from 3.0 MB at 18 values to 5.6 MB at 72, the loop's stays
+# under 0.1 MB), and the tests reach both scans on oracle-sized instances
+# at this count.
 _MASK_VALUES = 18
 
 
+def _signature(x, y, z, top):
+    x, y, z = sorted((x, y, z))
+    return (x == 0, z == top, x == y, y == z)
+
+
 @lru_cache(maxsize=_MASK_VALUES + 1)
-def _signature_table(count):
-    """``table[x][y][z]``: the signature of rank triple (x, y, z) over
-    ``count`` distinct values, for each count the masks take."""
+def _rank_ranges(count):
+    """``(table, spans, signatures)`` over ``count`` distinct values.
+
+    Beside a rank x of c[i,j], the ranks split at 0, x and the top rank into
+    at most five ranges.  Ranks y (of c[i,k]) and z (of c[j,k]) in different
+    ranges, or in one range of a single rank, fix the signature of (x, y, z);
+    in one wider range, it is fixed once it is known whether y = z.
+    ``spans`` lists every range [lo, hi) that occurs, the single ranks
+    first, so that span r is rank r.  ``table[x]`` holds ``(y span, ((z span,
+    sig, sig_apart), ...))`` per range of y: ``sig`` is the signature when
+    y = z, and ``sig_apart`` the one when y ≠ z, None unless both lie in one
+    wider range.  ``signatures`` holds every signature a triple can have."""
     top = count - 1
+    spans = {(r, r + 1): r for r in range(count)}
+    table = []
+    for x in range(count):
+        marks = sorted({0, x, top})
+        ranges = [(m, m + 1) for m in marks]
+        ranges += [(lo + 1, hi) for lo, hi in zip(marks, marks[1:]) if hi - lo > 1]
+        table.append([
+            (spans.setdefault(ys, len(spans)), [
+                (spans.setdefault(zs, len(spans)), _signature(x, ys[0], zs[0], top),
+                 _signature(x, ys[0], ys[0] + 1, top) if ys == zs and ys[1] - ys[0] > 1 else None)
+                for zs in ranges])
+            for ys in ranges])
+    signatures = {_signature(x, y, z, top) for x in range(count) for y in range(x, count) for z in range(y, count)}
+    return table, list(spans), signatures
 
-    def signature(x, y, z):
-        x, y, z = sorted((x, y, z))
-        return (x == 0, z == top, x == y, y == z)
 
-    return tuple(
-        tuple(tuple(signature(x, y, z) for z in range(count)) for y in range(count))
-        for x in range(count)
-    )
-
-
-def _mask_scan(sizes, ranks, count):
-    """``_found_in_order`` on the masks of positions: (k, c) is bit
-    ``offset[k] + c``, so the lowest bit of a mask is its earliest (k, c)."""
+def _block_scan(sizes, ranks, count):
+    """``_found_in_order`` a variable pair at a time.  (k, a, b, c) is bit
+    ((k·D + a)·D + b)·D + c, D the largest domain, so the lowest set bit of
+    a mask is the pair's earliest triangle in it."""
     n = len(sizes)
-    sig_of = _signature_table(count)
-    offset = list(accumulate(sizes, initial=0))
-    where = [(k, c) for k in range(n) for c in range(sizes[k])]
-    # masks[i][a]: (r, positions (k, c) with k > i where c[i,k](a, c) has
-    # rank r), for each rank r that occurs
-    masks = []
-    for i in range(n):
-        per_value = []
-        for a in range(sizes[i]):
-            by_rank = [0] * count
-            for k in range(i + 1, n):
-                bit = 1 << offset[k]
-                for r in ranks[i, k][a]:
-                    by_rank[r] |= bit
-                    bit <<= 1
-            per_value.append([(r, m) for r, m in enumerate(by_rank) if m])
-        masks.append(per_value)
-    seen = set()
+    if n < 3:
+        return
+    d = max(sizes)
+    dd, w = d * d, d**3
+    table, spans, signatures = _rank_ranges(count)
+    every_k = sum(1 << k * w for k in range(n))
+    every_a = sum(1 << a * dd for a in range(d))
+    every_b = sum(1 << b * d for b in range(d))
+    row_cells, pairs, spreads, patterns, sides = {}, {}, {}, {}, [None] * n
+
+    def cells(row):
+        """The (rank r, bits c where the row holds r) of a row, each pair
+        kept once per scan."""
+        found = row_cells.get(row)
+        if found is None:
+            by_rank = {}
+            for c, r in enumerate(row):
+                by_rank[r] = by_rank.get(r, 0) | 1 << c
+            found = row_cells[row] = tuple(pairs.setdefault(cell, cell) for cell in by_rank.items())
+        return found
+
+    def spread(p):
+        """Bits b·D + c, for every c, at the bits b of ``p``: a row of X."""
+        found = spreads.get(p)
+        if found is None:
+            found = spreads[p] = sum((1 << d) - 1 << b * d for b in range(d) if p >> b & 1)
+        return found
+
+    def third(v):
+        """Per span in ``used`` (None for the others), A[v] and B[v]: the
+        (k, a, b, c) with k > v where the rank of c[v,k](a, c) lies in it,
+        for every b, and those where the rank of c[v,k](b, c) does, for
+        every a."""
+        as_a, as_b = [0] * count, [0] * count
+        tables = [(ranks[v, k], k * w) for k in range(v + 1, n)]
+        for a in range(sizes[v]):
+            by_rank = [0] * count  # the (k, c) where c[v,k](a, c) has rank r
+            for t, shift in tables:
+                for r, p in cells(t[a]):
+                    by_rank[r] |= p << shift
+            for r, m in enumerate(by_rank):
+                as_a[r] |= m << a * dd
+                as_b[r] |= m << a * d
+        out = []
+        for by_rank in [m * every_b for m in as_a], [m * every_a for m in as_b]:
+            below = list(accumulate(by_rank, or_, initial=0))
+            out.append([below[hi] ^ below[lo] if s in used else None for s, (lo, hi) in enumerate(spans)])
+        return out
+
+    seen, live = set(), None
     for i in range(n - 2):
+        span_a = None
         for j in range(i + 1, n - 1):
+            if live is None:
+                if len(seen) == len(signatures):
+                    return
+                # the span pairs that can still give an unseen signature, and
+                # the spans they read; these only shrink as the scan goes on
+                live = [[(y, unseen) for y, zs in per_x if (unseen := [
+                    z for z in zs if z[1] not in seen or z[2] is not None and z[2] not in seen])]
+                    for per_x in table]
+                used = set()
+                for per_x in live:
+                    for y, zs in per_x:
+                        used.add(y)
+                        for z, _, sig_apart in zs:
+                            used.add(z)
+                            if sig_apart is not None:
+                                used.update(range(count))  # read by ``equal``
+            if span_a is None:
+                span_a = (sides[i] or third(i))[0]
+            if sides[j] is None:
+                sides[j] = third(j)
+            span_b = sides[j][1]
             t_ij = ranks[i, j]
-            skip = set(seen)
-            best = {}  # signature -> least (k, a, b, c) over the pair
-            for a, row in enumerate(t_ij):
-                masks_a = masks[i][a]
-                for b, x in enumerate(row):
-                    masks_b = masks[j][b]
-                    sig_x = sig_of[x]
-                    hits = {}
-                    for ry, my in masks_a:
-                        sig_xy = sig_x[ry]
-                        for rz, mz in masks_b:
-                            sig = sig_xy[rz]
-                            if sig not in skip:
-                                m = my & mz
-                                if m:
-                                    hits[sig] = hits.get(sig, 0) | m
-                    for sig, m in hits.items():
-                        k, c = where[(m & -m).bit_length() - 1]
-                        # a later (a, b) comes first only at a smaller k
-                        if sig not in best or k < best[sig][0]:
-                            best[sig] = (k, a, b, c)
-                            if k == j + 1:
-                                skip.add(sig)
-            if best:
-                found = {}
-                for sig, (k, a, b, c) in best.items():
+            pattern = patterns.get(t_ij)
+            if pattern is None:
+                # X[x] is the (a, b) pattern of rank x in c[i,j], repeated over k
+                by_rank = {}
+                for a, row in enumerate(t_ij):
+                    for x, p in cells(row):
+                        by_rank[x] = by_rank.get(x, 0) | spread(p) << a * dd
+                pattern = patterns[t_ij] = list(by_rank.items())
+            hits, equal = {}, None
+            for x, ab in pattern:
+                if not live[x]:
+                    continue
+                block = ab * every_k
+                for y, zs in live[x]:
+                    xy = block & span_a[y]
+                    if not xy:
+                        continue
+                    for z, sig, sig_apart in zs:
+                        m = xy & span_b[z]
+                        if m and sig_apart is not None:
+                            if equal is None:
+                                # where c[i,k](a, c) and c[j,k](b, c) have one rank
+                                equal = 0
+                                for r in range(count):
+                                    equal |= span_a[r] & span_b[r]
+                            apart = m & ~equal
+                            if apart:
+                                hits[sig_apart] = hits.get(sig_apart, 0) | apart
+                                m ^= apart
+                        if m:
+                            hits[sig] = hits.get(sig, 0) | m
+            found = {}
+            for sig, m in hits.items():
+                if sig not in seen:
+                    k, low = divmod((m & -m).bit_length() - 1, w)
+                    a, low = divmod(low, dd)
+                    b, c = divmod(low, d)
                     key = tuple(sorted((t_ij[a][b], ranks[i, k][a][c], ranks[j, k][b][c])))
                     found[sig] = ((i, j, k, a, b, c), key)
+            if found:
                 seen.update(found)
+                live = None
                 yield found
+        sides[i] = None
 
 
 def _loop_scan(n, ranks, top):
@@ -316,7 +418,7 @@ def _found_in_order(inst: BinaryInstance, values, ranks):
     Within a batch the entries come in no set order; both readers take the
     least position."""
     if len(values) <= _MASK_VALUES:
-        return _mask_scan([len(d) for d in inst.domains], ranks, len(values))
+        return _block_scan([len(d) for d in inst.domains], ranks, len(values))
     return _loop_scan(inst.n, ranks, len(values) - 1)
 
 
@@ -326,24 +428,27 @@ def scan_triangles(inst: BinaryInstance) -> TriangleScan:
     Entries are ranked on the instance's integer costs
     (``BinaryInstance.integer_costs``), so only the distinct values are
     made into ``Cost`` values; an absent table has the rank of ``ZERO``.
+    Equal tables, and equal rows, are ranked once and share one tuple.
     """
     ints = inst.integer_costs
     n, sizes = inst.n, [len(d) for d in inst.domains]
-    present = set(chain.from_iterable(chain.from_iterable(ints.binary.values())))
-    if len(ints.binary) < n * (n - 1) // 2:
-        present.add(0)
+    tables = {
+        (i, j): ints.binary.get((i, j)) or ((0,) * sizes[j],) * sizes[i]
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    ranked = dict.fromkeys(tables.values())
+    rows = dict.fromkeys(chain.from_iterable(ranked))
+    present = set(chain.from_iterable(rows))
     order = sorted(v for v in present if v is not None)
     if None in present:
         order.append(None)
     rank = {v: r for r, v in enumerate(order)}.__getitem__
-    ranks = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            table = ints.binary.get((i, j))
-            if table is None:
-                ranks[i, j] = ((rank(0),) * sizes[j],) * sizes[i]
-            else:
-                ranks[i, j] = tuple(tuple(map(rank, row)) for row in table)
+    for row in rows:
+        rows[row] = tuple(map(rank, row))
+    for table in ranked:
+        ranked[table] = tuple(map(rows.__getitem__, table))
+    ranks = {pair: ranked[table] for pair, table in tables.items()}
     return TriangleScan(inst, tuple(map(ints.cost, order)), ranks)
 
 

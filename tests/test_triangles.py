@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from vcspkit.instances import BinaryInstance
 from vcspkit.testkit import gen_maxcut, gen_profile
 from vcspkit.triangles import (
     _MASK_VALUES,
+    _found_in_order,
     ALPHABET,
     OTHER,
     Scheme,
@@ -380,10 +382,9 @@ def test_scan_stays_bounded_with_all_distinct_costs():
         assert (prof.observed, prof.witnesses, prof.mu, prof.m_value) == _reference_profile(inst, scheme)
 
 
-def _reference_scan(inst):
-    """``scan_triangles``'s values and first, and each scheme's
-    (observed, witnesses, mu, m_value) or range error, from one walk over
-    every triangle in loop order."""
+def _reference_ranks(inst):
+    """The distinct binary costs, 0 among them when a table is absent, and
+    every pair's table as ranks into them."""
     n, sizes = inst.n, [len(d) for d in inst.domains]
     costs = set(inst.all_binary_costs())
     if len(inst.binary) < n * (n - 1) // 2:
@@ -394,6 +395,15 @@ def _reference_scan(inst):
         (i, j): [[rank[pair_cost(inst, i, a, j, b)] for b in range(sizes[j])] for a in range(sizes[i])]
         for i, j in itertools.combinations(range(n), 2)
     }
+    return values, table
+
+
+def _reference_scan(inst):
+    """``scan_triangles``'s values and first, and each scheme's
+    (observed, witnesses, mu, m_value) or range error, from one walk over
+    every triangle in loop order."""
+    n, sizes = inst.n, [len(d) for d in inst.domains]
+    values, table = _reference_ranks(inst)
     first, triples = {}, {}
     for i, j, k in itertools.combinations(range(n), 3):
         t_ij, t_ik, t_jk = table[i, j], table[i, k], table[j, k]
@@ -515,3 +525,107 @@ def test_early_stopping_jwp_matches_reference_on_both_paths():
         assert (ok, witness) == _reference_jwp(inst)
         paths[len(scan_triangles(inst).values) > _MASK_VALUES] += 1
     assert paths[False] >= 100 and paths[True] >= 40
+
+
+def _reference_batches(inst):
+    """The per-triangle walk grouped by variable pair: for each pair i < j
+    in order whose triangles show a signature not seen before, that batch
+    of signatures, each with its earliest triangle and sorted rank triple."""
+    n, sizes = inst.n, [len(d) for d in inst.domains]
+    values, table = _reference_ranks(inst)
+    seen, batches = set(), []
+    for i, j in itertools.combinations(range(n), 2):
+        batch = {}
+        for k in range(j + 1, n):
+            for a, b, c in itertools.product(range(sizes[i]), range(sizes[j]), range(sizes[k])):
+                key = tuple(sorted((table[i, j][a][b], table[i, k][a][c], table[j, k][b][c])))
+                x, y, z = key
+                sig = (x == 0, z == len(values) - 1, x == y, y == z)
+                if sig not in seen:
+                    seen.add(sig)
+                    batch[sig] = ((i, j, k, a, b, c), key)
+        if batch:
+            batches.append(batch)
+    return batches
+
+
+def _batch_instance(rng):
+    """n of 1 to 12, ragged domains of 1 to 4 values, an absent share from
+    0 to 1 and 1 to ``_MASK_VALUES`` distinct costs, ``inf`` and fractions
+    among them at times (0 too when a table may be absent, so that absent
+    tables add no value), each placed in some cell where there is room."""
+    n = rng.randint(1, 12)
+    sizes = [rng.randint(1, 4) for _ in range(n)]
+    absent = rng.choice((0.0, 1.0, rng.random(), rng.random(), rng.random()))
+    pool = _distinct_pool(rng, rng.randint(1, _MASK_VALUES), zero=absent > 0)
+    binary = {
+        (i, j): [[rng.choice(pool) for _ in range(sizes[j])] for _ in range(sizes[i])]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() >= absent
+    }
+    cells = [(pair, a, b) for pair, rows in binary.items() for a, row in enumerate(rows) for b in range(len(row))]
+    for (pair, a, b), x in zip(rng.sample(cells, min(len(cells), len(pool))), pool):
+        binary[pair][a][b] = x
+    return BinaryInstance.build([[str(v) for v in range(d)] for d in sizes], binary=binary)
+
+
+def test_block_scan_batches_match_per_pair_reference_walk():
+    # check_jwp stops at the first batch holding a violation, so the batches
+    # and their order are part of the scan's contract, not only first
+    rng = random.Random(32)
+    tally = Counter()
+    instances = [_batch_instance(rng) for _ in range(800)]
+    instances += [inst for inst in (_differential_instance(rng, "long") for _ in range(12))
+                  if len(scan_triangles(inst).values) <= _MASK_VALUES][:5]
+    for inst in instances:
+        scan = scan_triangles(inst)
+        assert len(scan.values) <= _MASK_VALUES
+        assert list(_found_in_order(inst, scan.values, scan.ranks)) == _reference_batches(inst)
+        sizes = [len(d) for d in inst.domains]
+        tally["n <= 2"] += inst.n <= 2
+        tally["largest domain after the first"] += max(sizes) > sizes[0]
+        tally["no table"] += inst.n > 1 and not inst.binary
+        tally["every table"] += inst.n > 2 and len(inst.binary) == inst.n * (inst.n - 1) // 2
+        tally["inf"] += INF in scan.values
+        tally["fraction"] += any("/" in str(x) for x in scan.values)
+        tally[len(scan.values)] += 1
+        tally["long"] += sum(sizes) > 64
+    assert tally["n <= 2"] >= 100 and tally["largest domain after the first"] >= 350
+    assert tally["no table"] >= 120 and tally["every table"] >= 100
+    assert tally["inf"] >= 100 and tally["fraction"] >= 300
+    assert tally[1] >= 100 and tally[_MASK_VALUES] >= 10 and tally["long"] == 5
+
+
+def _top_apart_instance(n, d, count, seed):
+    """Random tables over the costs 0 .. count - 1, the largest only in
+    tables c[i,j] with i even and j odd: no three variables have two such
+    pairs, so no triangle holds it thrice and the scan cannot stop early."""
+    rng = random.Random(seed)
+    binary = {
+        (i, j): [[C(rng.randrange(count if i % 2 == 0 and j % 2 else count - 1)) for _ in range(d)]
+                 for _ in range(d)]
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return BinaryInstance.build([[str(v) for v in range(d)]] * n, binary=binary)
+
+
+# The per-(a, b) mask scan the block scan replaced peaked at 0.97 MB and
+# 0.11 MB on these; the bound allows it 4 MB more, so that the D³-wide
+# masks cannot grow unnoticed.  No time is asserted.
+@pytest.mark.parametrize("n,d,count,mask_scan_peak", [(40, 8, 3, 969_000), (6, 20, 5, 112_000)])
+def test_scan_memory_stays_bounded_on_wide_shapes(n, d, count, mask_scan_peak):
+    inst = _top_apart_instance(n, d, count, seed=0)
+    inst.integer_costs  # built once per instance, outside the scan
+    tracemalloc.start()
+    try:
+        first = scan_triangles(inst).first
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    every = {(x == 0, z == count - 1, x == y, y == z)
+             for x, y, z in itertools.combinations_with_replacement(range(count), 3)}
+    # every signature but that of the top cost thrice
+    assert set(first) == every - {(False, True, True, True)}
+    assert peak < mask_scan_peak + 4_000_000
