@@ -258,9 +258,8 @@ def _rank_ranges(count):
 
 
 def _block_scan(sizes, ranks, count):
-    """``_found_in_order`` a variable pair at a time.  (k, a, b, c) is bit
-    ((k·D + a)·D + b)·D + c, D the largest domain, so the lowest set bit of
-    a mask is the pair's earliest triangle in it."""
+    """``_found_in_order`` a variable pair at a time, on the masks
+    ``TriangleScan`` describes."""
     n = len(sizes)
     if n < 3:
         return
