@@ -247,14 +247,15 @@ def _rank_ranges(count):
         marks = sorted({0, x, top})
         ranges = [(m, m + 1) for m in marks]
         ranges += [(lo + 1, hi) for lo, hi in zip(marks, marks[1:]) if hi - lo > 1]
-        table.append([
-            (spans.setdefault(ys, len(spans)), [
+        table.append(tuple(
+            (spans.setdefault(ys, len(spans)), tuple(
                 (spans.setdefault(zs, len(spans)), _signature(x, ys[0], zs[0], top),
                  _signature(x, ys[0], ys[0] + 1, top) if ys == zs and ys[1] - ys[0] > 1 else None)
-                for zs in ranges])
-            for ys in ranges])
-    signatures = {_signature(x, y, z, top) for x in range(count) for y in range(x, count) for z in range(y, count)}
-    return table, list(spans), signatures
+                for zs in ranges))
+            for ys in ranges))
+    signatures = frozenset(
+        _signature(x, y, z, top) for x in range(count) for y in range(x, count) for z in range(y, count))
+    return tuple(table), tuple(spans), signatures
 
 
 def _block_scan(sizes, ranks, count):
