@@ -27,20 +27,20 @@ instance's integer costs over one denominator
 oracle), so only the distinct values become ``Cost`` values; answers are
 re-evaluated on the ``Cost`` tables.
 
-With at most 18 distinct values (``_MASK_VALUES``) the scan takes one
-variable pair at a time as a block of bits, one per triangle (k, a, b, c):
-three ANDs of masks find all of the pair's triangles with one kind of
-triple at once, for each kind still unseen, and the lowest set bit is the
-earliest.  With more values the scan visits each triangle.  ``check_jwp``
-stops at the first variable pair (or triple, on the loop) that violates the
-property.
+The scan takes one variable pair at a time as a block of bits, one per
+triangle (k, a, b, c): three ANDs of masks find all of the pair's triangles
+with one kind of triple at once, for each kind still unseen, and the lowest
+set bit is the earliest.  Its masks are kept per rank that occurs, so its
+work follows the ranks present, however many distinct costs there are.
+``check_jwp`` stops at the first variable pair that violates the property.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations_with_replacement
 from operator import or_
 from typing import Mapping, Optional, Tuple
 
@@ -184,21 +184,22 @@ class TriangleScan(Frozen):
     triangle with it, given as (i, j, k, a, b, c) so that tuple order is loop
     order, and to that triangle's sorted rank triple.
 
-    With at most ``_MASK_VALUES`` (18) distinct values the scan is a block
-    scan.  Triangle (i, j, k, a, b, c) of the pair i < j is bit
-    ((k·D + a)·D + b)·D + c, D the largest domain, so the lowest set bit of
-    a mask is its earliest triangle.  Per variable v and range of ranks,
-    A[v] holds the bits with k > v where c[v,k](a, c) has a rank in the
-    range, for every b, and B[v] those where c[v,k](b, c) has, for every a;
-    X[x] holds the (a, b) where c[i,j] has rank x, for every k and c.
+    The scan is a block scan.  Triangle (i, j, k, a, b, c) of the pair
+    i < j is bit ((k·D + a)·D + b)·D + c, D the largest domain, so the
+    lowest set bit of a mask is its earliest triangle.  Per variable v and
+    range of ranks, A[v] holds the bits with k > v where c[v,k](a, c) has a
+    rank in the range, for every b, and B[v] those where c[v,k](b, c) has,
+    for every a; X[x] holds the (a, b) where c[i,j] has rank x, for every k
+    and c.
     Beside x the ranks split at 0, x and the top rank into at most five
     ranges, and a range for y and one for z fix the signature of (x, y, z),
     save that inside one wider range it also reads whether y = z (one more
     AND, with the bits where the two ranks are equal).  So X[x] & A[i] &
     B[j] holds the pair's triangles of one signature.  Only range pairs
     whose signature is unseen are ANDed, and the scan ends once every
-    signature the values allow is seen.  With more values it visits every
-    triangle.  Both give the same ``first``.
+    signature the values allow is seen.  A[v] and B[v] hold one mask per
+    rank present at v, and the mask of a wider range is made from them on
+    first read, so no part of the scan walks every distinct value.
     """
 
     _fields = ("inst", "values", "ranks")
@@ -211,62 +212,92 @@ class TriangleScan(Frozen):
         return first
 
 
-# Up to this many distinct binary costs the block scan runs; above it the
-# per-triangle loop does.  On random n=16, d=3 tables with 12 to 24 distinct
-# costs the block scan took 1.3-5.3 ms against 11-21 ms for the loop over
-# three runs, and the two broke even between 128 and 256 values.  The
-# switch stays at 18: the block scan keeps masks per value (at n=40, d=8 its
-# peak grows from 3.0 MB at 18 values to 5.6 MB at 72, the loop's stays
-# under 0.1 MB), and the tests reach both scans on oracle-sized instances
-# at this count.
-_MASK_VALUES = 18
-
-
 def _signature(x, y, z, top):
     x, y, z = sorted((x, y, z))
     return (x == 0, z == top, x == y, y == z)
 
 
-@lru_cache(maxsize=_MASK_VALUES + 1)
-def _rank_ranges(count):
-    """``(table, spans, signatures)`` over ``count`` distinct values.
-
-    Beside a rank x of c[i,j], the ranks split at 0, x and the top rank into
-    at most five ranges.  Ranks y (of c[i,k]) and z (of c[j,k]) in different
-    ranges, or in one range of a single rank, fix the signature of (x, y, z);
-    in one wider range, it is fixed once it is known whether y = z.
-    ``spans`` lists every range [lo, hi) that occurs, the single ranks
-    first, so that span r is rank r.  ``table[x]`` holds ``(y span, ((z span,
-    sig, sig_apart), ...))`` per range of y: ``sig`` is the signature when
-    y = z, and ``sig_apart`` the one when y ≠ z, None unless both lie in one
-    wider range.  ``signatures`` holds every signature a triple can have."""
-    top = count - 1
-    spans = {(r, r + 1): r for r in range(count)}
-    table = []
-    for x in range(count):
-        marks = sorted({0, x, top})
-        ranges = [(m, m + 1) for m in marks]
-        ranges += [(lo + 1, hi) for lo, hi in zip(marks, marks[1:]) if hi - lo > 1]
-        table.append(tuple(
-            (spans.setdefault(ys, len(spans)), tuple(
-                (spans.setdefault(zs, len(spans)), _signature(x, ys[0], zs[0], top),
-                 _signature(x, ys[0], ys[0] + 1, top) if ys == zs and ys[1] - ys[0] > 1 else None)
-                for zs in ranges))
-            for ys in ranges))
-    signatures = frozenset(
-        _signature(x, y, z, top) for x in range(count) for y in range(x, count) for z in range(y, count))
-    return tuple(table), tuple(spans), signatures
+def _ranges(x, top):
+    """The ranges [lo, hi) of ranks beside a rank x: 0, x, the top rank, the
+    gap between 0 and x and the gap between x and the top; some are empty
+    or repeated."""
+    return (0, 1), (x, x + 1), (top, top + 1), (1, x), (x + 1, top)
 
 
-def _block_scan(sizes, ranks, count):
-    """``_found_in_order`` a variable pair at a time, on the masks
-    ``TriangleScan`` describes."""
+@lru_cache(maxsize=None)
+def _gap_row(below, above):
+    """The ranges of ranks y and z beside a rank x, and the signature each
+    pair of them gives, for x = ``below`` and the top rank ``below + above``.
+
+    Ranks y (of c[i,k]) and z (of c[j,k]) in different ranges, or in one
+    range of a single rank, fix the signature of (x, y, z); in one wider
+    range, it is fixed once it is known whether y = z.  The row holds ``(y
+    slot, ((z slot, sig, sig_apart), ...))`` per range of y, a slot being an
+    index into ``_ranges``: ``sig`` is the signature when y = z, and
+    ``sig_apart`` the one when y ≠ z, None unless both lie in one wider
+    range.  A signature reads only equalities and the two ends, so every x
+    whose gaps to 0 and to the top are ``below`` and ``above``, 3 standing
+    for 3 or more, has this row."""
+    x, top = below, below + above
+    slots = {}
+    for slot, (lo, hi) in enumerate(_ranges(x, top)):
+        if lo < hi:
+            slots.setdefault((lo, hi), slot)
+    return tuple(
+        (y, tuple((z, _signature(x, ys[0], zs[0], top),
+                   _signature(x, ys[0], ys[0] + 1, top) if y == z and ys[1] - ys[0] > 1 else None)
+                  for zs, z in slots.items()))
+        for ys, y in slots.items())
+
+
+@lru_cache(maxsize=None)
+def _signatures(top):
+    """Every signature of a triple of ranks up to ``top``.  The ranks 0, 1,
+    2, 3 and ``top`` show them all, and every top rank from 4 up gives the
+    same set."""
+    ranks = sorted({min(r, top) for r in (0, 1, 2, 3, top)})
+    return frozenset(_signature(*key, top) for key in combinations_with_replacement(ranks, 3))
+
+
+class _RankMasks(dict):
+    """Masks by range of ranks, each the OR of the masks in ``by_rank`` of
+    the ranks present in it: a single rank r is keyed r, a wider range [lo,
+    hi) is keyed (lo, hi) and made on first read as the XOR of two prefix
+    ORs over the ranks present."""
+
+    __slots__ = ("by_rank", "present", "below")
+
+    def __init__(self, by_rank):
+        dict.__init__(self, by_rank)
+        self.by_rank, self.below = by_rank, None
+
+    def __missing__(self, key):
+        mask = 0  # a single rank that is not present
+        if isinstance(key, tuple):
+            if self.below is None:
+                self.present = sorted(self.by_rank)
+                self.below = list(accumulate(map(self.by_rank.__getitem__, self.present), or_, initial=0))
+            lo, hi = key
+            mask = self.below[bisect_left(self.present, hi)] ^ self.below[bisect_left(self.present, lo)]
+        self[key] = mask
+        return mask
+
+
+def _found_in_order(inst: BinaryInstance, values, ranks):
+    """The entries of ``TriangleScan.first``, yielded in loop order, a batch
+    after each variable pair, so that a caller wanting only the earliest
+    triangle of some kind can stop at the first batch holding it.  Within a
+    batch the entries come in no set order; both readers take the least
+    position.  The pair's triangles are found on the masks ``TriangleScan``
+    describes."""
+    sizes = [len(d) for d in inst.domains]
     n = len(sizes)
     if n < 3:
         return
     d = max(sizes)
     dd, w = d * d, d**3
-    table, spans, signatures = _rank_ranges(count)
+    top = len(values) - 1
+    signatures = _signatures(min(top, 4))
     every_k = sum(1 << k * w for k in range(n))
     every_a = sum(1 << a * dd for a in range(d))
     every_b = sum(1 << b * d for b in range(d))
@@ -291,46 +322,35 @@ def _block_scan(sizes, ranks, count):
         return found
 
     def third(v):
-        """Per span in ``used`` (None for the others), A[v] and B[v]: the
-        (k, a, b, c) with k > v where the rank of c[v,k](a, c) lies in it,
-        for every b, and those where the rank of c[v,k](b, c) does, for
-        every a."""
-        as_a, as_b = [0] * count, [0] * count
+        """A[v] and B[v] by range of ranks: the (k, a, b, c) with k > v where
+        the rank of c[v,k](a, c) lies in the range, for every b, and those
+        where the rank of c[v,k](b, c) does, for every a."""
+        as_a, as_b = {}, {}
         tables = [(ranks[v, k], k * w) for k in range(v + 1, n)]
         for a in range(sizes[v]):
-            by_rank = [0] * count  # the (k, c) where c[v,k](a, c) has rank r
+            by_rank = {}  # the (k, c) where c[v,k](a, c) has rank r
             for t, shift in tables:
                 for r, p in cells(t[a]):
-                    by_rank[r] |= p << shift
-            for r, m in enumerate(by_rank):
-                as_a[r] |= m << a * dd
-                as_b[r] |= m << a * d
-        out = []
-        for by_rank in [m * every_b for m in as_a], [m * every_a for m in as_b]:
-            below = list(accumulate(by_rank, or_, initial=0))
-            out.append([below[hi] ^ below[lo] if s in used else None for s, (lo, hi) in enumerate(spans)])
-        return out
+                    by_rank[r] = by_rank.get(r, 0) | p << shift
+            for r, m in by_rank.items():
+                as_a[r] = as_a.get(r, 0) | m << a * dd
+                as_b[r] = as_b.get(r, 0) | m << a * d
+        return (_RankMasks({r: m * every_b for r, m in as_a.items()}),
+                _RankMasks({r: m * every_a for r, m in as_b.items()}))
 
-    seen, live = set(), None
+    def unseen(x):
+        """The range pairs beside rank x that can still give an unseen
+        signature, as ``_gap_row`` gives them, each range as its key."""
+        keys = [lo if hi == lo + 1 else (lo, hi) for lo, hi in _ranges(x, top)]
+        return [(keys[y], left) for y, zs in _gap_row(min(x, 3), min(top - x, 3)) if (left := [
+            (keys[z], sig, sig_apart) for z, sig, sig_apart in zs
+            if sig not in seen or sig_apart is not None and sig_apart not in seen])]
+
+    # per rank x, once met since the last new signature, its unseen range pairs
+    seen, live = set(), [None] * len(values)
     for i in range(n - 2):
         span_a = None
         for j in range(i + 1, n - 1):
-            if live is None:
-                if len(seen) == len(signatures):
-                    return
-                # the span pairs that can still give an unseen signature, and
-                # the spans they read; these only shrink as the scan goes on
-                live = [[(y, unseen) for y, zs in per_x if (unseen := [
-                    z for z in zs if z[1] not in seen or z[2] is not None and z[2] not in seen])]
-                    for per_x in table]
-                used = set()
-                for per_x in live:
-                    for y, zs in per_x:
-                        used.add(y)
-                        for z, _, sig_apart in zs:
-                            used.add(z)
-                            if sig_apart is not None:
-                                used.update(range(count))  # read by ``equal``
             if span_a is None:
                 span_a = (sides[i] or third(i))[0]
             if sides[j] is None:
@@ -347,10 +367,13 @@ def _block_scan(sizes, ranks, count):
                 pattern = patterns[t_ij] = list(by_rank.items())
             hits, equal = {}, None
             for x, ab in pattern:
-                if not live[x]:
+                row = live[x]
+                if row is None:
+                    row = live[x] = unseen(x)
+                if not row:
                     continue
                 block = ab * every_k
-                for y, zs in live[x]:
+                for y, zs in row:
                     xy = block & span_a[y]
                     if not xy:
                         continue
@@ -360,14 +383,16 @@ def _block_scan(sizes, ranks, count):
                             if equal is None:
                                 # where c[i,k](a, c) and c[j,k](b, c) have one rank
                                 equal = 0
-                                for r in range(count):
-                                    equal |= span_a[r] & span_b[r]
+                                for r in span_a.by_rank.keys() & span_b.by_rank.keys():
+                                    equal |= span_a.by_rank[r] & span_b.by_rank[r]
                             apart = m & ~equal
                             if apart:
                                 hits[sig_apart] = hits.get(sig_apart, 0) | apart
                                 m ^= apart
                         if m:
                             hits[sig] = hits.get(sig, 0) | m
+            if not hits:
+                continue
             found = {}
             for sig, m in hits.items():
                 if sig not in seen:
@@ -378,48 +403,11 @@ def _block_scan(sizes, ranks, count):
                     found[sig] = ((i, j, k, a, b, c), key)
             if found:
                 seen.update(found)
-                live = None
+                live = [None] * len(values)
                 yield found
+                if len(seen) == len(signatures):
+                    return
         sides[i] = None
-
-
-def _loop_scan(n, ranks, top):
-    """``_found_in_order`` triangle by triangle, for each (i, j, k)."""
-    seen = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            t_ij = ranks[i, j]
-            for k in range(j + 1, n):
-                t_ik = ranks[i, k]
-                t_jk = ranks[j, k]
-                # few distinct triples per variable triple: sort only those
-                local = {}
-                for a, (row_ij, row_ik) in enumerate(zip(t_ij, t_ik)):
-                    for b, (x, row_jk) in enumerate(zip(row_ij, t_jk)):
-                        for c, (y, z) in enumerate(zip(row_ik, row_jk)):
-                            key = (x, y, z)
-                            if key not in local:
-                                local[key] = (i, j, k, a, b, c)
-                found = {}
-                for key, pos in local.items():
-                    x, y, z = sorted(key)
-                    sig = (x == 0, z == top, x == y, y == z)
-                    if sig not in seen:
-                        seen.add(sig)
-                        found[sig] = (pos, (x, y, z))
-                if found:
-                    yield found
-
-
-def _found_in_order(inst: BinaryInstance, values, ranks):
-    """The entries of ``TriangleScan.first``, yielded in loop order, a batch
-    after each variable pair (or triple), so that a caller wanting only the
-    earliest triangle of some kind can stop at the first batch holding it.
-    Within a batch the entries come in no set order; both readers take the
-    least position."""
-    if len(values) <= _MASK_VALUES:
-        return _block_scan([len(d) for d in inst.domains], ranks, len(values))
-    return _loop_scan(inst.n, ranks, len(values) - 1)
 
 
 def scan_triangles(inst: BinaryInstance) -> TriangleScan:
@@ -490,7 +478,8 @@ def check_jwp(inst: BinaryInstance):
     Returns ``(ok, witness)`` with the first violating triangle in
     lexicographic (i, j, k, a, b, c) order, or None.  The violating triples
     are exactly those whose two least ranks differ (the ORDER types ``>``
-    and ``delta``), so the scan stops at the first batch that finds one.
+    and ``delta``), so the scan stops after the first variable pair whose
+    batch holds one.
     """
     scan = scan_triangles(inst)
     for found in _found_in_order(inst, scan.values, scan.ranks):

@@ -12,7 +12,6 @@ from vcspkit.errors import ClassViolation
 from vcspkit.instances import BinaryInstance
 from vcspkit.testkit import gen_maxcut, gen_profile
 from vcspkit.triangles import (
-    _MASK_VALUES,
     _found_in_order,
     ALPHABET,
     OTHER,
@@ -440,22 +439,33 @@ def _distinct_pool(rng, size, zero=False):
     return list(pool)
 
 
+# The ``edge`` kind's count of distinct costs, ``over`` has one more: the
+# count up to which a block scan ran before it became the only scan.
+_EDGE = 18
+
+
 def _differential_instance(rng, kind):
     """``small``: up to 5 distinct costs; ``edge`` and ``over``: exactly
-    ``_MASK_VALUES`` and one more, where there are cells for all of them (0 among them, so absent
-    tables add none); ``long``: more than 64 positions (k, c), so that the
-    masks span several machine words, on few variables with large domains."""
-    if kind == "long":
+    ``_EDGE`` and one more, where there are cells for all of them (0 among
+    them, so absent tables add none); ``many``: 40 to 400 drawn, placed as
+    far as 6 to 8 variables with ragged domains of 2 to 5 values have cells,
+    so that most tables hold only distinct costs; ``long``: more than 64
+    positions (k, c), so that the masks span several machine words, on few
+    variables with large domains."""
+    if kind == "many":
+        sizes = [rng.randint(2, 5) for _ in range(rng.randint(6, 8))]
+        pool = _distinct_pool(rng, rng.randint(40, 400), zero=True)
+    elif kind == "long":
         sizes = []
         while sum(sizes) <= 64:
             sizes.append(rng.randint(8, 24))
-        pool = _distinct_pool(rng, rng.choice((2, 3, 5, _MASK_VALUES, _MASK_VALUES + 1)), zero=True)
+        pool = _distinct_pool(rng, rng.choice((2, 3, 5, _EDGE, _EDGE + 1)), zero=True)
     elif kind == "small":
         sizes = [rng.randint(1, 3) for _ in range(rng.randint(3, 5))]
         pool = _distinct_pool(rng, rng.randint(1, 5))
     else:
         sizes = [rng.randint(2, 3) for _ in range(rng.randint(4, 5))]
-        pool = _distinct_pool(rng, _MASK_VALUES + (kind == "over"), zero=True)
+        pool = _distinct_pool(rng, _EDGE + (kind == "over"), zero=True)
     n = len(sizes)
     absent = rng.choice((0.0, 0.2, 0.5))
     binary = {
@@ -473,7 +483,7 @@ def _differential_instance(rng, kind):
 def test_scan_and_profiles_match_per_triangle_walk_on_both_paths():
     rng = random.Random(1211)
     tally = Counter()
-    for kind in ["small"] * 2000 + ["edge"] * 500 + ["over"] * 500 + ["long"] * 12:
+    for kind in ["small"] * 2000 + ["edge"] * 500 + ["over"] * 500 + ["many"] * 60 + ["long"] * 12:
         inst = _differential_instance(rng, kind)
         values, first, profiles = _reference_scan(inst)
         scan = scan_triangles(inst)
@@ -487,8 +497,10 @@ def test_scan_and_profiles_match_per_triangle_walk_on_both_paths():
             assert (prof.observed, prof.witnesses, prof.mu, prof.m_value) == profiles[scheme]
         tally[len(values)] += 1
         if sum(len(d) for d in inst.domains) > 64:
-            tally["long", len(values) > _MASK_VALUES] += 1
-    assert tally[_MASK_VALUES] >= 400 and tally[_MASK_VALUES + 1] >= 400
+            tally["long", len(values) > _EDGE] += 1
+        tally["many", len(values) > 100] += kind == "many"
+    assert tally[_EDGE] >= 400 and tally[_EDGE + 1] >= 400
+    assert tally["many", False] >= 10 and tally["many", True] >= 30
     assert tally["long", False] >= 5 and tally["long", True] >= 2
 
 
@@ -516,14 +528,14 @@ def _jwp_violating_instance(rng, count):
 def test_early_stopping_jwp_matches_reference_on_both_paths():
     rng = random.Random(4)
     paths = Counter()
-    for count in [rng.randint(2, _MASK_VALUES) for _ in range(150)] + [
-        rng.randint(_MASK_VALUES + 1, _MASK_VALUES + 4) for _ in range(60)
+    for count in [rng.randint(2, _EDGE) for _ in range(150)] + [
+        rng.randint(_EDGE + 1, _EDGE + 4) for _ in range(60)
     ]:
         inst = _jwp_violating_instance(rng, count)
         ok, witness = check_jwp(inst)
         assert not ok
         assert (ok, witness) == _reference_jwp(inst)
-        paths[len(scan_triangles(inst).values) > _MASK_VALUES] += 1
+        paths[len(scan_triangles(inst).values) > _EDGE] += 1
     assert paths[False] >= 100 and paths[True] >= 40
 
 
@@ -551,13 +563,13 @@ def _reference_batches(inst):
 
 def _batch_instance(rng):
     """n of 1 to 12, ragged domains of 1 to 4 values, an absent share from
-    0 to 1 and 1 to ``_MASK_VALUES`` distinct costs, ``inf`` and fractions
+    0 to 1 and 1 to ``_EDGE`` or to 60 distinct costs, ``inf`` and fractions
     among them at times (0 too when a table may be absent, so that absent
     tables add no value), each placed in some cell where there is room."""
     n = rng.randint(1, 12)
     sizes = [rng.randint(1, 4) for _ in range(n)]
     absent = rng.choice((0.0, 1.0, rng.random(), rng.random(), rng.random()))
-    pool = _distinct_pool(rng, rng.randint(1, _MASK_VALUES), zero=absent > 0)
+    pool = _distinct_pool(rng, rng.randint(1, rng.choice((_EDGE, 60))), zero=absent > 0)
     binary = {
         (i, j): [[rng.choice(pool) for _ in range(sizes[j])] for _ in range(sizes[i])]
         for i in range(n)
@@ -576,11 +588,9 @@ def test_block_scan_batches_match_per_pair_reference_walk():
     rng = random.Random(32)
     tally = Counter()
     instances = [_batch_instance(rng) for _ in range(800)]
-    instances += [inst for inst in (_differential_instance(rng, "long") for _ in range(12))
-                  if len(scan_triangles(inst).values) <= _MASK_VALUES][:5]
+    instances += [_differential_instance(rng, "long") for _ in range(5)]
     for inst in instances:
         scan = scan_triangles(inst)
-        assert len(scan.values) <= _MASK_VALUES
         assert list(_found_in_order(inst, scan.values, scan.ranks)) == _reference_batches(inst)
         sizes = [len(d) for d in inst.domains]
         tally["n <= 2"] += inst.n <= 2
@@ -591,10 +601,12 @@ def test_block_scan_batches_match_per_pair_reference_walk():
         tally["fraction"] += any("/" in str(x) for x in scan.values)
         tally[len(scan.values)] += 1
         tally["long"] += sum(sizes) > 64
+        tally["past the edge"] += len(scan.values) > _EDGE
     assert tally["n <= 2"] >= 100 and tally["largest domain after the first"] >= 350
     assert tally["no table"] >= 120 and tally["every table"] >= 100
     assert tally["inf"] >= 100 and tally["fraction"] >= 300
-    assert tally[1] >= 100 and tally[_MASK_VALUES] >= 10 and tally["long"] == 5
+    assert tally[1] >= 100 and tally[_EDGE] >= 10 and tally["long"] == 5
+    assert tally["past the edge"] >= 100
 
 
 def _top_apart_instance(n, d, count, seed):
@@ -611,11 +623,14 @@ def _top_apart_instance(n, d, count, seed):
     return BinaryInstance.build([[str(v) for v in range(d)]] * n, binary=binary)
 
 
-# The per-(a, b) mask scan the block scan replaced peaked at 0.97 MB and
-# 0.11 MB on these; the bound allows it 4 MB more, so that the D³-wide
-# masks cannot grow unnoticed.  No time is asserted.
-@pytest.mark.parametrize("n,d,count,mask_scan_peak", [(40, 8, 3, 969_000), (6, 20, 5, 112_000)])
-def test_scan_memory_stays_bounded_on_wide_shapes(n, d, count, mask_scan_peak):
+# Reference peaks: the per-(a, b) mask scan the block scan replaced peaked
+# at 0.97 MB and 0.11 MB on the first two shapes, and the block scan at
+# 7.6 MB on the third, past 18 costs, once it was the only scan.  The bound
+# allows each 4 MB more, so that the D³-wide masks cannot grow unnoticed.
+# No time is asserted.
+@pytest.mark.parametrize("n,d,count,reference_peak", [
+    (40, 8, 3, 969_000), (6, 20, 5, 112_000), (40, 8, 24, 7_580_000)])
+def test_scan_memory_stays_bounded_on_wide_shapes(n, d, count, reference_peak):
     inst = _top_apart_instance(n, d, count, seed=0)
     inst.integer_costs  # built once per instance, outside the scan
     tracemalloc.start()
@@ -628,4 +643,4 @@ def test_scan_memory_stays_bounded_on_wide_shapes(n, d, count, mask_scan_peak):
              for x, y, z in itertools.combinations_with_replacement(range(count), 3)}
     # every signature but that of the top cost thrice
     assert set(first) == every - {(False, True, True, True)}
-    assert peak < mask_scan_peak + 4_000_000
+    assert peak < reference_peak + 4_000_000
