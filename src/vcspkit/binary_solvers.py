@@ -34,10 +34,10 @@ import itertools
 from math import prod
 
 from .costs import INF
-from .errors import DEFAULT_BUDGET, ClassViolation, InstanceError
+from .errors import DEFAULT_BUDGET, ClassViolation, InternalError
 from .instances import BinaryInstance, evaluate_binary
 from .matching import MatchingGraph, max_weight_matching
-from .results import SolveResult
+from .results import SolveResult, re_evaluated
 from .triangles import (
     _SOLVER_CELLS,
     Scheme,
@@ -80,12 +80,7 @@ def _result(inst, solver, answer, verdicts=()):
     """The route's answer (assignment, cost, certificate) as a SolveResult,
     once the assignment re-evaluates to the cost on the ``Cost`` tables."""
     x, total, cert = answer
-    got = evaluate_binary(inst, x)
-    if got != total:
-        raise InstanceError(
-            f"internal check failed: assignment evaluates to {got}, solver reported {total}"
-        )
-    return SolveResult(x, total, solver, cert, verdicts)
+    return re_evaluated(inst, SolveResult(x, total, solver, cert, verdicts), evaluate_binary)
 
 
 def _add(x, y):
@@ -302,7 +297,7 @@ def _solve_lr(inst, binary, one):
                 totals.append(base + fixed + unary_tot[k_m] + quad * one)
             k_best = min(range(m + 1), key=lambda k: (totals[k], k))
             if zero_one_unaries and totals[k_best] < min(totals[0], totals[m]):
-                raise InstanceError("lr: end-point dominance failed on a zero/one instance")
+                raise InternalError("lr: end-point dominance failed on a zero/one instance")
             if best is None or totals[k_best] < best[0]:
                 picks = dict(fixed_picks)
                 for idx, (i, _, _, pick_l, pick_r) in enumerate(mixed):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .costs import INF, ZERO
-from .errors import ClassViolation, InstanceError
+from .errors import ClassViolation, InstanceError, InternalError
 from .flow import Arc, Flow, FlowNetwork, Infeasible, min_convex_cost_flow
 from .flow import check_convexity  # noqa: F401  (kept importable from here)
 from .frozen import Frozen
@@ -34,7 +34,7 @@ from .instances import (
     evaluate_count,
     integer_count,
 )
-from .results import SolveResult
+from .results import SolveResult, re_evaluated
 
 LAMINAR = "LAMINAR"
 CROSS_FREE = "CROSS_FREE"
@@ -341,8 +341,7 @@ def _solve_forest(inst: CountInstance, forest: LaminarForest):
                 {"flow_cost": str(outcome.total), "constant": str(lam.constant),
                  "sets_after_rewrite": len(lam.sets)},
             )
-    _verify(inst, res)
-    return res, net
+    return re_evaluated(inst, res, evaluate_count), net
 
 
 def _decode(net: FlowNetwork, flow: Flow, inst: CountInstance):
@@ -356,16 +355,8 @@ def _decode(net: FlowNetwork, flow: Flow, inst: CountInstance):
             if next(picks) == 1:
                 x[i] = a
     if None in x:
-        raise InstanceError(f"flow does not pick a value for variable {x.index(None)}")
+        raise InternalError(f"flow does not pick a value for variable {x.index(None)}")
     return tuple(x)
-
-
-def _verify(inst, res):
-    got = evaluate_count(inst, res.assignment)
-    if got != res.cost:
-        raise InstanceError(
-            f"internal check failed: assignment evaluates to {got}, solver reported {res.cost}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,8 @@ def build_parser():
 
 
 # (exception types, error kind, exit code) of the input's faults; any other
-# exception is a fault of the program: kind internal, exit 1
+# exception, a failed self-check's ``InternalError`` included, is a fault of
+# the program: kind internal, exit 1
 _ERRORS = (
     (FormatError, "format", 3),
     ((ClassViolation, GenerationError), "class", 4),

@@ -19,6 +19,11 @@ class InstanceError(VcspError):
     """Invalid instance data or a solution that does not fit the instance."""
 
 
+class InternalError(VcspError):
+    """A self-check failed: an answer, a flow or a certificate does not hold
+    up, which is a fault of the program, not of its input."""
+
+
 class ClassViolation(VcspError):
     """Input falls outside the tractable class a solver or check requires.
 

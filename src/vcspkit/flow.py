@@ -6,10 +6,12 @@ one denominator ``den`` (an ``IntegerCount``); its demand/capacity window
 Each table's convexity was decided when it was built (``IntegerCount.bend``);
 the network reads that and the support of every arc's table, and the solver
 reads the tables' integer slopes as they are, with no rescaling.  It runs
-successive shortest augmenting paths with node potentials over unit steps
-with non-decreasing costs.  Units with negative marginal cost are saturated
-up front (their removal stays available through residual arcs), which keeps
-every residual cost non-negative from the start, even on cyclic networks.
+successive shortest augmenting paths with node potentials on a residual
+network with one linear-cost arc per run of equal consecutive slopes of a
+table (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 14).  Runs with
+a negative slope are saturated up front (their removal stays available
+through the reverse residual arcs), which keeps every residual cost
+non-negative from the start, even on cyclic networks.
 Each phase's Dijkstra settles the nodes reached at the current distance
 from a plain stack and heaps only the farther ones; a phase whose sink lies
 at reduced distance 0 leaves the potentials as they are.  The final cost is
@@ -19,12 +21,12 @@ re-read from the arcs' tables and made one ``Cost``.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Tuple
 
 from .costs import Cost
-from .errors import InstanceError
+from .errors import InstanceError, InternalError
 from .frozen import Frozen, setfield
 from .instances import IntegerCount
 
@@ -102,17 +104,6 @@ class Infeasible(Frozen):
     __slots__ = _fields = ("witness_arc",)
 
 
-def _compress(values):
-    vals, ends = [], []
-    for v in values:
-        if vals and vals[-1] == v:
-            ends[-1] += 1
-        else:
-            vals.append(v)
-            ends.append((ends[-1] if ends else 0) + 1)
-    return vals, ends
-
-
 def min_convex_cost_flow(net: FlowNetwork):
     """An integral feasible flow of the required value minimising total cost.
 
@@ -127,17 +118,17 @@ def min_convex_cost_flow(net: FlowNetwork):
     settle changes no potential: a node at true distance below the sink's
     distance d_t gains that distance, every other node gains d_t.  When d_t
     is 0 the potentials stay as they are and the phase only restarts the
-    search pointers.  Pushes never cross a marginal-cost breakpoint, which
-    keeps all residual reduced costs non-negative.  Each cost table is cut
-    into constant-slope segments once per call, shared by the arcs that
-    carry it.  Residual arc a has two slots in one flat list: ``rc[2a]`` is
-    the integer cost of pushing one more unit and ``rc[2a + 1]`` that of
-    cancelling one (None when the arc is saturated, respectively empty);
-    only the arcs of an augmenting path change them.  Each node's adjacency
-    holds ``(slot, other end)`` pairs.
+    search pointers.  Each network arc becomes one residual arc per run of
+    equal consecutive slopes of its table, with the slope as its constant
+    cost and the run's length as its capacity; an arc whose window is one
+    amount has none.  A run's slope is strictly below the next run's, so
+    with non-negative reduced costs the runs fill in order, and for each arc
+    and direction at most one run has reduced cost 0.  Residual arc a has
+    two slots in one flat list: ``rc[2a]`` is the integer cost of pushing one
+    more unit and ``rc[2a + 1]`` that of cancelling one (None when the arc is
+    saturated, respectively empty); only the arcs of an augmenting path
+    change them.  Each node's adjacency holds ``(slot, other end)`` pairs.
     """
-    n_arcs = len(net.arcs)
-
     num_nodes = net.num_nodes + 2
     s_node, t_node = net.num_nodes, net.num_nodes + 1
 
@@ -151,44 +142,47 @@ def min_convex_cost_flow(net: FlowNetwork):
     g[net.sink] += net.value
     g[net.source] -= net.value
 
-    tails, heads, vals, ends, caps, flows = [], [], [], [], [], []
+    tails, heads, costs, caps, flows = [], [], [], [], []
 
-    def add_residual(tail, head, seg_vals, seg_ends, e0=0):
+    def add_residual(tail, head, cost, cap, e0=0):
         tails.append(tail)
         heads.append(head)
-        vals.append(seg_vals)
-        ends.append(seg_ends)
-        caps.append(seg_ends[-1] if seg_ends else 0)
+        costs.append(cost)
+        caps.append(cap)
         flows.append(e0)
 
-    segments = {}  # id of a cost table -> (values, ends, negative units)
+    runs = {}  # id of a cost table -> its (slope, length) runs
+    first = []  # arc k's runs are residual arcs first[k] .. first[k + 1] - 1
     for arc in net.arcs:
-        seg = segments.get(id(arc.cost))
-        if seg is None:
-            slopes = arc.cost.slopes
-            seg = segments[id(arc.cost)] = (*_compress(slopes), sum(1 for m in slopes if m < 0))
-        seg_vals, seg_ends, presat = seg
-        # saturate negative-marginal units so residual costs start non-negative
-        if presat:
-            g[arc.tail] += presat
-            g[arc.head] -= presat
-        add_residual(arc.tail, arc.head, seg_vals, seg_ends, e0=presat)
+        first.append(len(tails))
+        table_runs = runs.get(id(arc.cost))
+        if table_runs is None:
+            table_runs = runs[id(arc.cost)] = [
+                (m, len(list(group))) for m, group in groupby(arc.cost.slopes)
+            ]
+        for m, length in table_runs:
+            # a negative run starts saturated, so residual costs start non-negative
+            if m < 0:
+                g[arc.tail] += length
+                g[arc.head] -= length
+            add_residual(arc.tail, arc.head, m, length, length if m < 0 else 0)
+    n_runs = len(tails)
+    first.append(n_runs)
 
     target = 0
     for x in range(net.num_nodes):
         if g[x] < 0:
-            add_residual(s_node, x, [0], [-g[x]])
+            add_residual(s_node, x, 0, -g[x])
             target += -g[x]
         elif g[x] > 0:
-            add_residual(x, t_node, [0], [g[x]])
+            add_residual(x, t_node, 0, g[x])
 
     rc = [None] * (2 * len(tails))
 
     def refresh(aidx):
         e = flows[aidx]
-        seg_vals, seg_ends = vals[aidx], ends[aidx]
-        rc[2 * aidx] = seg_vals[bisect_left(seg_ends, e + 1)] if e < caps[aidx] else None
-        rc[2 * aidx + 1] = -seg_vals[bisect_left(seg_ends, e)] if e > 0 else None
+        rc[2 * aidx] = costs[aidx] if e < caps[aidx] else None
+        rc[2 * aidx + 1] = -costs[aidx] if e > 0 else None
 
     # slot 2a leaves the tail of arc a for its head, slot 2a + 1 the reverse
     to = [None] * len(rc)
@@ -241,7 +235,7 @@ def min_convex_cost_flow(net: FlowNetwork):
         d_t = dist[t_node]
         if d_t is None:
             return Infeasible(
-                _infeasibility_witness(net, tails, heads, caps, flows, s_node, n_arcs)
+                _infeasibility_witness(net, tails, heads, caps, flows, s_node, n_runs)
             )
         if d_t:  # at d_t = 0 every potential would gain min(dist, 0) = 0
             for x in range(num_nodes):
@@ -283,29 +277,25 @@ def min_convex_cost_flow(net: FlowNetwork):
             delta = target - pushed
             for slot in path:
                 aidx = slot >> 1
-                e = flows[aidx]
-                seg_ends = ends[aidx]
-                if slot & 1:
-                    seg = bisect_left(seg_ends, e)
-                    run = e - (seg_ends[seg - 1] if seg else 0)
-                else:
-                    run = seg_ends[bisect_left(seg_ends, e + 1)] - e
-                if run < delta:
-                    delta = run
+                room = flows[aidx] if slot & 1 else caps[aidx] - flows[aidx]
+                if room < delta:
+                    delta = room
             for slot in path:
                 aidx = slot >> 1
                 flows[aidx] += -delta if slot & 1 else delta
                 refresh(aidx)
             pushed += delta
 
-    amounts = tuple(net.arcs[idx].lo + flows[idx] for idx in range(n_arcs))
+    amounts = tuple(
+        arc.lo + sum(flows[first[k]:first[k + 1]]) for k, arc in enumerate(net.arcs)
+    )
     _check_flow(net, amounts)
     total = sum(arc.cost.table[f] for arc, f in zip(net.arcs, amounts))
     return Flow(amounts, Cost(Fraction(total, net.den)))
 
 
-def _infeasibility_witness(net, tails, heads, caps, flows, s_node, n_arcs):
-    for aidx in range(n_arcs, len(tails)):
+def _infeasibility_witness(net, tails, heads, caps, flows, s_node, n_runs):
+    for aidx in range(n_runs, len(tails)):
         if tails[aidx] == s_node and flows[aidx] < caps[aidx]:
             node = heads[aidx]
             for idx, arc in enumerate(net.arcs):
@@ -320,16 +310,16 @@ def _check_flow(net: FlowNetwork, amounts):
     balance = [0] * net.num_nodes
     for arc, f in zip(net.arcs, amounts):
         if not (arc.lo <= f <= arc.hi):
-            raise InstanceError(f"flow {f} violates window [{arc.lo}, {arc.hi}]")
+            raise InternalError(f"flow {f} violates window [{arc.lo}, {arc.hi}]")
         balance[arc.tail] -= f
         balance[arc.head] += f
     for x in range(net.num_nodes):
         if x in (net.source, net.sink):
             continue
         if balance[x] != 0:
-            raise InstanceError(f"conservation violated at node {x}")
+            raise InternalError(f"conservation violated at node {x}")
     if -balance[net.source] != net.value or balance[net.sink] != net.value:
-        raise InstanceError("flow value differs from the required value")
+        raise InternalError("flow value differs from the required value")
 
 
 def network_to_dot(net: FlowNetwork, flow: Optional[Flow] = None) -> str:

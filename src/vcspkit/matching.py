@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .errors import InstanceError
+from .errors import InstanceError, InternalError
 from .frozen import Frozen
 
 
@@ -483,4 +483,4 @@ def _certify(adj, mate, dualvar, blossomparent, blossomdual):
             inside[p][1] += matched
             up[x] = p
     if not ok or inside[None] != [n, len(mate) // 2]:
-        raise InstanceError("the matching's duals fail the optimality check")
+        raise InternalError("the matching's duals fail the optimality check")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .costs import Cost, format_cost
+from .errors import InternalError
 from .formats import SOLUTION_FORMAT
 from .frozen import Frozen
 
@@ -49,3 +50,14 @@ class SolveResult(Frozen):
             doc["verdicts"] = list(self.verdicts)
         doc["certificate"] = self.certificate
         return doc
+
+
+def re_evaluated(inst, res: SolveResult, evaluate) -> SolveResult:
+    """``res``, once ``evaluate(inst, res.assignment)``, the objective read
+    from the instance's ``Cost`` tables, gives the cost it reports."""
+    got = evaluate(inst, res.assignment)
+    if got != res.cost:
+        raise InternalError(
+            f"internal check failed: assignment evaluates to {got}, solver reported {res.cost}"
+        )
+    return res

@@ -8,7 +8,7 @@ from helpers import near_1e17_maxm_instance
 from vcspkit import binary_solvers, triangles
 from vcspkit.binary_solvers import SOLVERS, dispatch, solve_class
 from vcspkit.costs import Cost, INF, ZERO
-from vcspkit.errors import ClassViolation, GenerationError, InstanceError, VcspError
+from vcspkit.errors import ClassViolation, GenerationError, InstanceError, InternalError, VcspError
 from vcspkit.formats import dumps
 from vcspkit.instances import BinaryInstance, evaluate_binary
 from vcspkit.testkit import gen_matching_encoding, gen_profile, oracle_binary
@@ -389,7 +389,7 @@ def test_dispatch_re_evaluates_the_oracle_fallback(monkeypatch):
         return x, total + C(1)
 
     monkeypatch.setattr(binary_solvers, "_enumerate", wrong_cost)
-    with pytest.raises(InstanceError, match="internal check failed"):
+    with pytest.raises(InternalError, match="internal check failed"):
         dispatch(inst)
 
 

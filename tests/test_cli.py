@@ -674,6 +674,48 @@ def test_internal_error_is_one_json_document(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def _failed_self_check(capsys, argv):
+    """Run the CLI in process and check that it reports a failed re-evaluation
+    as one error document of kind internal, with exit code 1."""
+    from vcspkit import cli
+
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"] and doc["error"]["kind"] == "internal"
+    assert doc["error"]["message"].startswith("InternalError: internal check failed: ")
+    assert "Traceback" not in err
+
+
+def test_misreporting_route_is_an_internal_error(monkeypatch, capsys, in_class_binary):
+    from vcspkit import binary_solvers
+    from vcspkit.costs import Cost
+
+    for solver, route in binary_solvers.SOLVERS.items():
+        def misreport(inst, prof, route=route):
+            x, total, cert = route(inst, prof)
+            return x, total + Cost(1), cert
+
+        monkeypatch.setitem(binary_solvers.SOLVERS, solver, misreport)
+    _failed_self_check(capsys, ["solve", in_class_binary])
+
+
+def test_misreporting_flow_is_an_internal_error(monkeypatch, capsys):
+    from vcspkit import cfc
+    from vcspkit.costs import Cost
+    from vcspkit.flow import Flow
+
+    real = cfc.min_convex_cost_flow
+
+    def misreport(net):
+        flow = real(net)
+        return Flow(flow.amounts, flow.total + Cost(1))
+
+    monkeypatch.setattr(cfc, "min_convex_cost_flow", misreport)
+    _failed_self_check(capsys, ["solve-cfc", str(FIXTURES / "pair-grid.json")])
+
+
 _RENAME_STDOUT = {
     "maxsat-overlap.json": {
         "renamable": True,

@@ -10,11 +10,15 @@ from vcspkit.cfc import build_laminar_forest, build_network
 from vcspkit.costs import Cost, INF, ZERO, cost_sum
 from vcspkit.errors import InstanceError
 from vcspkit.flow import (
+    Arc,
     Flow,
+    FlowNetwork,
     Infeasible,
     min_convex_cost_flow,
     network_to_dot,
 )
+from vcspkit.instances import AssignmentSet, CountFunction, CountInstance
+from vcspkit.renaming import recognize_renamable, rename_set
 from vcspkit.testkit import gen_full_laminar_tree
 
 C = Cost
@@ -233,6 +237,85 @@ def test_tie_heavy_networks_match_enumeration_oracle():
     assert min(seen.values()) >= 20
 
 
+def _run_network(rng):
+    """Small random network that mixes the shapes a table's runs of equal
+    slopes take: fixed windows lo == hi > 0 (no run); valley tables, whose
+    negative, zero and positive runs sit on a cycle whose return arc gains
+    from flow up to a point inside or at the ends of the zero run; and one
+    table object that two arcs share.  Returns the network and, per valley
+    arc, its index, the start of its window and the units before and after
+    its zero run."""
+    num_nodes = rng.randint(2, 5)
+    value = rng.randint(0, 2)
+    arcs, valleys = [], []
+
+    def add(tail, head, table):
+        arcs.append((tail, head, tuple(table)))
+
+    for _ in range(rng.randint(1, 2)):
+        tail, head = rng.sample(range(num_nodes), 2)
+        lo = rng.randint(0, 1)
+        slopes = (sorted(-rng.randint(1, 2) for _ in range(rng.randint(1, 2)))
+                  + [0] * rng.randint(2, 3) + sorted(rng.randint(1, 3) for _ in range(rng.randint(1, 2))))
+        negative = sum(1 for m in slopes if m < 0)
+        table = [C(-sum(m for m in slopes if m < 0))]
+        for m in slopes:
+            table.append(C(table[-1].value + m))
+        zero = slopes.count(0)
+        valleys.append((len(arcs), lo, negative, negative + zero))
+        add(tail, head, [INF] * lo + table)
+        # the return arc gains 1 per unit up to a point drawn across the zero run
+        wanted = lo + rng.randint(negative, negative + zero)
+        add(head, tail, [C(wanted - min(k, wanted)) for k in range(wanted + rng.randint(1, 2))])
+    for _ in range(rng.randint(1, 2)):
+        tail, head = rng.sample(range(num_nodes), 2)
+        lo = rng.randint(1, 2)
+        add(tail, head, [INF] * lo + [C(rng.randint(0, 3))])
+        if rng.random() < 0.8:
+            add(head, tail, [C(k) for k in range(rng.randint(lo, 3) + 1)])
+    if value:
+        rate = rng.randint(0, 2)
+        add(0, num_nodes - 1, [C(k * rate) for k in range(value + 1)])
+    tail, head = rng.sample(range(num_nodes), 2)
+    hi = rng.randint(1, 3)
+    add(tail, head, [C(k * k) for k in range(hi + 1)])
+    add(*rng.sample(range(num_nodes), 2), arcs[-1][2])
+    net = network(num_nodes, 0, num_nodes - 1, value, arcs)
+    last = net.arcs[-1]
+    shared = net.arcs[:-1] + (Arc(last.tail, last.head, net.arcs[-2].cost),)
+    return FlowNetwork(num_nodes, 0, num_nodes - 1, value, shared, net.den), valleys
+
+
+def test_run_arcs_match_enumeration_oracle():
+    rng = random.Random(34)
+    seen = {"feasible": 0, "infeasible": 0, "inside zero run": 0, "fixed window > 0": 0}
+    for _ in range(300):
+        net, valleys = _run_network(rng)
+        assert net.arcs[-1].cost is net.arcs[-2].cost
+        got = min_convex_cost_flow(net)
+        want = oracle_flow(net)
+        if want is None:
+            seen["infeasible"] += 1
+            assert isinstance(got, Infeasible)
+            continue
+        seen["feasible"] += 1
+        assert isinstance(got, Flow)
+        assert got.total == want[1]
+        balance = [0] * net.num_nodes
+        for arc, f in zip(net.arcs, got.amounts):
+            assert arc.lo <= f <= arc.hi
+            balance[arc.tail] -= f
+            balance[arc.head] += f
+            seen["fixed window > 0"] += arc.lo == arc.hi > 0
+        assert balance[net.sink] == net.value == -balance[net.source]
+        assert all(b == 0 for x, b in enumerate(balance) if x not in (net.source, net.sink))
+        assert got.total == C(Fraction(
+            sum(arc.cost.table[f] for arc, f in zip(net.arcs, got.amounts)), net.den))
+        for k, lo, below, above in valleys:
+            seen["inside zero run"] += lo + below < got.amounts[k] < lo + above
+    assert min(seen.values()) >= 20
+
+
 def test_arc_keeps_integer_slopes():
     half, third = Fraction(1, 2), Fraction(1, 3)
     net = network(2, 0, 1, 0, [(0, 1, (INF, C(half), C(third), C(1)))])
@@ -311,6 +394,51 @@ def test_flows_match_pinned_digest():
             sig = ("infeasible", None, None, out.witness_arc)
         digest.update(repr(sig).encode() + b"\n")
     assert digest.hexdigest() == _PINNED_FLOWS
+
+
+def _workload_networks():
+    """Networks of the shapes the count benchmarks solve: full laminar trees
+    with d = 4, a tree with 30 % of its inner sets complemented, and Boolean
+    trees with half their sets renamed, solved through their renaming."""
+    nets = [build_network(build_laminar_forest(gen_full_laminar_tree(n, 4, s)))
+            for n in (100, 200) for s in (0, 1)]
+    rng = random.Random(7)
+    base = gen_full_laminar_tree(100, 4, 11)
+    universe = base.universe()
+    sets = list(base.sets)
+    inner = [k for k, aset in enumerate(sets) if aset.members != universe]
+    for k in rng.sample(inner, round(0.3 * len(inner))):
+        members = universe - sets[k].members
+        s = len({i for i, _ in members})
+        lo = rng.randint(0, s)
+        hi = rng.randint(lo, s)
+        # zero on [lo, hi], one more per unit outside it
+        table = tuple(C(max(lo - m, m - hi, 0)) for m in range(s + 1))
+        sets[k] = AssignmentSet(members, CountFunction(table))
+    nets.append(build_network(build_laminar_forest(CountInstance.build(base.domains, sets))))
+    for seed in (0, 1):
+        base = gen_full_laminar_tree(200, 2, seed)
+        sets = list(base.sets)
+        for k in rng.sample(range(len(sets)), len(sets) // 2):
+            sets[k] = rename_set(sets[k], base.domains)
+        ren = recognize_renamable(CountInstance.build(base.domains, sets))
+        nets.append(build_network(ren.forest))
+    return nets
+
+
+# SHA-256 of the flows of ``_workload_networks``, computed with the flow that
+# kept one residual arc per network arc and searched its table's segments.  A
+# change that picks a different optimum must update this constant on purpose.
+_PINNED_WORKLOAD_FLOWS = "8a1b9b660ef2993bf6c1e535497ce5e43b39a0d1ac44b89fc717cbe7d745e36a"
+
+
+def test_workload_flows_match_pinned_digest():
+    digest = hashlib.sha256()
+    for net in _workload_networks():
+        out = min_convex_cost_flow(net)
+        assert isinstance(out, Flow)
+        digest.update(repr((out.amounts, str(out.total))).encode() + b"\n")
+    assert digest.hexdigest() == _PINNED_WORKLOAD_FLOWS
 
 
 def test_flow_count_enumeration():

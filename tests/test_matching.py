@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_max_weight_matching
 from vcspkit import matching as matching_module
-from vcspkit.errors import InstanceError
+from vcspkit.errors import InstanceError, InternalError
 from vcspkit.matching import (
     MatchingGraph,
     max_weight_matching,
@@ -187,5 +187,5 @@ def test_certificate_rejects_tampered_duals(monkeypatch, tamper):
     matching, total = max_weight_matching(g)
     assert len(matching) == 1 and total == 4
     monkeypatch.setattr(matching_module, "_certify", _tampered_certify(tamper))
-    with pytest.raises(InstanceError, match="optimality check"):
+    with pytest.raises(InternalError, match="optimality check"):
         max_weight_matching(g)
