@@ -128,6 +128,8 @@ def min_convex_cost_flow(net: FlowNetwork):
     more unit and ``rc[2a + 1]`` that of cancelling one (None when the arc is
     saturated, respectively empty); only the arcs of an augmenting path
     change them.  Each node's adjacency holds ``(slot, other end)`` pairs.
+    A path that would carry no unit, or a phase that finds no path, raises
+    ``InternalError`` rather than being searched again without end.
     """
     num_nodes = net.num_nodes + 2
     s_node, t_node = net.num_nodes, net.num_nodes + 1
@@ -243,6 +245,7 @@ def min_convex_cost_flow(net: FlowNetwork):
                 pot[x] += d_t if dx is None or dx > d_t else dx
         # phase: depth-first blocks along zero-reduced-cost admissible arcs
         ptr = [0] * num_nodes
+        start = pushed
         while pushed < target:
             stamp += 1
             visited[s_node] = stamp
@@ -273,6 +276,8 @@ def min_convex_cost_flow(net: FlowNetwork):
                 x = to[path.pop() ^ 1]
                 ptr[x] += 1
             if not reached:
+                if pushed == start:
+                    raise InternalError(f"no augmenting path at reduced distance {d_t}")
                 break
             delta = target - pushed
             for slot in path:
@@ -280,6 +285,8 @@ def min_convex_cost_flow(net: FlowNetwork):
                 room = flows[aidx] if slot & 1 else caps[aidx] - flows[aidx]
                 if room < delta:
                     delta = room
+            if delta <= 0:
+                raise InternalError(f"augmenting path carries {delta} units")
             for slot in path:
                 aidx = slot >> 1
                 flows[aidx] += -delta if slot & 1 else delta

@@ -4,7 +4,10 @@ Three document kinds, distinguished by their ``format`` field:
 ``vcsp-binary/1``, ``vcsp-cfc/1`` and ``vcsp-solution/1``.  Cost strings are
 ASCII decimal integers, ``p/q`` fractions, or ``inf``.  ``serialize_instance``
 is the canonical writer; parsing its output reproduces the same bytes.
-Solution documents are only written, by ``SolveResult.to_doc``.
+The parsers read each distinct cost string once per document, and the count
+parser shares member pairs the same way: every set of a document holds the
+one ``(i, a)`` tuple of each of its assignments.  Solution documents are
+only written, by ``SolveResult.to_doc``.
 
 ``dumps`` writes every emitted document.  Its canonical bytes are those of
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` and a newline, but built
@@ -15,6 +18,7 @@ in pure Python, which took longer than solving on large count instances.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring
 
 from .costs import ZERO as ZERO_COST, format_cost, parse_cost
@@ -160,6 +164,8 @@ def parse_count_instance(doc) -> CountInstance:
     n = len(names)
     read_costs = _cost_reader()
     constant = _parse_cost_at(doc.get("constant", "0"), "constant")
+    # one (i, a) tuple per assignment, shared by every set that holds it
+    pairs = [[(i, a) for a in range(len(dom))] for i, dom in enumerate(domains)]
     sets = []
     for k, entry in enumerate(_list_field(doc, "sets")):
         if not isinstance(entry, dict):
@@ -178,11 +184,13 @@ def parse_count_instance(doc) -> CountInstance:
             i, a = pair
             if not 0 <= i < n:
                 raise FormatError(f"variable index {i} out of range", f"sets[{k}]")
-            if not 0 <= a < len(domains[i]):
+            row = pairs[i]
+            if not 0 <= a < len(row):
                 raise FormatError(f"value index {a} outside domain of variable {i}", f"sets[{k}]")
-            if (i, a) in members:
+            member = row[a]
+            if member in members:
                 raise FormatError(f"repeated assignment ({i}, {a})", f"sets[{k}]")
-            members.add((i, a))
+            members.add(member)
         g_raw = entry.get("g")
         if not isinstance(g_raw, list):
             raise FormatError("set needs a cost table 'g'", f"sets[{k}]")
@@ -254,23 +262,24 @@ def _write(v, nl, out, written):
     is ``nl``.  Each item of a container is appended after its separator, and
     ``dumps`` joins the pieces once.  Text built a container at a time is
     copied once per depth, and those megabyte-sized copies made the peak
-    memory of a round trip depend on the allocator's earlier state.  A tuple
-    of items of type int (so that no bool or float shares its key) is written
-    once per depth and then looked up in ``written``: the members of a count
-    document's sets repeat from set to set."""
+    memory of a round trip depend on the allocator's earlier state.  A list
+    of tuples of items of type int (so that no bool or float shares a key),
+    a set's assignments, is one piece joined from the tuples' texts, each
+    built once per depth and kept in that depth's dict in ``written``: the
+    members of a count document's sets repeat from set to set."""
     t = type(v)
     if t is tuple or t is list or isinstance(v, (list, tuple)):
         if not v:
             out.append("[]")
             return
         inner = nl + "  "
-        if t is tuple and _INT.issuperset(map(type, v)):
-            text = written.get((v, nl))
-            if text is None:
-                text = written[v, nl] = f"[{inner}{f',{inner}'.join(map(int.__repr__, v))}{nl}]"
-            out.append(text)
-            return
         sep = "," + inner
+        if (t is list and all(type(x) is tuple for x in v)
+                and _INT.issuperset(map(type, chain.from_iterable(v)))):
+            texts = written.setdefault(inner, {})
+            items = [texts.get(x) or _int_tuple(x, inner, texts) for x in v]
+            out.append(f"[{inner}{sep.join(items)}{nl}]")
+            return
         first = len(out)
         for x in v:
             if type(x) is str:
@@ -306,6 +315,14 @@ def _write(v, nl, out, written):
     else:
         # a float, or a str or int subclass: json's text, or its TypeError
         out.append(json.dumps(v, ensure_ascii=False))
+
+
+def _int_tuple(v, nl, texts):
+    """The text of a tuple of exact ints at the depth of ``nl``, kept in
+    ``texts``, that depth's cache."""
+    inner = nl + "  "
+    texts[v] = text = f"[{inner}{f',{inner}'.join(map(int.__repr__, v))}{nl}]" if v else "[]"
+    return text
 
 
 def _key(k):

@@ -15,7 +15,7 @@ from vcspkit.formats import (
     serialize_instance,
 )
 from vcspkit.instances import AssignmentSet, BinaryInstance, CountFunction, CountInstance
-from vcspkit.testkit import fixtures, gen_matching_encoding, gen_profile
+from vcspkit.testkit import fixtures, gen_full_laminar_tree, gen_matching_encoding, gen_profile
 from vcspkit.triangles import Scheme
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -128,6 +128,25 @@ def test_fixture_files_round_trip_bit_exact():
         assert serialize_instance(parse_instance(text)) == text
         # the shipped file matches the constructed fixture
         assert serialize_instance(inst) == text
+
+
+def test_sets_share_one_tuple_per_assignment():
+    tree = gen_full_laminar_tree(8, 3, 0)
+    universe = tree.universe()
+    sets = list(tree.sets)
+    for k in range(1, len(sets), 3):
+        members = universe - sets[k].members
+        sets[k] = AssignmentSet(members, CountFunction.zero(len({i for i, _ in members})))
+    complemented = CountInstance.build(tree.domains, sets)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURE_DIR.glob("*.json"))]
+    texts += [serialize_instance(tree), serialize_instance(complemented)]
+    for text in texts:
+        inst = parse_instance(text)
+        members = [m for aset in inst.sets for m in aset.members]
+        assert len({id(m) for m in members}) <= sum(map(len, inst.domains))
+        assert all(type(m) is tuple and type(m[0]) is int and type(m[1]) is int for m in members)
+        written = {frozenset(map(tuple, s["assignments"])) for s in json.loads(text)["sets"]}
+        assert {aset.members for aset in inst.sets} == written
 
 
 def test_generated_instances_round_trip():
@@ -313,6 +332,12 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 # equal tuples that json writes differently, at one depth, and an empty one
 @example([(1, 0), (True, False), (1.0, 0), (1, 0), ()])
+# lists of int tuples, written as one piece, and the lists next to them
+@example([(1, 0), (True, 2), (3, 4)])
+@example([(1, 2), [1, 2], (3,)])
+@example([(), ()])
+@example([(1,), (1, 2, 3)])
+@example([[(1, 2)], {"k": [(1, 2), (1, 2)]}, (1, 2)])
 def test_dumps_writes_the_bytes_of_json_dumps(value):
     assert dumps(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
