@@ -13,6 +13,7 @@ JSON, and exit 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import __version__
@@ -81,7 +82,15 @@ def _emit(doc):
 
 
 def _load(path, want=None):
-    inst = parse_instance(_read_text(path))
+    # parsing leaves no cyclic garbage, so the collector's passes over the
+    # many new tuples and sets only cost time
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        inst = parse_instance(_read_text(path))
+    finally:
+        if enabled:
+            gc.enable()
     if want is not None and not isinstance(inst, want):
         raise FormatError(f"expected a {want.__name__} document")
     return inst

@@ -11,7 +11,12 @@ network with one linear-cost arc per run of equal consecutive slopes of a
 table (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 14).  Runs with
 a negative slope are saturated up front (their removal stays available
 through the reverse residual arcs), which keeps every residual cost
-non-negative from the start, even on cyclic networks.
+non-negative from the start, even on cyclic networks.  Each node lists its
+artificial arc, to the sink or back to the source, before its run arcs, so
+a depth-first search ends at the first node that can discharge.  A node fed
+by exactly one forced unit sends it down one out-arc, so of its [0, 1]
+out-arcs to one head only the first of least slope gets a run; the others
+could never be taken, and no flow changes (see ``min_convex_cost_flow``).
 Each phase's Dijkstra settles the nodes reached at the current distance
 from a plain stack and heaps only the farther ones; a phase whose sink lies
 at reduced distance 0 leaves the potentials as they are.  The final cost is
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Optional, Tuple
 
 from .costs import Cost
@@ -127,7 +132,24 @@ def min_convex_cost_flow(net: FlowNetwork):
     two slots in one flat list: ``rc[2a]`` is the integer cost of pushing one
     more unit and ``rc[2a + 1]`` that of cancelling one (None when the arc is
     saturated, respectively empty); only the arcs of an augmenting path
-    change them.  Each node's adjacency holds ``(slot, other end)`` pairs.
+    change them.  Each node's adjacency holds ``(slot, other end)`` pairs,
+    its artificial residual arc first (x -> t for a node with excess, the
+    reverse of s -> x for one with a deficit), then its run arcs in order.
+
+    A node x whose only in-arc has window [1, 1], that is not the source
+    and none of whose out-arcs has a negative first slope (so none starts
+    saturated) is fed by one unit, from s -> x; every variable node of
+    ``cfc.build_network`` is one.  Flow enters x only across s -> x or back
+    across its own runs, so x's runs carry one unit at most.  Of x's [0, 1]
+    out-arcs to one head h, only the first of least slope, a, gets a run;
+    the others get none and carry 0.  That changes no flow.  While a is
+    empty, its reduced cost is at most that of any dropped arc b, and below
+    it when b comes first, so b is admissible only in a tie, in which a
+    comes first in x's adjacency: the search takes a, and passes it only
+    once h is visited or dead, when b leads nowhere either.  A Dijkstra
+    relaxation across b never beats the one across a.  Once a is full, x's
+    unit is spent, and x is reached only back across a, from h itself, so b
+    is never taken then either.
     A path that would carry no unit, or a phase that finds no path, raises
     ``InternalError`` rather than being searched again without end.
     """
@@ -136,13 +158,32 @@ def min_convex_cost_flow(net: FlowNetwork):
 
     # required net e-inflow per node, from arc demands and the value forcing:
     # a node whose fixed outflow exceeds its fixed inflow must be fed by the
-    # artificial source, and vice versa
+    # artificial source, and vice versa; fed[x] is 1 when x's one in-arc
+    # forces one unit, x is not the source and no run out of x starts
+    # saturated, so that x's runs carry one unit at most
     g = [0] * num_nodes
+    fed = [0] * num_nodes
+    fed[net.source] = 2
     for arc in net.arcs:
-        g[arc.tail] += arc.lo
-        g[arc.head] -= arc.lo
+        lo, hi = arc.cost.support
+        g[arc.tail] += lo
+        g[arc.head] -= lo
+        fed[arc.head] += 1 if lo == hi == 1 else 2
+        if lo < hi and arc.cost.slopes[0] < 0:
+            fed[arc.tail] = 2
     g[net.sink] += net.value
     g[net.source] -= net.value
+
+    # of such a node's [0, 1] arcs to one head, only the first of least
+    # slope gets a run
+    best, dropped = {}, set()
+    for k, arc in enumerate(net.arcs):
+        if fed[arc.tail] == 1 and arc.cost.support == (0, 1):
+            dropped.add(k)
+            j = best.setdefault((arc.tail, arc.head), k)
+            if arc.cost.slopes[0] < net.arcs[j].cost.slopes[0]:
+                best[arc.tail, arc.head] = k
+    dropped.difference_update(best.values())
 
     tails, heads, costs, caps, flows = [], [], [], [], []
 
@@ -155,8 +196,10 @@ def min_convex_cost_flow(net: FlowNetwork):
 
     runs = {}  # id of a cost table -> its (slope, length) runs
     first = []  # arc k's runs are residual arcs first[k] .. first[k + 1] - 1
-    for arc in net.arcs:
+    for k, arc in enumerate(net.arcs):
         first.append(len(tails))
+        if k in dropped:
+            continue
         table_runs = runs.get(id(arc.cost))
         if table_runs is None:
             table_runs = runs[id(arc.cost)] = [
@@ -189,7 +232,7 @@ def min_convex_cost_flow(net: FlowNetwork):
     # slot 2a leaves the tail of arc a for its head, slot 2a + 1 the reverse
     to = [None] * len(rc)
     adjacency = [[] for _ in range(num_nodes)]
-    for aidx in range(len(tails)):
+    for aidx in chain(range(n_runs, len(tails)), range(n_runs)):
         refresh(aidx)
         tail, head = tails[aidx], heads[aidx]
         to[2 * aidx], to[2 * aidx + 1] = head, tail

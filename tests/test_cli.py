@@ -383,6 +383,36 @@ def test_family_witness_names_the_first_crossing_pair(tmp_path, capsys, args, co
     assert capsys.readouterr().out == dumps(stdout)
 
 
+def test_load_pauses_the_collector_and_restores_it(tmp_path, monkeypatch):
+    import gc
+
+    from vcspkit import cli
+    from vcspkit.errors import FormatError
+    from vcspkit.instances import BinaryInstance, CountInstance
+
+    parse, during = cli.parse_instance, []
+
+    def spied(text):
+        during.append(gc.isenabled())
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_instance", spied)
+    good, bad = str(FIXTURES / "pair-grid.json"), tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert isinstance(cli._load(good), CountInstance)
+            assert gc.isenabled() is enabled
+            for args in ((str(bad),), (good, BinaryInstance)):
+                with pytest.raises(FormatError):
+                    cli._load(*args)
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == [False] * 6
+
+
 _SOLVE_AND_LIST_NETWORKX = """
 import contextlib, io, json, sys, vcspkit.cli
 loaded = ["networkx" in sys.modules]
@@ -716,13 +746,16 @@ def test_misreporting_flow_is_an_internal_error(monkeypatch, capsys):
     _failed_self_check(capsys, ["solve-cfc", str(FIXTURES / "pair-grid.json")])
 
 
+# The assignments are the cost-0 optima of the flow whose search lists each
+# node's artificial arc first; a change that picks another optimum must
+# update them on purpose.
 _RENAME_STDOUT = {
     "maxsat-overlap.json": {
         "renamable": True,
         "renaming": [False, True, False, False],
         "result": {
             "format": "vcsp-solution/1",
-            "assignment": [0, 0, 1, 0, 0],
+            "assignment": [1, 0, 0, 1, 0],
             "cost": "0",
             "solver": "renamable-cfc",
             "certificate": {"flow_cost": "0", "constant": "0", "sets_after_rewrite": 4,
@@ -740,7 +773,7 @@ _RENAME_STDOUT = {
         "renaming": [False, False, False, False],
         "result": {
             "format": "vcsp-solution/1",
-            "assignment": [0, 0, 1, 0, 1, 0],
+            "assignment": [1, 1, 1, 0, 1, 0],
             "cost": "0",
             "solver": "renamable-cfc",
             "certificate": {"flow_cost": "0", "constant": "0", "sets_after_rewrite": 4,

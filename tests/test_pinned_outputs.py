@@ -19,7 +19,10 @@ from vcspkit.testkit import gen_full_laminar_tree
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
-_PINNED_OUTPUTS = "228abfcfe0fd351651a3289b3f85a27facfe2ed900d8708463c9df2edab39aa8"
+# Computed once the flow's search listed each node's artificial arc before
+# its run arcs: the assignments of solve-cfc and rename moved, at equal
+# cost, on 3 and 3 of the 1,208 inputs; nothing else moved.
+_PINNED_OUTPUTS = "be03edb3a029f6fa36f9ad5b0758fe34076117ab5cfd7ab2c29b91dfc03013b4"
 
 
 def _corpus():
